@@ -182,6 +182,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--views", type=int, default=3, help="number of views")
     p.add_argument("--vertices", type=int, default=100, help="vertices per view")
@@ -227,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", action="store_true", help="generate synthetic views instead of reading a directory")
     p.add_argument("--model", choices=[m.value for m in Model], default=Model.ACC.value)
     p.add_argument("--digest", default=_default_digest())
-    p.add_argument("--repeats", type=int, default=3, help="merges per pair; wall time is the median")
+    p.add_argument("--repeats", type=_positive_int, default=3, help="merges per pair; wall time is the median")
     p.add_argument("--parallel", type=int, help="run pairs on this many threads")
     p.add_argument("--skip-malformed", action="store_true")
     p.add_argument("-o", "--output", required=True, help="pairwise records CSV")

@@ -4,6 +4,14 @@ This is the exchange format for both input graphs and summary files: one
 statement per line, UTF-8, `#` comment lines ignored. Only the N-Triples
 subset is supported (no Turtle prefixes); parsing is single-pass and keeps
 at most one line in memory, so files can be arbitrarily large.
+
+Each statement line is matched by one compiled whole-line pattern that
+covers the whole accepted grammar; only groups that hold a `\\` are
+unescaped. A line the pattern rejects goes to the term-by-term tokenizer,
+which finds where parsing stopped and raises a ParseError with the line,
+the column and the reason. An IRI escape that decodes to a character the
+writer refuses (such as `\\u0020`) is a ParseError too, so every statement
+the parser accepts can be written back.
 """
 
 from __future__ import annotations
@@ -110,20 +118,28 @@ _LANGTAG = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
 _UNESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
+# Characters the writer refuses inside an IRI. An unescaped IRIREF body
+# cannot hold one; a UCHAR escape can, and is rejected at parse time so that
+# everything the parser accepts can be written back.
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 
-def _unescape(raw: str, line: int, col: int) -> str:
+
+def _unescape(raw: str, line: int, col: int, iri: bool = False) -> str:
     def repl(m: re.Match) -> str:
         if m.group(1) is not None:
-            return chr(int(m.group(1), 16))
-        if m.group(2) is not None:
+            ch = chr(int(m.group(1), 16))
+        elif m.group(2) is not None:
             cp = int(m.group(2), 16)
             if cp > 0x10FFFF:
                 raise ParseError(f"\\U escape out of range: {m.group(0)}", line, col + m.start())
-            return chr(cp)
-        ch = m.group(3)
-        if ch in _ECHAR:
-            return _ECHAR[ch]
-        raise ParseError(f"bad escape \\{ch}", line, col + m.start())
+            ch = chr(cp)
+        elif m.group(3) in _ECHAR:
+            return _ECHAR[m.group(3)]
+        else:
+            raise ParseError(f"bad escape \\{m.group(3)}", line, col + m.start())
+        if iri and _IRI_FORBIDDEN.match(ch):
+            raise ParseError(f"escaped character {ch!r} not allowed in IRI", line, col + m.start())
+        return ch
 
     return _UNESCAPE.sub(repl, raw)
 
@@ -136,7 +152,7 @@ def _skip_ws(text: str, pos: int) -> int:
 def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicate: bool, bnode_ns: str) -> tuple[Term, int]:
     m = _IRIREF.match(text, pos)
     if m:
-        return Term(IRI, _unescape(m.group(1), line, pos + 2)), m.end()
+        return Term(IRI, _unescape(m.group(1), line, pos + 2, iri=True)), m.end()
     if as_predicate:
         raise ParseError("expected IRI predicate", line, pos + 1)
     m = _BNODE.match(text, pos)
@@ -152,7 +168,7 @@ def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicat
             m = _IRIREF.match(text, pos + 2)
             if not m:
                 raise ParseError("expected datatype IRI after ^^", line, pos + 3)
-            return Term(LITERAL, value, datatype=_unescape(m.group(1), line, pos + 4)), m.end()
+            return Term(LITERAL, value, datatype=_unescape(m.group(1), line, pos + 4, iri=True)), m.end()
         m = _LANGTAG.match(text, pos)
         if m:
             return Term(LITERAL, value, lang=m.group(1)), m.end()
@@ -160,7 +176,12 @@ def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicat
     raise ParseError("expected IRI, blank node, or literal object", line, pos + 1)
 
 
-def _parse_line(text: str, line: int, bnode_ns: str) -> Triple:
+def _tokenize_line(text: str, line: int, bnode_ns: str) -> Triple:
+    """Parse one statement term by term; the reference for `_parse_line`.
+
+    Slower than the whole-line pattern, but it knows where parsing stopped,
+    so its ParseError carries the exact column and reason.
+    """
     pos = _skip_ws(text, 0)
     subj, pos = _parse_term(text, pos, line, as_subject=True, as_predicate=False, bnode_ns=bnode_ns)
     pos = _skip_ws(text, pos)
@@ -174,6 +195,57 @@ def _parse_line(text: str, line: int, bnode_ns: str) -> Triple:
     if pos < len(text) and not text.startswith("#", pos):
         raise ParseError("trailing garbage after '.'", line, pos + 1)
     return Triple(subj, pred, obj)
+
+
+# The whole statement grammar `_tokenize_line` accepts, as one pattern, with
+# the same groups and the same parts in the same order. Escape bodies are
+# unrolled (`[^\\]*(?:\\escape[^\\]*)*`) and admit only UCHAR and ECHAR
+# escapes; `_unescape` then raises, at the tokenizer's column, for a \U
+# beyond U+10FFFF or an escaped IRI character the writer refuses. A blank
+# node label or language tag cannot end where the next part begins, so
+# backtracking never finds a split the tokenizer would not. Groups: subject
+# IRI | subject label, predicate, object IRI | object label | literal body,
+# then datatype | language tag.
+_H = "[0-9A-Fa-f]"
+_UCHAR = rf"u{_H}{{4}}|U{_H}{{8}}"
+_IRI_BODY = rf'[^\x00-\x20<>"{{}}|^`\\]*(?:\\(?:{_UCHAR})[^\x00-\x20<>"{{}}|^`\\]*)*'
+_STR_BODY = rf'[^"\\\n\r]*(?:\\(?:[tbnrf"\'\\]|{_UCHAR})[^"\\\n\r]*)*'
+_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+_LINE = re.compile(
+    rf"[ \t]*(?:<({_IRI_BODY})>|_:({_LABEL}))"
+    rf"[ \t]*<({_IRI_BODY})>"
+    rf'[ \t]*(?:<({_IRI_BODY})>|_:({_LABEL})|"({_STR_BODY})"(?:\^\^<({_IRI_BODY})>|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?)'
+    r"[ \t]*\.[ \t]*(?:#.*)?",
+    re.DOTALL,
+)
+
+
+def _parse_line(text: str, line: int, bnode_ns: str) -> Triple:
+    m = _LINE.fullmatch(text)
+    if m is None:
+        return _tokenize_line(text, line, bnode_ns)
+    s_iri, s_label, p_iri, o_iri, o_label, lit, dt, lang = m.groups()
+    if "\\" in text:
+        # Only group contents are unescaped, in the tokenizer's order, so the
+        # first bad IRI escape is reported where the tokenizer reports it.
+        if s_iri is not None and "\\" in s_iri:
+            s_iri = _unescape(s_iri, line, m.start(1) + 1, iri=True)
+        if "\\" in p_iri:
+            p_iri = _unescape(p_iri, line, m.start(3) + 1, iri=True)
+        if o_iri is not None and "\\" in o_iri:
+            o_iri = _unescape(o_iri, line, m.start(4) + 1, iri=True)
+        if lit is not None and "\\" in lit:
+            lit = _unescape(lit, line, m.start(6) + 1)
+        if dt is not None and "\\" in dt:
+            dt = _unescape(dt, line, m.start(7) + 1, iri=True)
+    subj = Term(IRI, s_iri) if s_iri is not None else Term(BLANK, normalize_bnode_label(s_label, bnode_ns))
+    if o_iri is not None:
+        obj = Term(IRI, o_iri)
+    elif o_label is not None:
+        obj = Term(BLANK, normalize_bnode_label(o_label, bnode_ns))
+    else:
+        obj = Term(LITERAL, lit, dt, lang)
+    return Triple(subj, Term(IRI, p_iri), obj)
 
 
 def parse_ntriples(
@@ -217,9 +289,6 @@ def parse_ntriples(
 _LITERAL_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
 for _cp in range(0x20):
     _LITERAL_ESCAPES.setdefault(_cp, "\\u%04X" % _cp)
-
-_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
-
 
 def _escape_literal(value: str) -> str:
     return value.translate(_LITERAL_ESCAPES)

@@ -18,7 +18,7 @@ import re
 from pathlib import Path
 from typing import Iterable
 
-from mvsum.ntriples import IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, parse_ntriples, triple_line
+from mvsum.ntriples import IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, parse_ntriples, triple_line
 from mvsum.summary import EqcSchema, Model, Payload, Summary, check_digest, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
@@ -30,6 +30,8 @@ P_MEMBER = "urn:mvs:member"
 P_COUNT = "urn:mvs:count"
 
 _HEADER = re.compile(r"# mvs-summary v1 model=(AC|CC|ACC) digest=(\S+)\s*\Z")
+# `int()` alone would also take signs, spaces, underscores and non-ASCII digits.
+_COUNT = re.compile(r"[0-9]+")
 
 
 class SummaryFormatError(ValueError):
@@ -56,20 +58,23 @@ def summary_triples(summary: Summary) -> list[Triple]:
 
 
 def _statement_lines(summary: Summary) -> list[str]:
+    # Lines are formatted directly, but every IRI is still checked: a Summary
+    # built through the API may hold IRIs that were never parsed. The payload
+    # IRI holds the same id as the checked EQC IRI.
     lines = []
+    append = lines.append
     for cid, schema in summary.eqcs.items():
-        eqc = Term.iri(f"{EQC_NS}{cid}")
-        pay = Term.iri(f"{PAYLOAD_NS}{cid}")
+        eqc = f"<{_checked_iri(EQC_NS + cid)}>"
+        pay = f"<{PAYLOAD_NS}{cid}>"
         for a in schema.attributes or ():
-            lines.append(triple_line(Triple(eqc, Term.iri(P_ATTRIBUTE), Term.iri(a))))
+            append(f"{eqc} <{P_ATTRIBUTE}> <{_checked_iri(a)}> .")
         for c in schema.classes or ():
-            lines.append(triple_line(Triple(eqc, Term.iri(P_CLASS), Term.iri(c))))
-        lines.append(triple_line(Triple(eqc, Term.iri(P_PAYLOAD), pay)))
+            append(f"{eqc} <{P_CLASS}> <{_checked_iri(c)}> .")
+        append(f"{eqc} <{P_PAYLOAD}> {pay} .")
         payload = summary.payloads[cid]
         for m in payload.members:
-            lines.append(triple_line(Triple(pay, Term.iri(P_MEMBER), m)))
-        count = Term.literal(str(payload.count), datatype=XSD_INTEGER)
-        lines.append(triple_line(Triple(pay, Term.iri(P_COUNT), count)))
+            append(f"{pay} <{P_MEMBER}> {m.nt()} .")
+        append(f'{pay} <{P_COUNT}> "{payload.count:d}"^^<{XSD_INTEGER}> .')
     lines.sort()
     return lines
 
@@ -133,6 +138,8 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
                 if p.value == P_MEMBER and o.kind != LITERAL:
                     members.setdefault(s.value, set()).add(o)
                 elif p.value == P_COUNT and o.kind == LITERAL and o.datatype == XSD_INTEGER:
+                    if not _COUNT.fullmatch(o.value):
+                        raise SummaryFormatError(f"count is not a plain decimal: {triple_line(Triple(s, p, o))}")
                     counts[s.value] = int(o.value)
                 else:
                     raise SummaryFormatError(f"unexpected statement: {triple_line(Triple(s, p, o))}")

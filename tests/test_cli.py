@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from helpers import child_env
 from mvsum.cli import main
 from mvsum.summary_io import load_summary
@@ -66,6 +68,18 @@ def test_summarize_skip_mode(tmp_path, capsys):
     assert len(load_summary(out).member_index) == 2
 
 
+def test_summarize_escaped_forbidden_iri_character_is_data_error(tmp_path, capsys):
+    # Parsed, this IRI holds a space, which the summary writer would refuse.
+    bad = tmp_path / "bad.nt"
+    bad.write_text("<urn:a> <urn:p> <urn:b> .\n<urn:a\\u0020b> <urn:p> <urn:b> .\n")
+    out = tmp_path / "s.nt"
+    assert run("summarize", bad, "-o", out) == 1
+    assert "line 2, col 7" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("summarize", bad, "-o", out, "--skip-malformed") == 0
+    assert len(load_summary(out).member_index) == 2
+
+
 def test_summarize_digest_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("MVSUM_DIGEST", "sha512")
     out = tmp_path / "s.nt"
@@ -104,6 +118,16 @@ def test_merge_header_mismatch_exits_2(tmp_path):
     assert run("summarize", DATA / "tiny_graph.nt", "--model", "AC", "-o", a) == 0
     assert run("summarize", DATA / "tiny_graph.nt", "--model", "CC", "-o", b) == 0
     assert run("merge", a, b, "-o", tmp_path / "m.nt") == 2
+
+
+@pytest.mark.parametrize("count", ["x1", "0_1"])
+def test_merge_non_digit_count_is_data_error(tmp_path, capsys, count):
+    s = tmp_path / "s.nt"
+    assert run("summarize", DATA / "tiny_graph.nt", "-o", s) == 0
+    bad = tmp_path / "bad.nt"
+    bad.write_text(s.read_text().replace('"1"', f'"{count}"', 1))
+    assert run("merge", s, bad, "-o", tmp_path / "m.nt") == 1
+    assert "count is not a plain decimal" in capsys.readouterr().err
 
 
 def test_merge_case3_fixture(tmp_path):
@@ -210,6 +234,15 @@ def test_bench_parallel_flag(tmp_path):
                "--parallel", "2", "-o", records) == 0
     with open(records, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 6
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1", "x"])
+def test_bench_repeats_must_be_positive(tmp_path, capsys, repeats):
+    with pytest.raises(SystemExit) as exc:
+        run("bench", "--gen", "--repeats", repeats, "-o", tmp_path / "r.csv")
+    assert exc.value.code == 2
+    assert "argument --repeats" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_bench_zero_overlap_no_case3(tmp_path):

@@ -1,18 +1,24 @@
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsum.ntriples import (
+    _LINE,
     ParseError,
     Term,
     Triple,
+    _parse_line,
+    _tokenize_line,
     normalize_bnode_label,
     parse_ntriples,
     serialize_ntriples,
     triple_line,
 )
+
+ESCAPES = Path(__file__).parent / "data" / "escapes.nt"
 
 
 def parse_one(line: str) -> Triple:
@@ -69,6 +75,19 @@ def test_escapes_unescaped():
 def test_bad_escape_is_error():
     with pytest.raises(ParseError):
         parse_one(r'<urn:a> <urn:p> "a\qb" .')
+
+
+@pytest.mark.parametrize("line, col, char", [
+    (r"<urn:a\u0020b> <urn:p> <urn:b> .", 7, " "),
+    (r"<urn:a> <urn:p\u003C> <urn:b> .", 15, "<"),
+    (r"<urn:a> <urn:p> <urn:\U0000005Cb> .", 22, "\\"),
+    (r'<urn:a> <urn:p> "x"^^<urn:d\u0022t> .', 28, '"'),
+])
+def test_escaped_iri_character_the_writer_refuses_is_parse_error(line, col, char):
+    with pytest.raises(ParseError) as exc:
+        parse_one(line)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert exc.value.reason == f"escaped character {char!r} not allowed in IRI"
 
 
 def test_comments_and_blank_lines_skipped():
@@ -213,3 +232,91 @@ def test_round_trip_property(triples):
     sink = io.StringIO()
     serialize_ntriples(triples, sink)
     assert list(parse_ntriples(io.StringIO(sink.getvalue()))) == triples
+
+
+# --- whole-line pattern against the term tokenizer -----------------------------
+#
+# `_parse_line` matches a line with one pattern and falls back to the term
+# tokenizer only for lines the pattern rejects. The two must give equal
+# triples, or equal errors, on every line: generated ones from the grammar,
+# mutated ones, and the fixture lines.
+
+@st.composite
+def _uchar(draw):
+    if draw(st.booleans()):
+        special = st.sampled_from([0x20, 0x22, 0x3C, 0x3E, 0x5C, 0x7B, 0x0A, 0x41, 0xE9, 0xD800])
+        cp = draw(st.one_of(special, st.integers(0, 0xFFFF)))
+        return "\\u" + format(cp, draw(st.sampled_from(["04X", "04x"])))
+    special = st.sampled_from([0x20, 0x1F600, 0x10FFFF, 0x110000, 0xFFFFFFFF])
+    cp = draw(st.one_of(special, st.integers(0, 0x11FFFF)))
+    return "\\U" + format(cp, draw(st.sampled_from(["08X", "08x"])))
+
+
+def _joined(*parts):
+    return st.lists(st.one_of(*parts), max_size=4).map("".join)
+
+
+_ws = st.text(alphabet=" \t", max_size=2)
+_iri_body = _joined(st.text(alphabet="az09:/#%?&-_.~éü東", min_size=1, max_size=5), _uchar())
+_iri_ref = _iri_body.map(lambda b: f"<{b}>")
+_bnode_ref = st.text(alphabet="aZ09_.-", min_size=1, max_size=6).map(lambda l: "_:" + l)
+_str_body = _joined(
+    st.text(alphabet=st.characters(exclude_characters='"\\\n\r', exclude_categories=("Cs",)), min_size=1, max_size=5),
+    st.sampled_from([r"\t", r"\b", r"\n", r"\r", r"\f", r"\"", r"\'", r"\\", r"\q", r"\u12"]),
+    _uchar(),
+)
+_lang = st.one_of(
+    st.from_regex(r"[A-Za-z]{1,3}(-[A-Za-z0-9]{1,3}){0,2}", fullmatch=True),
+    st.sampled_from(["en-", "1a", "-x", "de--a"]),
+)
+_literal = st.one_of(
+    _str_body.map(lambda b: f'"{b}"'),
+    st.builds(lambda b, d: f'"{b}"^^{d}', _str_body, _iri_ref),
+    st.builds(lambda b, t: f'"{b}"@{t}', _str_body, _lang),
+)
+_comment = st.one_of(
+    st.just(""),
+    st.text(alphabet=st.one_of(st.characters(), st.sampled_from("\r\n")), max_size=6).map(lambda c: "#" + c),
+)
+
+
+@st.composite
+def _grammar_lines(draw):
+    subject = draw(st.one_of(_iri_ref, _bnode_ref))
+    obj = draw(st.one_of(_iri_ref, _bnode_ref, _literal))
+    parts = [subject, draw(_iri_ref), obj, ".", draw(_comment)]
+    return "".join(draw(_ws) + part for part in parts)
+
+
+@st.composite
+def _mutated_lines(draw):
+    line = draw(_grammar_lines())
+    i = draw(st.integers(0, len(line)))
+    how = draw(st.sampled_from(["delete", "insert", "truncate"]))
+    if how == "delete":
+        return line[:i] + line[i + 1:]
+    if how == "insert":
+        return line[:i] + draw(st.sampled_from(list('<>"{|`_:.@^\\# \t\x00x'))) + line[i:]
+    return line[:i]
+
+
+_fixture_lines = ESCAPES.read_text(encoding="utf-8").splitlines()
+
+
+def _outcome(parse, line, bnode_ns):
+    try:
+        return parse(line, 3, bnode_ns)
+    except ParseError as err:
+        return ("error", err.line, err.col, err.reason)
+
+
+@given(st.one_of(_grammar_lines(), _mutated_lines(), st.sampled_from(_fixture_lines)),
+       st.sampled_from(["", "f1"]))
+@settings(max_examples=1000)
+def test_line_pattern_agrees_with_tokenizer(line, bnode_ns):
+    expected = _outcome(_tokenize_line, line, bnode_ns)
+    assert _outcome(_parse_line, line, bnode_ns) == expected
+    if isinstance(expected, Triple):
+        # Every valid line takes the pattern, and what it yields writes back.
+        assert _LINE.fullmatch(line) is not None
+        assert _tokenize_line(triple_line(expected), 1, "") == expected

@@ -5,8 +5,8 @@ import pytest
 
 from helpers import RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph
 from mvsum.graph import build_graph
-from mvsum.ntriples import parse_ntriples
-from mvsum.summary import Model, summarize
+from mvsum.ntriples import Term, parse_ntriples
+from mvsum.summary import EqcSchema, Model, Payload, Summary, eqc_id, summarize
 from mvsum.summary_io import (
     SummaryFormatError,
     format_summary,
@@ -110,6 +110,36 @@ def test_tampered_count_rejected():
     bad = format_summary(s).replace('"1"', '"7"')
     with pytest.raises(SummaryFormatError):
         read_summary(bad.splitlines())
+
+
+@pytest.mark.parametrize("count", ["x1", "0_1", "+1", " 1", "\u0661", ""])
+def test_count_must_be_plain_digits(count):
+    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
+    bad = format_summary(s).replace('"1"', f'"{count}"', 1)
+    with pytest.raises(SummaryFormatError, match="count is not a plain decimal"):
+        read_summary(bad.splitlines())
+
+
+def _summary_with(attribute="urn:p:p", klass="urn:c:C", member="urn:x:a", cid=None):
+    schema = EqcSchema(Model.ACC, (attribute,), (klass,))
+    cid = cid or eqc_id(schema)
+    s = Summary(model=Model.ACC)
+    s.eqcs[cid] = schema
+    s.payloads[cid] = Payload({Term.iri(member)}, 1)
+    s.member_index[Term.iri(member)] = cid
+    return s
+
+
+@pytest.mark.parametrize("bad", [
+    {"attribute": "urn:p:a b"},
+    {"klass": "urn:c:<C>"},
+    {"member": "urn:x:a\\b"},
+    {"cid": "not hex"},
+])
+def test_writer_rejects_forbidden_iri_characters(bad):
+    format_summary(_summary_with())  # the same summary without the bad IRI writes
+    with pytest.raises(ValueError, match="not allowed in IRI"):
+        format_summary(_summary_with(**bad))
 
 
 def test_foreign_statement_rejected():
