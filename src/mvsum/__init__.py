@@ -1,6 +1,5 @@
 """Multi-view structural graph summaries: build, merge, schedule, measure."""
 
-from mvsum._dispatch import available_backends
 from mvsum.graph import Graph, MultiViewSet, build_graph, graph_triples, union
 from mvsum.merge import (
     CaseStats,
@@ -27,13 +26,6 @@ from mvsum.summary import (
 from mvsum.summary_io import SummaryFormatError, load_summary, read_summary, save_summary
 
 
-def kernel_backend() -> str:
-    """Name of the active kernel backend ('cython' or 'python')."""
-    from mvsum import _dispatch
-
-    return _dispatch.kernels.BACKEND
-
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -54,13 +46,11 @@ __all__ = [
     "SummaryFormatError",
     "Term",
     "Triple",
-    "available_backends",
     "build_graph",
     "canonical_string",
     "classify_cases",
     "eqc_id",
     "graph_triples",
-    "kernel_backend",
     "load_summary",
     "merge",
     "merge_all",

@@ -14,7 +14,6 @@ import csv
 import math
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -128,29 +127,20 @@ def _timed_merge(left: Summary, right: Summary, repeats: int) -> MergeRecord:
 def bench_pairwise(
     summaries: Sequence[tuple[str, Summary]],
     repeats: int = 3,
-    parallel: int | None = None,
 ) -> list[PairResult]:
     """One MergeRecord per ordered pair of distinct summaries (n(n-1) rows).
 
-    Wall time per pair is the median over `repeats` merges. Merges run
-    sequentially unless `parallel` is set; records come back in pair order
-    either way, and per-merge timings stay valid because merges share
-    nothing.
+    Wall time per pair is the median over `repeats` merges. Merges run one
+    at a time, so no timing includes another merge's work.
     """
     if len(summaries) < 2:
         raise ValueError("bench_pairwise needs at least two summaries")
-    pairs = [
-        (ln, ls, rn, rs)
+    return [
+        PairResult(ln, rn, _timed_merge(ls, rs, repeats))
         for i, (ln, ls) in enumerate(summaries)
         for j, (rn, rs) in enumerate(summaries)
         if i != j
     ]
-    if parallel:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            records = list(pool.map(lambda p: _timed_merge(p[1], p[3], repeats), pairs))
-    else:
-        records = [_timed_merge(ls, rs, repeats) for _, ls, _, rs in pairs]
-    return [PairResult(ln, rn, rec) for (ln, _, rn, _), rec in zip(pairs, records)]
 
 
 def _fit_input(record: MergeRecord, against: str, edge_measure: str) -> float:

@@ -37,8 +37,12 @@ def _default_digest() -> str:
 def _read_graph(path: Path, skip_malformed: bool):
     skipped = []
     handler = skipped.append if skip_malformed else None
-    with open(path, "r", encoding="utf-8") as fh:
-        g = build_graph(parse_ntriples(fh, on_error=handler))
+    # Binary lines: the parser decodes each one, so invalid UTF-8 is a
+    # ParseError with a position that --skip-malformed can skip. splitlines
+    # ends lines at a lone CR too, as N-Triples and text mode do.
+    with open(path, "rb") as fh:
+        lines = (part for line in fh for part in line.splitlines())
+        g = build_graph(parse_ntriples(lines, on_error=handler))
     if skipped:
         print(f"{path}: skipped {len(skipped)} malformed line(s)", file=sys.stderr)
     return g
@@ -169,7 +173,7 @@ def _bench_inputs(args) -> list[tuple[str, object]]:
 
 def cmd_bench(args) -> int:
     named = _bench_inputs(args)
-    rows = analytics.bench_pairwise(named, repeats=args.repeats, parallel=args.parallel)
+    rows = analytics.bench_pairwise(named, repeats=args.repeats)
     analytics.write_pair_records_csv(rows, args.output)
     if args.fits:
         model = named[0][1].model
@@ -226,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument("--strategy", choices=["smallest-first", "largest-first", "random", "greedy-parallel"],
                    default="smallest-first")
-    p.add_argument("--workers", type=int, default=2, help="workers for greedy-parallel")
+    p.add_argument("--workers", type=_positive_int, default=2, help="workers for greedy-parallel")
     p.add_argument("--seed", type=int, help="seed for the random strategy")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--schedule", help="write the merge schedule CSV here")
@@ -238,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=[m.value for m in Model], default=Model.ACC.value)
     p.add_argument("--digest", default=_default_digest())
     p.add_argument("--repeats", type=_positive_int, default=3, help="merges per pair; wall time is the median")
-    p.add_argument("--parallel", type=int, help="run pairs on this many threads")
     p.add_argument("--skip-malformed", action="store_true")
     p.add_argument("-o", "--output", required=True, help="pairwise records CSV")
     p.add_argument("--fits", help="regression fits CSV")

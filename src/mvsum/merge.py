@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from mvsum import _dispatch
 from mvsum.ntriples import Term
 from mvsum.summary import EqcId, Model, Payload, Summary, eqc_id, merge_schemas
 
@@ -137,9 +136,20 @@ def classify_cases(s1: Summary, s2: Summary) -> CaseStats:
     EQC. Case 2: not in S2 but its EQC exists in S2. Case 3: in S2 under a
     different EQC.
     """
-    case1, case2, case3 = _dispatch.kernels.classify_members(
-        s1.member_index, s2.member_index, s2.eqcs
-    )
+    get = s2.member_index.get
+    s2_eqcs = s2.eqcs
+    case1 = case2 = case3 = 0
+    for m, cid in s1.member_index.items():
+        other = get(m)
+        if other is None:
+            if cid in s2_eqcs:
+                case2 += 1
+            else:
+                case1 += 1
+        elif other == cid:
+            case1 += 1
+        else:
+            case3 += 1
     return CaseStats(case1, case2, case3, len(s1.member_index))
 
 
@@ -206,9 +216,11 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
     # Step 2: detect case 3 and combine EQCs. Scanning the smaller member
     # index finds the same conflicts at lower cost.
     scan, other = (s1, s2) if len(s1.member_index) <= len(s2.member_index) else (s2, s1)
-    conflicts = _dispatch.kernels.find_conflicts(scan.member_index, other.member_index)
-    for m, ca, cb in conflicts:
-        combine_eqcs(out, ca, cb, m)
+    get = other.member_index.get
+    for m, ca in scan.member_index.items():
+        cb = get(m)
+        if cb is not None and cb != ca:
+            combine_eqcs(out, ca, cb, m)
 
     # Step 3: finalize counts, drop drained EQCs.
     for cid in list(out.eqcs):

@@ -4,10 +4,12 @@ The final summary is the same whatever the order (merging is associative and
 symmetric); the strategies only change how much intermediate work is done.
 Sizes are serialized edge counts. smallest_first and largest_first keep a
 size-ordered pool and repeatedly merge the two extremes; random picks pairs
-with a seeded generator; greedy_parallel runs up to `workers` merges at once,
-each worker grabbing the two smallest summaries available the instant it is
-free. `schedule_work` dry-runs any strategy under the cost model
-cost(a, b) = a + b without touching real summaries.
+with a seeded generator; greedy_parallel builds the tree that `workers`
+workers would build under the cost model cost(a, b) = a + b, each taking the
+two smallest summaries ready when it is free. That tree is deterministic,
+and its merges run one at a time in simulated start order. `schedule_work`
+dry-runs any strategy under the same cost model without touching real
+summaries.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import csv
 import heapq
 import itertools
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,49 +135,41 @@ def _run_sequential(items, strategy: Strategy, do_merge, out_names):
 
 
 def _run_greedy_parallel(items, workers: int, do_merge, out_names):
-    """Worker threads over a synchronized pool; outputs re-enter immediately."""
-    pool = _Pool()
-    for size, name, item in items:
-        pool.push(size, name, item)
-    cond = threading.Condition()
+    """Build the greedy-parallel merge tree by simulating `workers` workers.
+
+    Under the cost model a merge of sizes a and b takes a + b time units.
+    The earliest-free worker takes the two smallest ready items; with fewer
+    than two ready it waits for the next merge to finish. Merges run one at
+    a time, in simulated start order, and an output becomes ready at its
+    merge's start plus a + b. Returns the final item, the steps in start
+    order and the simulated makespan.
+    """
+    ready = [(size, seq, name, item) for seq, (size, name, item) in enumerate(items)]
+    heapq.heapify(ready)
+    running: list[tuple[float, int, int, str, object]] = []  # (finish, size, seq, name, item)
+    free_at = [0.0] * workers  # a heap of the times the workers become free
+    seq = itertools.count(len(items))
     steps: list[Step] = []
-    in_flight = 0
-    failures: list[BaseException] = []
-
-    def worker():
-        nonlocal in_flight
-        while True:
-            with cond:
-                while len(pool) < 2 and in_flight > 0 and not failures:
-                    cond.wait()
-                if failures or len(pool) < 2:
-                    return
-                _, left_name, left = pool.pop()
-                _, right_name, right = pool.pop()
-                in_flight += 1
-            try:
-                item, size, record = do_merge(left, right)
-            except BaseException as exc:
-                with cond:
-                    failures.append(exc)
-                    in_flight -= 1
-                    cond.notify_all()
-                return
-            with cond:
-                name = next(out_names)
-                steps.append(Step(left_name, right_name, name, record))
-                pool.push(size, name, item)
-                in_flight -= 1
-                cond.notify_all()
-
-    threads = [threading.Thread(target=worker) for _ in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
-    return pool.pop()[2], steps
+    while len(steps) < len(items) - 1:
+        t = free_at[0]
+        while running and running[0][0] <= t:
+            _, size, s, name, item = heapq.heappop(running)
+            heapq.heappush(ready, (size, s, name, item))
+        if len(ready) < 2:
+            heapq.heapreplace(free_at, max(t, running[0][0]))
+            continue
+        a, _, left_name, left = heapq.heappop(ready)
+        b, _, right_name, right = heapq.heappop(ready)
+        item, size, record = do_merge(left, right)
+        name = next(out_names)
+        steps.append(Step(left_name, right_name, name, record))
+        finish = t + (a + b)
+        heapq.heapreplace(free_at, finish)
+        heapq.heappush(running, (finish, size, next(seq), name, item))
+    # The root merge starts after every other merge has finished, so the
+    # one item left is the final summary and its finish is the makespan.
+    makespan, _, _, _, final = running[0]
+    return final, steps, makespan
 
 
 def merge_all(
@@ -212,7 +205,7 @@ def merge_all(
         return merged, merged.edge_count(), record
 
     if strategy.kind == "greedy_parallel":
-        final, steps = _run_greedy_parallel(items, strategy.workers, do_merge, out_names)
+        final, steps, _ = _run_greedy_parallel(items, strategy.workers, do_merge, out_names)
     else:
         final, steps = _run_sequential(items, strategy, do_merge, out_names)
     schedule.steps = steps
@@ -250,48 +243,17 @@ def schedule_work(
             wall_ms=float(a + b), stats=None,
         )
 
-    if strategy.kind != "greedy_parallel":
-        def do_merge(a: int, b: int):
-            out = size_of(a, b)
-            return out, out, fake_record(a, b)
+    def do_merge(a: int, b: int):
+        out = size_of(a, b)
+        return out, out, fake_record(a, b)
 
-        _, steps = _run_sequential(items, strategy, do_merge, out_names)
-        schedule.steps = steps
-        schedule.finalize_work()
-        schedule.total_wall_ms = float(schedule.total_work)
-        return schedule
-
-    # Event-driven simulation of the greedy-parallel pool.
-    ready = [(size, i, f"in{i}") for i, size in enumerate(sizes)]
-    heapq.heapify(ready)
-    future: list[tuple[float, int, int, str]] = []  # (ready_time, size, seq, name)
-    workers = [0.0] * strategy.workers
-    heapq.heapify(workers)
-    seq = itertools.count(len(sizes))
-    makespan = 0.0
-    merges_left = len(sizes) - 1
-    while merges_left:
-        t = workers[0]
-        while future and future[0][0] <= t:
-            _, size, s, name = heapq.heappop(future)
-            heapq.heappush(ready, (size, s, name))
-        if len(ready) < 2:
-            # The earliest-free worker blocks until the next summary arrives.
-            arrival = future[0][0]
-            heapq.heapreplace(workers, max(t, arrival))
-            continue
-        t = heapq.heappop(workers)
-        a, _, left_name = heapq.heappop(ready)
-        b, _, right_name = heapq.heappop(ready)
-        finish = t + (a + b)
-        name = next(out_names)
-        schedule.steps.append(Step(left_name, right_name, name, fake_record(a, b)))
-        heapq.heappush(workers, finish)
-        heapq.heappush(future, (finish, size_of(a, b), next(seq), name))
-        makespan = max(makespan, finish)
-        merges_left -= 1
+    makespan = None
+    if strategy.kind == "greedy_parallel":
+        _, schedule.steps, makespan = _run_greedy_parallel(items, strategy.workers, do_merge, out_names)
+    else:
+        _, schedule.steps = _run_sequential(items, strategy, do_merge, out_names)
     schedule.finalize_work()
-    schedule.total_wall_ms = makespan
+    schedule.total_wall_ms = float(schedule.total_work) if makespan is None else makespan
     return schedule
 
 

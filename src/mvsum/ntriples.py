@@ -10,8 +10,9 @@ covers the whole accepted grammar; only groups that hold a `\\` are
 unescaped. A line the pattern rejects goes to the term-by-term tokenizer,
 which finds where parsing stopped and raises a ParseError with the line,
 the column and the reason. An IRI escape that decodes to a character the
-writer refuses (such as `\\u0020`) is a ParseError too, so every statement
-the parser accepts can be written back.
+writer refuses (such as `\\u0020`), or to a lone surrogate (U+D800 to
+U+DFFF), is a ParseError too, so every statement the parser accepts can be
+written back.
 """
 
 from __future__ import annotations
@@ -127,16 +128,20 @@ _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 def _unescape(raw: str, line: int, col: int, iri: bool = False) -> str:
     def repl(m: re.Match) -> str:
         if m.group(1) is not None:
-            ch = chr(int(m.group(1), 16))
+            cp = int(m.group(1), 16)
         elif m.group(2) is not None:
             cp = int(m.group(2), 16)
             if cp > 0x10FFFF:
                 raise ParseError(f"\\U escape out of range: {m.group(0)}", line, col + m.start())
-            ch = chr(cp)
         elif m.group(3) in _ECHAR:
             return _ECHAR[m.group(3)]
         else:
             raise ParseError(f"bad escape \\{m.group(3)}", line, col + m.start())
+        # A lone surrogate is not a character: UTF-8 cannot encode it, so the
+        # writer could not write the term back.
+        if 0xD800 <= cp <= 0xDFFF:
+            raise ParseError(f"escape of a surrogate code point: {m.group(0)}", line, col + m.start())
+        ch = chr(cp)
         if iri and _IRI_FORBIDDEN.match(ch):
             raise ParseError(f"escaped character {ch!r} not allowed in IRI", line, col + m.start())
         return ch
@@ -267,7 +272,9 @@ def parse_ntriples(
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                err = ParseError(f"invalid UTF-8: {exc.reason}", lineno, exc.start + 1)
+                # The bytes before the bad one decode; count their characters.
+                col = len(raw[:exc.start].decode("utf-8")) + 1
+                err = ParseError(f"invalid UTF-8: {exc.reason}", lineno, col)
                 if on_error is None:
                     raise err from None
                 on_error(err)

@@ -14,7 +14,6 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 
-from mvsum import _dispatch
 from mvsum.graph import Graph
 from mvsum.ntriples import Term
 
@@ -176,9 +175,28 @@ def summarize_vertex(v: Term, g: Graph, model: Model, digest: str = DEFAULT_DIGE
 def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
     """Summarize a whole graph: every vertex lands in exactly one EQC."""
     check_digest(digest)
-    groups = _dispatch.kernels.group_schema_keys(
-        g.vertices, g.out_labels, g.vertex_labels, model.wants_attributes, model.wants_classes
-    )
+    # Group vertices by their raw (attributes, classes) key first, so the
+    # schema object and its digest are built once per EQC, not per vertex.
+    want_attrs, want_classes = model.wants_attributes, model.wants_classes
+    out_labels, vertex_labels = g.out_labels, g.vertex_labels
+    groups: dict[tuple, list[Term]] = {}
+    for v in g.vertices:
+        if want_attrs:
+            labels = out_labels.get(v)
+            attrs = tuple(sorted(labels)) if labels else ()
+        else:
+            attrs = None
+        if want_classes:
+            labels = vertex_labels.get(v)
+            classes = tuple(sorted(labels)) if labels else ()
+        else:
+            classes = None
+        key = (attrs, classes)
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = [v]
+        else:
+            bucket.append(v)
     s = Summary(model=model, digest=digest)
     for (attrs, classes), members in groups.items():
         schema = EqcSchema(model, attrs, classes)

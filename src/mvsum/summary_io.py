@@ -88,7 +88,9 @@ def format_summary(summary: Summary) -> str:
 
 
 def save_summary(summary: Summary, path: str | Path) -> None:
-    Path(path).write_text(format_summary(summary), encoding="utf-8", newline="\n")
+    # Encode before opening the target, so a summary that cannot be written
+    # leaves no file behind.
+    Path(path).write_bytes(format_summary(summary).encode("utf-8"))
 
 
 def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
@@ -191,5 +193,8 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
 
 
 def load_summary(path: str | Path, verify: bool = True) -> Summary:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_summary(fh, verify=verify)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read_summary(fh, verify=verify)
+    except UnicodeDecodeError as exc:
+        raise SummaryFormatError(f"{path}: not valid UTF-8: {exc}") from None

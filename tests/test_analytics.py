@@ -159,14 +159,6 @@ def test_bench_pairwise_case3_symmetric_per_unordered_pair():
         assert case3[(r, l)] == v
 
 
-def test_bench_pairwise_parallel_same_records():
-    seq = bench_pairwise(_named_summaries(3), repeats=1)
-    par = bench_pairwise(_named_summaries(3), repeats=1, parallel=3)
-    assert [(r.left, r.right, r.record.stats) for r in seq] == [
-        (r.left, r.right, r.record.stats) for r in par
-    ]
-
-
 def _fake_record(e_sum, e_union, wall):
     return MergeRecord(edges_s1=e_sum // 2, edges_s2=e_sum - e_sum // 2,
                        edges_sum=e_sum, edges_union=e_union, wall_ms=wall,

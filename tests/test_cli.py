@@ -80,6 +80,47 @@ def test_summarize_escaped_forbidden_iri_character_is_data_error(tmp_path, capsy
     assert len(load_summary(out).member_index) == 2
 
 
+@pytest.mark.parametrize("line, col", [
+    ("<urn:a\\uD800> <urn:p> <urn:b> .", 7),
+    ('<urn:a> <urn:p> "x\\U0000DFFF" .', 19),
+])
+def test_summarize_surrogate_escape_is_data_error(tmp_path, capsys, line, col):
+    bad = tmp_path / "bad.nt"
+    bad.write_text(line + "\n")
+    out = tmp_path / "s.nt"
+    assert run("summarize", bad, "-o", out) == 1
+    assert f"line 1, col {col}: escape of a surrogate code point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summarize_invalid_utf8_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.nt"
+    bad.write_bytes(b'<urn:a> <urn:p> <urn:b> .\n<urn:\xc3\xa9> <urn:p> "\xff" .\n')
+    out = tmp_path / "s.nt"
+    assert run("summarize", bad, "-o", out) == 1
+    assert "line 2, col 18: invalid UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("summarize", bad, "-o", out, "--skip-malformed") == 0
+    assert "skipped 1" in capsys.readouterr().err
+    assert len(load_summary(out).member_index) == 2
+
+
+def test_summarize_line_ends(tmp_path, capsys):
+    # LF, CRLF and a lone CR all end a line, also after a comment.
+    lines = ["<urn:a> <urn:p> <urn:b> . # c", "<urn:c> <urn:p> <urn:d> .", "bad"]
+    outputs = []
+    for eol in ("\n", "\r\n", "\r"):
+        g = tmp_path / "g.nt"
+        g.write_bytes(eol.join(lines).encode("utf-8"))
+        out = tmp_path / "s.nt"
+        assert run("summarize", g, "-o", out) == 1
+        assert "line 3, col 1" in capsys.readouterr().err
+        assert run("summarize", g, "-o", out, "--skip-malformed") == 0
+        outputs.append(out.read_bytes())
+    assert len(set(outputs)) == 1
+    assert len(load_summary(out).member_index) == 4
+
+
 def test_summarize_digest_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("MVSUM_DIGEST", "sha512")
     out = tmp_path / "s.nt"
@@ -128,6 +169,17 @@ def test_merge_non_digit_count_is_data_error(tmp_path, capsys, count):
     bad.write_text(s.read_text().replace('"1"', f'"{count}"', 1))
     assert run("merge", s, bad, "-o", tmp_path / "m.nt") == 1
     assert "count is not a plain decimal" in capsys.readouterr().err
+
+
+def test_merge_invalid_utf8_summary_is_data_error(tmp_path, capsys):
+    s = tmp_path / "s.nt"
+    assert run("summarize", DATA / "tiny_graph.nt", "-o", s) == 0
+    bad = tmp_path / "bad.nt"
+    bad.write_bytes(s.read_bytes().replace(b"urn:x:a", b"urn:x:\xff"))
+    out = tmp_path / "m.nt"
+    assert run("merge", s, bad, "-o", out) == 1
+    assert "not valid UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_merge_case3_fixture(tmp_path):
@@ -228,14 +280,6 @@ def test_bench_generated_views(tmp_path):
     assert {r["edge_measure"] for r in fit_rows} == {"sum", "union"}
 
 
-def test_bench_parallel_flag(tmp_path):
-    records = tmp_path / "records.csv"
-    assert run("bench", "--gen", "--views", "3", "--seed", "2", "--repeats", "1",
-               "--parallel", "2", "-o", records) == 0
-    with open(records, newline="") as fh:
-        assert len(list(csv.DictReader(fh))) == 6
-
-
 @pytest.mark.parametrize("repeats", ["0", "-1", "x"])
 def test_bench_repeats_must_be_positive(tmp_path, capsys, repeats):
     with pytest.raises(SystemExit) as exc:
@@ -243,6 +287,18 @@ def test_bench_repeats_must_be_positive(tmp_path, capsys, repeats):
     assert exc.value.code == 2
     assert "argument --repeats" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "x"])
+def test_merge_all_workers_must_be_positive(tmp_path, capsys, workers):
+    d = tmp_path / "dir"
+    d.mkdir()
+    assert run("summarize", DATA / "tiny_graph.nt", "-o", d / "a.nt") == 0
+    with pytest.raises(SystemExit) as exc:
+        run("merge-all", d, "--workers", workers, "-o", tmp_path / "m.nt")
+    assert exc.value.code == 2
+    assert "argument --workers" in capsys.readouterr().err
+    assert not (tmp_path / "m.nt").exists()
 
 
 def test_bench_zero_overlap_no_case3(tmp_path):

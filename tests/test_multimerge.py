@@ -101,10 +101,21 @@ def test_all_strategies_same_result():
 def test_deterministic_schedules():
     views = generate_views(GenParams(5, 30, 60, 4, 2, 0.3, 0.4, 5))
     summaries = [summarize(g, Model.AC) for _, g in views]
-    for strategy in (Strategy.smallest_first(), Strategy.largest_first(), Strategy.random(42)):
+    for strategy in (Strategy.smallest_first(), Strategy.largest_first(), Strategy.random(42),
+                     Strategy.greedy_parallel(2)):
         a = merge_all(summaries, strategy)[1]
         b = merge_all(summaries, strategy)[1]
         assert [(s.left, s.right, s.output) for s in a.steps] == [(s.left, s.right, s.output) for s in b.steps]
+
+
+def test_greedy_single_worker_builds_the_smallest_first_tree():
+    views = generate_views(GenParams(7, 30, 90, 5, 3, 0.5, 0.4, 13))
+    summaries = [summarize(g, Model.ACC) for _, g in views]
+    greedy = merge_all(summaries, Strategy.greedy_parallel(1))[1]
+    smallest = merge_all(summaries, Strategy.smallest_first())[1]
+    assert [(s.left, s.right, s.output) for s in greedy.steps] == [
+        (s.left, s.right, s.output) for s in smallest.steps
+    ]
 
 
 # --- simulated schedules --------------------------------------------------------

@@ -90,6 +90,22 @@ def test_escaped_iri_character_the_writer_refuses_is_parse_error(line, col, char
     assert exc.value.reason == f"escaped character {char!r} not allowed in IRI"
 
 
+@pytest.mark.parametrize("line, col", [
+    (r"<urn:a\uD800> <urn:p> <urn:b> .", 7),
+    (r"<urn:a> <urn:p\udfff> <urn:b> .", 15),
+    (r"<urn:a> <urn:p> <urn:\U0000DBFF> .", 22),
+    (r'<urn:a> <urn:p> "x\uDC00" .', 19),
+    (r'<urn:a> <urn:p> "x"^^<urn:d\uD800> .', 28),
+    (r'<urn:a> <urn:p> "x\U0000D800" .   junk', 19),  # the tokenizer path
+])
+def test_surrogate_escape_is_parse_error(line, col):
+    for parse in (_parse_line, _tokenize_line):
+        with pytest.raises(ParseError) as exc:
+            parse(line, 1, "")
+        assert (exc.value.line, exc.value.col) == (1, col)
+        assert exc.value.reason.startswith("escape of a surrogate code point")
+
+
 def test_comments_and_blank_lines_skipped():
     text = "# header\n\n   \n<urn:a> <urn:p> <urn:b> . # trailing comment\n"
     triples = list(parse_ntriples(io.StringIO(text)))
@@ -118,8 +134,11 @@ def test_bytes_input_decoded():
 
 def test_invalid_utf8_reported_with_line():
     errors = []
-    out = list(parse_ntriples([b"<urn:a> <urn:p> \xff .\n"], on_error=errors.append))
-    assert out == [] and errors[0].line == 1
+    lines = [b"<urn:a> <urn:p> \xff .\n", b'<urn:\xc3\xa9> <urn:p> "\xff" .\n']
+    out = list(parse_ntriples(lines, on_error=errors.append))
+    assert out == []
+    # The column counts characters, not bytes.
+    assert [(e.line, e.col) for e in errors] == [(1, 17), (2, 18)]
 
 
 def test_parsing_is_streaming():

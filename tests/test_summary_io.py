@@ -142,6 +142,13 @@ def test_writer_rejects_forbidden_iri_characters(bad):
         format_summary(_summary_with(**bad))
 
 
+def test_save_refuses_surrogate_and_leaves_no_file(tmp_path):
+    path = tmp_path / "s.nt"
+    with pytest.raises(UnicodeEncodeError):
+        save_summary(_summary_with(member="urn:x:a\ud800"), path)
+    assert not path.exists()
+
+
 def test_foreign_statement_rejected():
     s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
     lines = format_summary(s).splitlines() + ["<urn:other> <urn:p> <urn:b> ."]
