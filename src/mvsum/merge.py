@@ -3,10 +3,17 @@
 The merge has three steps. Step 1 takes the plain union of the two
 summaries' schemas and payloads, which is already correct for every member
 whose situation is trivial (case 1). Step 2 finds members present in both
-summaries under *different* EQCs (case 3) and moves each into the EQC of the
-combined schema, creating it if needed. Step 3 recomputes the member counts
-(the only payload that needs adapting, case 2) and drops EQCs that lost all
-their members.
+summaries under *different* EQCs (case 3) and moves each into the EQC of
+the combined schema, creating it if needed. That EQC is resolved once per
+pair of EQCs, not once per member: many members share a pair, and few
+schemas exist. Step 3 recomputes the member counts (the only payload that
+needs adapting, case 2) and drops EQCs that lost all their members.
+
+The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
+second scan: step 1's union of an EQC both inputs hold gives the size of
+their intersection, and step 2 counts the case-3 members and which of them
+step 1 counted as case 2. `classify_cases` counts the same cases member by
+member, as a reference.
 
 Merging S1 into S2 and S2 into S1 produces the same summary; only the case
 statistics, which are reported from S1's perspective, differ -- and the
@@ -23,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 from mvsum.ntriples import Term
-from mvsum.summary import EqcId, Model, Payload, Summary, eqc_id, merge_schemas
+from mvsum.summary import EqcId, EqcSchema, Model, Payload, Summary, eqc_id, union_side
 
 
 class MergeConfigError(ValueError):
@@ -51,7 +58,9 @@ class MergeRecord:
     All edge counts refer to the serialized-triple representation:
     `edges_sum` is |E1| + |E2| and `edges_union` is |E1 ∪ E2| (the size of
     the step-1 union), so max(|E1|, |E2|) <= edges_union <= edges_sum always
-    holds. `wall_ms` covers the three merge steps only, not the accounting.
+    holds. `wall_ms` covers the three merge steps, which also gather the
+    case counts and the shared lines; the two `edge_count()` calls after
+    them are not in it.
     """
 
     edges_s1: int
@@ -100,6 +109,31 @@ def adapt_payload(s: Summary, c: EqcId) -> Summary:
     return s
 
 
+def _target_eqc(s: Summary, c1: EqcId, c2: EqcId, ids: dict[tuple, EqcId]) -> EqcId:
+    """The EQC of c1's and c2's combined schema in s, created if absent.
+
+    `ids` maps each combined (attributes, classes) pair already resolved in
+    s to its EqcId, so a caller that resolves many pairs builds, digests and
+    checks each combined schema once.
+    """
+    try:
+        a, b = s.eqcs[c1], s.eqcs[c2]
+    except KeyError as exc:
+        raise KeyError(f"unknown EQC {exc.args[0]}") from None
+    key = (union_side(a.attributes, b.attributes), union_side(a.classes, b.classes))
+    cid = ids.get(key)
+    if cid is None:
+        combined = EqcSchema(s.model, *key)
+        cid = ids[key] = eqc_id(combined, s.digest)
+        existing = s.eqcs.get(cid)
+        if existing is None:
+            s.eqcs[cid] = combined
+            s.payloads[cid] = Payload()
+        elif existing != combined:
+            raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
+    return cid
+
+
 def combine_eqcs(s: Summary, c1: EqcId, c2: EqcId, m: Term, model: Model | None = None) -> Summary:
     """Move m out of EQCs c1 and c2 and into the EQC of their combined schema.
 
@@ -107,23 +141,11 @@ def combine_eqcs(s: Summary, c1: EqcId, c2: EqcId, m: Term, model: Model | None 
     schema m would have in the union graph. The target EQC is created if
     absent; c1 and c2 are left in place (possibly empty) for step 3.
     """
-    try:
-        schema1 = s.eqcs[c1]
-        schema2 = s.eqcs[c2]
-    except KeyError as exc:
-        raise KeyError(f"unknown EQC {exc.args[0]}") from None
     if model is not None and model != s.model:
         raise MergeConfigError(f"model {model.value} does not match summary model {s.model.value}")
+    cid = _target_eqc(s, c1, c2, {})
     s.payloads[c1].members.discard(m)
     s.payloads[c2].members.discard(m)
-    combined = merge_schemas(schema1, schema2)
-    cid = eqc_id(combined, s.digest)
-    existing = s.eqcs.get(cid)
-    if existing is None:
-        s.eqcs[cid] = combined
-        s.payloads[cid] = Payload()
-    elif existing != combined:
-        raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
     s.payloads[cid].members.add(m)
     s.member_index[m] = cid
     return s
@@ -162,27 +184,6 @@ def _check_compatible(s1: Summary, s2: Summary, model: Model | None) -> None:
         raise MergeConfigError(f"requested model {model.value} but summaries use {s1.model.value}")
 
 
-def _serialized_union_count(s1: Summary, s2: Summary) -> int:
-    """|E1 ∪ E2| over serialized triples, computed without serializing."""
-    small, big = (s1, s2) if len(s1.eqcs) <= len(s2.eqcs) else (s2, s1)
-    common = 0
-    for cid, schema in small.eqcs.items():
-        other = big.eqcs.get(cid)
-        if other is None:
-            continue
-        if other != schema:
-            raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
-        common += len(schema.attributes or ()) + len(schema.classes or ()) + 1
-        p_small, p_big = small.payloads[cid], big.payloads[cid]
-        ms, mb = p_small.members, p_big.members
-        if len(ms) > len(mb):
-            ms, mb = mb, ms
-        common += sum(1 for m in ms if m in mb)
-        if p_small.count == p_big.count:
-            common += 1
-    return s1.edge_count() + s2.edge_count() - common
-
-
 def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary, MergeRecord]:
     """Merge two summaries; the result summarizes the union of their graphs.
 
@@ -192,7 +193,9 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
     _check_compatible(s1, s2, model)
     started = time.perf_counter()
 
-    # Step 1: union of schemas and payload member sets, keyed by EqcId.
+    # Step 1: union of schemas and payload member sets, keyed by EqcId. For
+    # an EQC in both inputs, the size of the union also gives |p1 ∩ p2|:
+    # case 2 and the shared serialized lines need nothing more.
     out = Summary(model=s1.model, digest=s1.digest, eqcs=dict(s1.eqcs))
     for cid, schema in s2.eqcs.items():
         existing = out.eqcs.get(cid)
@@ -200,7 +203,8 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
             out.eqcs[cid] = schema
         elif existing != schema:
             raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
-    for cid in out.eqcs:
+    case2 = common = 0
+    for cid, schema in out.eqcs.items():
         p1 = s1.payloads.get(cid)
         p2 = s2.payloads.get(cid)
         if p1 is None:
@@ -209,18 +213,45 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
             members = set(p1.members)
         else:
             members = p1.members | p2.members
+            both = len(p1.members) + len(p2.members) - len(members)
+            case2 += len(p1.members) - both
+            common += len(schema.attributes or ()) + len(schema.classes or ()) + 1 + both
+            common += p1.count == p2.count
         out.payloads[cid] = Payload(members)
     out.member_index = dict(s1.member_index)
     out.member_index.update(s2.member_index)
 
-    # Step 2: detect case 3 and combine EQCs. Scanning the smaller member
-    # index finds the same conflicts at lower cost.
+    # Step 2: detect case 3 and move each conflicting member into the EQC of
+    # the combined schema. Scanning the smaller member index finds the same
+    # conflicts at lower cost. `targets` holds the target of each EQC pair
+    # met so far, so the schema work is done once per pair, not per member.
+    # It is nested, one EQC then the other, so that it allocates no object
+    # per pair: tens of thousands of pair keys or member lists alive until
+    # the step ends set off a full cyclic collection.
     scan, other = (s1, s2) if len(s1.member_index) <= len(s2.member_index) else (s2, s1)
     get = other.member_index.get
+    payloads, index, s2_eqcs = out.payloads, out.member_index, s2.eqcs
+    targets: dict[EqcId, dict[EqcId, EqcId]] = {}
+    ids: dict[tuple, EqcId] = {}
+    case3 = 0
     for m, ca in scan.member_index.items():
         cb = get(m)
-        if cb is not None and cb != ca:
-            combine_eqcs(out, ca, cb, m)
+        if cb is None or cb == ca:
+            continue
+        row = targets.get(ca)
+        if row is None:
+            row = targets[ca] = {}
+        cid = row.get(cb)
+        if cid is None:
+            cid = row[cb] = _target_eqc(out, ca, cb, ids)
+        payloads[ca].members.discard(m)
+        payloads[cb].members.discard(m)
+        payloads[cid].members.add(m)
+        index[m] = cid
+        # A conflict whose S1 EQC is also in S2 was counted in case 2 above.
+        case3 += 1
+        if (ca if scan is s1 else cb) in s2_eqcs:
+            case2 -= 1
 
     # Step 3: finalize counts, drop drained EQCs.
     for cid in list(out.eqcs):
@@ -232,12 +263,13 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
 
     e1 = s1.edge_count()
     e2 = s2.edge_count()
+    members_s1 = len(s1.member_index)
     record = MergeRecord(
         edges_s1=e1,
         edges_s2=e2,
         edges_sum=e1 + e2,
-        edges_union=_serialized_union_count(s1, s2),
+        edges_union=e1 + e2 - common,
         wall_ms=wall_ms,
-        stats=classify_cases(s1, s2),
+        stats=CaseStats(members_s1 - case2 - case3, case2, case3, members_s1),
     )
     return out, record

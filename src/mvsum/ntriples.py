@@ -12,13 +12,13 @@ which finds where parsing stopped and raises a ParseError with the line,
 the column and the reason. An IRI escape that decodes to a character the
 writer refuses (such as `\\u0020`), or to a lone surrogate (U+D800 to
 U+DFFF), is a ParseError too, so every statement the parser accepts can be
-written back.
+written back. So is an `rdf:type` statement whose object is not an IRI,
+since the graph model has no place for a literal or blank class.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 IRI = "iri"
@@ -39,13 +39,13 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(NamedTuple):
     """An RDF term: IRI, blank node, or literal.
 
     IRI values are stored without the surrounding angle brackets; blank node
     labels are normalized to ``[A-Za-z0-9]+``. A literal carries at most one
-    of `datatype` (an IRI) and `lang`.
+    of `datatype` (an IRI) and `lang`. A Term is a tuple, so it hashes and
+    compares in C and equals the plain 4-tuple of its fields.
     """
 
     kind: str
@@ -181,6 +181,11 @@ def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicat
     raise ParseError("expected IRI, blank node, or literal object", line, pos + 1)
 
 
+# A class is an IRI: the graph model turns `rdf:type` statements into vertex
+# labels and has no place for a literal or blank class.
+_TYPE_OBJECT = "rdf:type object must be an IRI"
+
+
 def _tokenize_line(text: str, line: int, bnode_ns: str) -> Triple:
     """Parse one statement term by term; the reference for `_parse_line`.
 
@@ -192,7 +197,10 @@ def _tokenize_line(text: str, line: int, bnode_ns: str) -> Triple:
     pos = _skip_ws(text, pos)
     pred, pos = _parse_term(text, pos, line, as_subject=False, as_predicate=True, bnode_ns=bnode_ns)
     pos = _skip_ws(text, pos)
+    obj_col = pos + 1
     obj, pos = _parse_term(text, pos, line, as_subject=False, as_predicate=False, bnode_ns=bnode_ns)
+    if obj.kind != IRI and pred.value == RDF_TYPE:
+        raise ParseError(_TYPE_OBJECT, line, obj_col)
     pos = _skip_ws(text, pos)
     if pos >= len(text) or text[pos] != ".":
         raise ParseError("expected '.' statement terminator", line, pos + 1)
@@ -243,6 +251,8 @@ def _parse_line(text: str, line: int, bnode_ns: str) -> Triple:
             lit = _unescape(lit, line, m.start(6) + 1)
         if dt is not None and "\\" in dt:
             dt = _unescape(dt, line, m.start(7) + 1, iri=True)
+    if o_iri is None and p_iri == RDF_TYPE:
+        raise ParseError(_TYPE_OBJECT, line, m.start(6) if lit is not None else m.start(5) - 1)
     subj = Term(IRI, s_iri) if s_iri is not None else Term(BLANK, normalize_bnode_label(s_label, bnode_ns))
     if o_iri is not None:
         obj = Term(IRI, o_iri)

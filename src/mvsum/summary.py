@@ -92,13 +92,18 @@ def eqc_id(schema: EqcSchema, digest: str = DEFAULT_DIGEST) -> EqcId:
     return h.hexdigest()[:32]
 
 
+def union_side(a: tuple[str, ...] | None, b: tuple[str, ...] | None) -> tuple[str, ...] | None:
+    """Sorted union of one side (attributes or classes) of two schemas."""
+    if a is None or a == b:
+        return a
+    return tuple(sorted(set(a).union(b)))
+
+
 def merge_schemas(a: EqcSchema, b: EqcSchema) -> EqcSchema:
     """Per-side union of two schemas of the same model."""
     if a.model != b.model:
         raise ValueError(f"cannot merge {a.model.value} schema with {b.model.value} schema")
-    attrs = None if a.attributes is None else tuple(sorted(set(a.attributes) | set(b.attributes)))
-    classes = None if a.classes is None else tuple(sorted(set(a.classes) | set(b.classes)))
-    return EqcSchema(a.model, attrs, classes)
+    return EqcSchema(a.model, union_side(a.attributes, b.attributes), union_side(a.classes, b.classes))
 
 
 @dataclass

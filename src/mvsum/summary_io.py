@@ -105,7 +105,10 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     except StopIteration:
         raise SummaryFormatError("empty input: missing summary header") from None
     if isinstance(first, bytes):
-        first = first.decode("utf-8")
+        try:
+            first = first.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SummaryFormatError(f"summary header is not valid UTF-8: {exc}") from None
     m = _HEADER.match(first.rstrip("\r\n"))
     if m is None:
         raise SummaryFormatError(f"missing summary header, got: {first.rstrip()!r}")

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import child_env
 from mvsum.cli import main
+from mvsum.ntriples import RDF_TYPE
 from mvsum.summary_io import load_summary
 
 DATA = Path(__file__).parent / "data"
@@ -91,6 +92,27 @@ def test_summarize_surrogate_escape_is_data_error(tmp_path, capsys, line, col):
     assert run("summarize", bad, "-o", out) == 1
     assert f"line 1, col {col}: escape of a surrogate code point" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("obj, col", [('"x"', 59), ("_:c", 59)])
+def test_summarize_rdf_type_object_not_iri_is_data_error(tmp_path, capsys, obj, col):
+    bad = tmp_path / "bad.nt"
+    bad.write_text(f"<urn:a> <urn:p> <urn:b> .\n<urn:a> <{RDF_TYPE}> {obj} .\n")
+    out = tmp_path / "s.nt"
+    assert run("summarize", bad, "-o", out) == 1
+    assert f"line 2, col {col}: rdf:type object must be an IRI" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summarize_rdf_type_object_not_iri_is_skipped(tmp_path, capsys):
+    bad = tmp_path / "bad.nt"
+    bad.write_text(f'<urn:a> <urn:p> <urn:b> .\n<urn:a> <{RDF_TYPE}> "x" .\n<urn:a> <{RDF_TYPE}> <urn:C> .\n')
+    out = tmp_path / "s.nt"
+    assert run("summarize", bad, "-o", out, "--skip-malformed") == 0
+    assert "skipped 1" in capsys.readouterr().err
+    s = load_summary(out)
+    assert len(s.member_index) == 2
+    assert [schema.classes for schema in s.eqcs.values() if schema.classes] == [("urn:C",)]
 
 
 def test_summarize_invalid_utf8_is_data_error(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import dataclasses
+import gc
+import math
 import random
+import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RDF_TYPE_TERM,
     canonical_bytes,
     cls,
     graph_of,
@@ -13,6 +18,7 @@ from helpers import (
     p,
     random_graph,
 )
+from mvsum.analytics import correlate_times, linfit
 from mvsum.graph import build_graph, union
 from mvsum.merge import (
     CorruptSummaryError,
@@ -26,8 +32,9 @@ from mvsum.merge import (
     merge,
     remove_empty_eqc,
 )
-from mvsum.ntriples import Term
-from mvsum.summary import EqcSchema, Model, Payload, Summary, eqc_id, schema_of, summarize
+from mvsum.ntriples import Term, Triple
+from mvsum.summary import EqcSchema, Model, Payload, Summary, eqc_id, merge_schemas, schema_of, summarize
+from mvsum.summary_io import format_summary
 
 MODELS = [Model.AC, Model.CC, Model.ACC]
 EMPTY = summarize(build_graph([]), Model.AC)
@@ -298,10 +305,104 @@ def test_merge_associative(pair1, pair2, model):
     assert canonical_bytes(left) == canonical_bytes(right)
 
 
-def test_merge_does_not_mutate_inputs():
-    g1 = graph_of((iri("x"), p("p"), iri("a")))
-    g2 = graph_of((iri("x"), p("q"), iri("b")))
-    s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
+# A pair where x conflicts ({p} in G1, {q} in G2) and the combined EQC {p, q}
+# already exists in G1 only, held by y. Merging must not add x to y's payload
+# in S1.
+_ONE_SIDED_TARGET = (
+    graph_of((iri("x"), p("p"), iri("a")), (iri("y"), p("p"), iri("a")), (iri("y"), p("q"), iri("a"))),
+    graph_of((iri("x"), p("q"), iri("b"))),
+)
+
+
+def _has_one_sided_target(s1, s2):
+    for m, c1 in s1.member_index.items():
+        c2 = s2.member_index.get(m)
+        if c2 is not None and c2 != c1:
+            target = eqc_id(merge_schemas(s1.eqcs[c1], s2.eqcs[c2]), s1.digest)
+            if (target in s1.eqcs) != (target in s2.eqcs):
+                return True
+    return False
+
+
+@given(graph_pairs(), st.sampled_from(MODELS))
+@example(_ONE_SIDED_TARGET, Model.AC)
+@settings(max_examples=120, deadline=None)
+def test_merge_does_not_mutate_inputs(pair, model):
+    g1, g2 = pair
+    s1, s2 = summarize(g1, model), summarize(g2, model)
+    if pair is _ONE_SIDED_TARGET:
+        assert _has_one_sided_target(s1, s2)
     b1, b2 = canonical_bytes(s1), canonical_bytes(s2)
     merge(s1, s2)
+    merge(s2, s1)
     assert canonical_bytes(s1) == b1 and canonical_bytes(s2) == b2
+    s1.validate()
+    s2.validate()
+
+
+def _statement_lines(s):
+    return set(format_summary(s).splitlines()[1:])
+
+
+@given(graph_pairs(), st.sampled_from(MODELS))
+@example(_ONE_SIDED_TARGET, Model.AC)
+@settings(max_examples=120, deadline=None)
+def test_merge_accounting_matches_reference(pair, model):
+    # merge gathers its case counts and |E1 ∪ E2| while it merges; here they
+    # are computed apart: the cases member by member, the union from the
+    # serialized statement lines.
+    s1, s2 = (summarize(g, model) for g in pair)
+    for a, b in ((s1, s2), (s2, s1)):
+        record = merge(a, b)[1]
+        assert record.stats == classify_cases(a, b)
+        assert record.edges_union == len(_statement_lines(a) | _statement_lines(b))
+
+
+def _dense_pair(target_edges):
+    """Two ACC summaries of about target_edges/2 members each.
+
+    Coarse EQCs at every size, as on a fold of many views: attributes are
+    subsets of four predicates and classes one of three, so a view has at
+    most 61 EQCs (one is the sink's). Half the members are in both views, and the second view
+    always adds predicate q, so each shared member conflicts (case 3) and
+    moves to a combined EQC.
+    """
+    rng = random.Random(target_edges)
+    k = max(8, target_edges // 2)
+    sink = Term.iri("urn:dense:sink")
+    preds = [Term.iri(f"urn:dense:p{i}") for i in range(4)]
+    q = Term.iri("urn:dense:q")
+    classes = [Term.iri(f"urn:dense:c{i}") for i in range(3)]
+
+    def triples(v, extra):
+        chosen = rng.sample(preds, rng.randint(1, 4)) + extra
+        out = [Triple(v, pr, sink) for pr in chosen]
+        if rng.random() < 0.4:
+            out.append(Triple(v, RDF_TYPE_TERM, rng.choice(classes)))
+        return out
+
+    t1, t2 = [], []
+    for i in range(k):
+        v1 = Term.iri(f"urn:dense:s{i}") if i % 2 == 0 else Term.iri(f"urn:dense:a{i}")
+        v2 = Term.iri(f"urn:dense:s{i}") if i % 2 == 0 else Term.iri(f"urn:dense:b{i}")
+        t1 += triples(v1, [])
+        t2 += triples(v2, [q])
+    return summarize(build_graph(t1), Model.ACC), summarize(build_graph(t2), Model.ACC)
+
+
+def test_merge_linear_where_conflicts_are_dense():
+    # Criterion 6's statistic and bounds, on inputs where step 2 does most
+    # of the work: r(E) >= 0.9 and a log-log slope of at most 1.5.
+    records = []
+    for exp in range(10, 17):
+        s1, s2 = _dense_pair(2 ** exp)
+        gc.collect()
+        merge(s1, s2)  # warm-up, untimed
+        runs = [merge(s1, s2)[1] for _ in range(3)]
+        stats = runs[-1].stats
+        assert stats.case3 * 3 >= stats.members_s1  # about half the members conflict
+        wall = statistics.median(r.wall_ms for r in runs)
+        records.append(dataclasses.replace(runs[-1], wall_ms=wall))
+    r_e = correlate_times(records, "E", "sum").r
+    slope = linfit([math.log(r.edges_sum) for r in records], [math.log(r.wall_ms) for r in records]).slope
+    assert r_e >= 0.9 and slope <= 1.5, f"r(E)={r_e:.4f}, log-log slope={slope:.3f}"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mvsum.ntriples import (
     _LINE,
+    RDF_TYPE,
     ParseError,
     Term,
     Triple,
@@ -104,6 +105,26 @@ def test_surrogate_escape_is_parse_error(line, col):
             parse(line, 1, "")
         assert (exc.value.line, exc.value.col) == (1, col)
         assert exc.value.reason.startswith("escape of a surrogate code point")
+
+
+_TYPE = f"<{RDF_TYPE}>"
+
+
+@pytest.mark.parametrize("line, col", [
+    (f'<urn:a> {_TYPE} "x" .', 59),
+    (f'<urn:a> {_TYPE} "x"@en .', 59),
+    (f'<urn:a> {_TYPE} "x"^^<urn:d> .', 59),
+    (f"<urn:a>  {_TYPE}\t_:c .", 60),
+    ("<urn:a> " + _TYPE.replace("#", "\\u0023") + ' "x" .', 64),  # escaped '#'
+    (f'<urn:a> {_TYPE} "x" .   junk', 59),  # the tokenizer path
+])
+def test_rdf_type_object_must_be_iri(line, col):
+    for parse in (_parse_line, _tokenize_line):
+        with pytest.raises(ParseError) as exc:
+            parse(line, 1, "")
+        assert (exc.value.line, exc.value.col) == (1, col)
+        assert exc.value.reason == "rdf:type object must be an IRI"
+    assert parse_one(f"<urn:a> {_TYPE} <urn:C> .").object == Term.iri("urn:C")
 
 
 def test_comments_and_blank_lines_skipped():
@@ -293,6 +314,12 @@ _literal = st.one_of(
     st.builds(lambda b, d: f'"{b}"^^{d}', _str_body, _iri_ref),
     st.builds(lambda b, t: f'"{b}"@{t}', _str_body, _lang),
 )
+# rdf:type, also with an escaped '#', so that a literal or blank class is met
+# after unescaping on both paths.
+_predicate = st.one_of(
+    _iri_ref,
+    st.sampled_from([f"<{RDF_TYPE}>", "<" + RDF_TYPE.replace("#", "\\u0023") + ">"]),
+)
 _comment = st.one_of(
     st.just(""),
     st.text(alphabet=st.one_of(st.characters(), st.sampled_from("\r\n")), max_size=6).map(lambda c: "#" + c),
@@ -303,7 +330,7 @@ _comment = st.one_of(
 def _grammar_lines(draw):
     subject = draw(st.one_of(_iri_ref, _bnode_ref))
     obj = draw(st.one_of(_iri_ref, _bnode_ref, _literal))
-    parts = [subject, draw(_iri_ref), obj, ".", draw(_comment)]
+    parts = [subject, draw(_predicate), obj, ".", draw(_comment)]
     return "".join(draw(_ws) + part for part in parts)
 
 

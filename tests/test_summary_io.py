@@ -91,6 +91,9 @@ def test_missing_header_rejected():
         read_summary(["<urn:a> <urn:p> <urn:b> ."])
     with pytest.raises(SummaryFormatError):
         read_summary([])
+    # A binary header that is not UTF-8 is a format error, not a decode error.
+    with pytest.raises(SummaryFormatError, match="not valid UTF-8"):
+        read_summary([b"# mvs-summary v1 model=ACC digest=sha256\xff\n"])
 
 
 def test_tampered_id_rejected():
