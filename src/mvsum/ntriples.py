@@ -267,6 +267,7 @@ def parse_ntriples(
     source: Iterable[str | bytes],
     on_error: Callable[[ParseError], None] | None = None,
     bnode_ns: str = "",
+    start: int = 1,
 ) -> Iterator[Triple]:
     """Yield triples from N-Triples text, one statement per line.
 
@@ -275,9 +276,10 @@ def parse_ntriples(
     ParseError; passing `on_error` switches to skip-and-count mode, where the
     handler receives each error and parsing continues with the next line.
     `bnode_ns` namespaces blank node labels (use a distinct tag per file when
-    several files form one logical graph).
+    several files form one logical graph). `start` is the line number of the
+    first line, for a caller that has already read the lines before it.
     """
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(source, start=start):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")

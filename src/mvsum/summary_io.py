@@ -10,6 +10,16 @@ Statements are emitted sorted, so equal summaries serialize to equal bytes.
     <urn:mvs:eqc:HEX> <urn:mvs:payload> <urn:mvs:payload:HEX> .
     <urn:mvs:payload:HEX> <urn:mvs:member> <member> .
     <urn:mvs:payload:HEX> <urn:mvs:count> "n"^^<...#integer> .
+
+The reader matches each line, as the writer formats it, against one
+compiled pattern for these five shapes; a member IRI or a plain `_:` label
+is the only part that becomes a `Term`, and the rest is grouped by the EQC
+or payload id string. A line the pattern rejects (a comment, a blank line,
+other spacing, an escape, a non-plain blank label, CRLF, a `bytes` line, a
+foreign statement or garbage) goes, on its own, through `parse_ntriples`,
+and its triple is mapped onto the same shape, so one set of checks serves
+both paths. An error in one statement names its physical line, the
+header being line 1.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import re
 from pathlib import Path
 from typing import Iterable
 
-from mvsum.ntriples import IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, parse_ntriples, triple_line
+from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, parse_ntriples, triple_line
 from mvsum.summary import EqcSchema, Model, Payload, Summary, check_digest, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
@@ -32,6 +42,23 @@ P_COUNT = "urn:mvs:count"
 _HEADER = re.compile(r"# mvs-summary v1 model=(AC|CC|ACC) digest=(\S+)\s*\Z")
 # `int()` alone would also take signs, spaces, underscores and non-ASCII digits.
 _COUNT = re.compile(r"[0-9]+")
+
+# The five statement shapes exactly as `_statement_lines` writes them. Group
+# 2 is the subject's id, and the last group to match names the shape:
+# `attribute`, `class` or `payload` after an EQC subject (group 1 set), `iri`
+# or `blank` (the member's Term kind) or `count` after a payload subject. An
+# IRI here holds no escape, so its text is its value.
+_PLAIN_IRI = r'[^\x00-\x20<>"{}|^`\\]*'
+_STATEMENT = re.compile(
+    rf"<urn:mvs:(?:(eqc)|payload):({_PLAIN_IRI})> <urn:mvs:(?(1)(?:"
+    rf"attribute> <(?P<attribute>{_PLAIN_IRI})>"
+    rf"|class> <(?P<class>{_PLAIN_IRI})>"
+    rf"|payload> <urn:mvs:payload:(?P<payload>{_PLAIN_IRI})>"
+    rf")|(?:"
+    rf"member> (?:<(?P<{IRI}>{_PLAIN_IRI})>|_:(?P<{BLANK}>[A-Za-z0-9]+))"
+    rf'|count> "(?P<count>[0-9]+)"\^\^<{re.escape(XSD_INTEGER)}>'
+    r")) \.\n?"
+)
 
 
 class SummaryFormatError(ValueError):
@@ -49,12 +76,6 @@ def is_summary_header(line: str | bytes) -> bool:
         except UnicodeDecodeError:
             return False
     return _HEADER.match(line.rstrip("\r\n")) is not None
-
-
-def summary_triples(summary: Summary) -> list[Triple]:
-    """The summary as triples, in serialization (sorted-line) order."""
-    lines = _statement_lines(summary)
-    return list(parse_ntriples(iter(lines)))
 
 
 def _statement_lines(summary: Summary) -> list[str]:
@@ -93,6 +114,37 @@ def save_summary(summary: Summary, path: str | Path) -> None:
     Path(path).write_bytes(format_summary(summary).encode("utf-8"))
 
 
+def _generic_shape(raw: str | bytes, lineno: int) -> tuple[str, str, str] | None:
+    """(shape, subject id, value) of a line `_STATEMENT` rejects, or None.
+
+    The line goes through the generic parser; None means a blank or comment
+    line. Its triple is mapped onto the shape the pattern would have matched,
+    and a triple that has none is an unexpected statement.
+    """
+    try:
+        triple = next(parse_ntriples((raw,), start=lineno), None)
+    except ParseError as exc:
+        raise SummaryFormatError(f"bad statement: {exc}") from exc
+    if triple is None:
+        return None
+    s, p, o = triple
+    if s.kind == IRI and s.value.startswith(EQC_NS) and o.kind == IRI:
+        sid = s.value[len(EQC_NS):]
+        if p.value == P_ATTRIBUTE:
+            return "attribute", sid, o.value
+        if p.value == P_CLASS:
+            return "class", sid, o.value
+        if p.value == P_PAYLOAD and o.value.startswith(PAYLOAD_NS):
+            return "payload", sid, o.value[len(PAYLOAD_NS):]
+    elif s.kind == IRI and s.value.startswith(PAYLOAD_NS):
+        sid = s.value[len(PAYLOAD_NS):]
+        if p.value == P_MEMBER and o.kind != LITERAL:
+            return o.kind, sid, o.value
+        if p.value == P_COUNT and o.kind == LITERAL and o.datatype == XSD_INTEGER:
+            return "count", sid, o.value
+    raise SummaryFormatError(f"line {lineno}: unexpected statement: {triple_line(triple)}")
+
+
 def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     """Rebuild a summary from its file lines.
 
@@ -115,43 +167,49 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     model = Model(m.group(1))
     digest = m.group(2)
     if verify:
-        check_digest(digest)
+        try:
+            check_digest(digest)
+        except ValueError as exc:
+            raise SummaryFormatError(f"line 1: {exc}") from None
 
+    # Keyed by the EQC id, or by the payload id (the text after PAYLOAD_NS).
     attrs: dict[str, set[str]] = {}
     classes: dict[str, set[str]] = {}
     payload_of: dict[str, str] = {}
     eqc_ids: set[str] = set()
     members: dict[str, set[Term]] = {}
     counts: dict[str, int] = {}
-    try:
-        for s, p, o in parse_ntriples(it):
-            if p.kind != IRI or s.kind != IRI:
-                raise SummaryFormatError(f"unexpected statement: {triple_line(Triple(s, p, o))}")
-            if s.value.startswith(EQC_NS):
-                hexid = s.value[len(EQC_NS):]
-                eqc_ids.add(hexid)
-                if p.value == P_ATTRIBUTE and o.kind == IRI:
-                    attrs.setdefault(hexid, set()).add(o.value)
-                elif p.value == P_CLASS and o.kind == IRI:
-                    classes.setdefault(hexid, set()).add(o.value)
-                elif p.value == P_PAYLOAD and o.kind == IRI and o.value.startswith(PAYLOAD_NS):
-                    if payload_of.setdefault(o.value, hexid) != hexid:
-                        raise SummaryFormatError(f"payload vertex {o.value} attached to two EQCs")
-                else:
-                    raise SummaryFormatError(f"unexpected statement: {triple_line(Triple(s, p, o))}")
-            elif s.value.startswith(PAYLOAD_NS):
-                if p.value == P_MEMBER and o.kind != LITERAL:
-                    members.setdefault(s.value, set()).add(o)
-                elif p.value == P_COUNT and o.kind == LITERAL and o.datatype == XSD_INTEGER:
-                    if not _COUNT.fullmatch(o.value):
-                        raise SummaryFormatError(f"count is not a plain decimal: {triple_line(Triple(s, p, o))}")
-                    counts[s.value] = int(o.value)
-                else:
-                    raise SummaryFormatError(f"unexpected statement: {triple_line(Triple(s, p, o))}")
-            else:
-                raise SummaryFormatError(f"unexpected statement: {triple_line(Triple(s, p, o))}")
-    except ParseError as exc:
-        raise SummaryFormatError(f"bad statement: {exc}") from exc
+    match = _STATEMENT.fullmatch
+    for lineno, raw in enumerate(it, start=2):
+        try:
+            m = match(raw)
+        except TypeError:  # a bytes line
+            m = None
+        if m is not None:
+            shape = m.lastgroup
+            sid, value = m.group(2, shape)
+        else:
+            parsed = _generic_shape(raw, lineno)
+            if parsed is None:
+                continue
+            shape, sid, value = parsed
+        if shape == "attribute":
+            eqc_ids.add(sid)
+            attrs.setdefault(sid, set()).add(value)
+        elif shape == IRI or shape == BLANK:
+            members.setdefault(sid, set()).add(Term(shape, value))
+        elif shape == "count":
+            if not _COUNT.fullmatch(value):
+                t = Triple(Term(IRI, PAYLOAD_NS + sid), Term(IRI, P_COUNT), Term(LITERAL, value, XSD_INTEGER))
+                raise SummaryFormatError(f"line {lineno}: count is not a plain decimal: {triple_line(t)}")
+            counts[sid] = int(value)
+        elif shape == "payload":
+            eqc_ids.add(sid)
+            if payload_of.setdefault(value, sid) != sid:
+                raise SummaryFormatError(f"line {lineno}: payload vertex {PAYLOAD_NS}{value} attached to two EQCs")
+        else:
+            eqc_ids.add(sid)
+            classes.setdefault(sid, set()).add(value)
 
     summary = Summary(model=model, digest=digest)
     for hexid in sorted(eqc_ids):
@@ -168,15 +226,15 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             raise SummaryFormatError(f"EQC id {hexid} does not match its schema under digest {digest}")
         summary.eqcs[hexid] = schema
 
-    for payload_iri, hexid in payload_of.items():
-        ms = members.get(payload_iri, set())
+    for pid, hexid in payload_of.items():
+        ms = members.get(pid, set())
         if not ms:
             raise SummaryFormatError(f"EQC {hexid} has an empty payload")
-        if payload_iri not in counts:
+        if pid not in counts:
             raise SummaryFormatError(f"payload of EQC {hexid} has no count")
-        if counts[payload_iri] != len(ms):
+        if counts[pid] != len(ms):
             raise SummaryFormatError(
-                f"EQC {hexid}: count {counts[payload_iri]} != {len(ms)} members"
+                f"EQC {hexid}: count {counts[pid]} != {len(ms)} members"
             )
         summary.payloads[hexid] = Payload(ms, len(ms))
         for m in ms:
@@ -191,7 +249,8 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
         raise SummaryFormatError(f"payloads for unknown EQCs: {sorted(orphans)}")
     stray = (set(members) | set(counts)) - set(payload_of)
     if stray:
-        raise SummaryFormatError(f"payload vertices never attached to an EQC: {sorted(stray)}")
+        stray_iris = sorted(PAYLOAD_NS + pid for pid in stray)
+        raise SummaryFormatError(f"payload vertices never attached to an EQC: {stray_iris}")
     return summary
 
 

@@ -193,6 +193,37 @@ def test_merge_non_digit_count_is_data_error(tmp_path, capsys, count):
     assert "count is not a plain decimal" in capsys.readouterr().err
 
 
+def test_merge_statement_error_names_line(tmp_path, capsys):
+    s = tmp_path / "s.nt"
+    assert run("summarize", DATA / "tiny_graph.nt", "-o", s) == 0
+    lines = s.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace("<urn:p:p>", '"urn:p:p"')
+    assert '<urn:mvs:attribute> "urn:p:p" .' in lines[1]
+    bad = tmp_path / "bad.nt"
+    bad.write_text("".join(lines))
+    assert run("merge", s, bad, "-o", tmp_path / "m.nt") == 1
+    err = capsys.readouterr().err
+    assert "line 2: unexpected statement" in err
+
+
+def test_merge_unknown_header_digest_is_data_error(tmp_path, capsys):
+    s = tmp_path / "s.nt"
+    assert run("summarize", DATA / "tiny_graph.nt", "-o", s) == 0
+    bad = tmp_path / "bad.nt"
+    bad.write_text(s.read_text().replace("digest=sha256", "digest=nosuch", 1))
+    out = tmp_path / "m.nt"
+    assert run("merge", s, bad, "-o", out) == 1
+    assert "line 1: unsupported digest 'nosuch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["summarize", "bench"])
+def test_digest_flag_unknown_is_usage_error(tmp_path, capsys, command):
+    inputs = [DATA / "tiny_graph.nt"] if command == "summarize" else ["--gen"]
+    assert run(command, *inputs, "--digest", "nosuch", "-o", tmp_path / "out") == 2
+    assert "unsupported digest 'nosuch'" in capsys.readouterr().err
+
+
 def test_merge_invalid_utf8_summary_is_data_error(tmp_path, capsys):
     s = tmp_path / "s.nt"
     assert run("summarize", DATA / "tiny_graph.nt", "-o", s) == 0

@@ -1,11 +1,16 @@
 import hashlib
 import random
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph
+from mvsum import summary_io
 from mvsum.graph import build_graph
-from mvsum.ntriples import Term, parse_ntriples
+from mvsum.ntriples import BLANK, IRI, Term, parse_ntriples
 from mvsum.summary import EqcSchema, Model, Payload, Summary, eqc_id, summarize
 from mvsum.summary_io import (
     SummaryFormatError,
@@ -176,3 +181,161 @@ def test_serialization_stable_across_runs(tmp_path):
     a = format_summary(summarize(g, Model.ACC))
     b = format_summary(summarize(g, Model.ACC))
     assert a == b
+
+
+HEADER = "# mvs-summary v1 model=AC digest=sha256\n"
+EQC_LINE = "<urn:mvs:eqc:e> <urn:mvs:payload> <urn:mvs:payload:e> .\n"
+
+
+def test_parse_error_names_physical_line():
+    # The header is line 1, so the garbage is on line 3.
+    with pytest.raises(SummaryFormatError) as exc:
+        read_summary([HEADER, EQC_LINE, "garbage here\n"])
+    assert str(exc.value) == "bad statement: line 3, col 1: expected IRI or blank node subject"
+    assert (exc.value.__cause__.line, exc.value.__cause__.col) == (3, 1)
+    with pytest.raises(SummaryFormatError, match=r"^bad statement: line 4, col 1: invalid UTF-8"):
+        read_summary([HEADER.encode(), b"# comment\n", EQC_LINE.encode(), b"\xff\n"])
+
+
+@pytest.mark.parametrize("line, message", [
+    ('<urn:mvs:eqc:e> <urn:mvs:attribute> "lit" .\n',
+     'line 3: unexpected statement: <urn:mvs:eqc:e> <urn:mvs:attribute> "lit" .'),
+    ("<urn:mvs:eqc:f> <urn:mvs:payload> <urn:mvs:payload:e> .\n",
+     "line 3: payload vertex urn:mvs:payload:e attached to two EQCs"),
+    ('<urn:mvs:payload:e> <urn:mvs:count> "+1"^^<http://www.w3.org/2001/XMLSchema#integer> .\n',
+     'line 3: count is not a plain decimal: '
+     '<urn:mvs:payload:e> <urn:mvs:count> "+1"^^<http://www.w3.org/2001/XMLSchema#integer> .'),
+])
+def test_statement_errors_name_their_line(line, message):
+    with pytest.raises(SummaryFormatError) as exc:
+        read_summary([HEADER, EQC_LINE, line])
+    assert str(exc.value) == message
+
+
+def test_unknown_header_digest_is_format_error():
+    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
+    text = format_summary(s).replace("digest=sha256", "digest=nosuch")
+    with pytest.raises(SummaryFormatError) as exc:
+        read_summary(text.splitlines())
+    assert str(exc.value) == "line 1: unsupported digest 'nosuch'"
+    # Without verification the digest is never used.
+    assert read_summary(text.splitlines(), verify=False).digest == "nosuch"
+
+
+# --- the statement pattern and the per-line fallback --------------------------
+#
+# `read_summary` matches each line against `_STATEMENT` and sends only the
+# lines it rejects through `_generic_shape`. Canonical files must never need
+# the fallback, and the two paths must agree on every input.
+
+def _sample_summaries():
+    rng = random.Random(21)
+    out = [summarize(build_graph([]), model) for model in Model]
+    for model in Model:
+        for _ in range(8):
+            out.append(summarize(random_graph(rng, max_vertices=20, max_edges=40, blank_prob=0.3), model))
+    return out
+
+
+def test_canonical_files_never_take_the_fallback(tmp_path, monkeypatch):
+    def fallback(raw, lineno):
+        raise AssertionError(f"line {lineno} took the fallback: {raw!r}")
+
+    monkeypatch.setattr(summary_io, "_generic_shape", fallback)
+    summaries = _sample_summaries()
+    kinds = {m.kind for s in summaries for m in s.member_index}
+    assert kinds == {IRI, BLANK}
+    path = tmp_path / "s.nt"
+    for s in summaries:
+        assert read_summary(format_summary(s).splitlines()) == s
+        save_summary(s, path)
+        assert load_summary(path) == s
+
+
+def _variants(text):
+    lines = text.splitlines()
+    head, body = lines[0], lines[1:]
+    yield "tabs and spaces", [head] + [" \t" + line.replace(" ", "\t  ") + "\t" for line in body]
+    yield "comments", [head, "", "# note"] + [line + " # trailing" for line in body] + ["  "]
+    yield "escaped member", [head] + [line.replace("<urn:x:A>", r"<urn:x:\u0041>") for line in body]
+    yield "crlf", [line + "\r\n" for line in lines]
+    yield "bytes", [line.encode("utf-8") + b"\n" for line in lines]
+
+
+def test_non_canonical_lines_load_equal():
+    g = graph_of(
+        (iri("A"), p("p"), Term.blank("b")),
+        (Term.blank("b"), RDF_TYPE_TERM, cls("C")),
+        (iri("y"), p("q"), iri("A")),
+    )
+    for model in Model:
+        s = summarize(g, model)
+        text = format_summary(s)
+        assert read_summary(text.splitlines()) == s
+        for name, lines in _variants(text):
+            assert lines != text.splitlines(), name
+            assert read_summary(lines) == s, name
+
+
+_MVS_PREDICATES = [f"<urn:mvs:{name}>" for name in ("attribute", "class", "payload", "member", "count")]
+_NEVER = re.compile(r"(?!)")
+
+
+@st.composite
+def _summary_files(draw):
+    seed = draw(st.integers(0, 10**9))
+    model = draw(st.sampled_from(list(Model)))
+    g = random_graph(random.Random(seed), max_vertices=10, max_edges=16, blank_prob=0.3)
+    return format_summary(summarize(g, model)).splitlines(keepends=draw(st.booleans()))
+
+
+@st.composite
+def _mutated_files(draw):
+    lines = list(draw(_summary_files()))
+    if len(lines) == 1:
+        return lines
+    k = draw(st.integers(1, len(lines) - 1))
+    line = lines[k]
+    i = draw(st.integers(0, len(line)))
+    how = draw(st.sampled_from(["delete", "insert", "truncate", "predicate", "count"]))
+    if how == "delete":
+        line = line[:i] + line[i + 1:]
+    elif how == "insert":
+        line = line[:i] + draw(st.sampled_from(list('<>"_:.^@# \t\\'))) + line[i:]
+    elif how == "truncate":
+        line = line[:i]
+    elif how == "predicate":
+        old = line.split(" ")[1]
+        line = line.replace(old, draw(st.sampled_from(_MVS_PREDICATES + ["<urn:other>"])), 1)
+    else:
+        line = re.sub(r'"[0-9]+"', '"%s"' % draw(st.sampled_from(["+1", "-1", "x", "1a", "\u0661", " 1", ""])), line)
+    lines[k] = line
+    return lines
+
+
+def _load_outcome(lines, verify):
+    try:
+        return read_summary(lines, verify=verify)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def _one_member_file(member, count='"1"'):
+    return [
+        HEADER,
+        EQC_LINE,
+        f"<urn:mvs:payload:e> <urn:mvs:count> {count}^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
+        f"<urn:mvs:payload:e> <urn:mvs:member> {member} .\n",
+    ]
+
+
+@given(st.one_of(_summary_files(), _mutated_files()), st.booleans())
+@example(_one_member_file("_:b_1"), False)
+@example(_one_member_file("_:b1", r'"\u0031"'), False)
+@example(_one_member_file(r"<urn:x:\u0041>"), False)
+@settings(max_examples=1000, deadline=None)
+def test_statement_pattern_agrees_with_generic_parse(lines, verify):
+    fast = _load_outcome(lines, verify)
+    with mock.patch.object(summary_io, "_STATEMENT", _NEVER):
+        generic = _load_outcome(lines, verify)
+    assert fast == generic
