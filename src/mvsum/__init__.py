@@ -1,6 +1,6 @@
 """Multi-view structural graph summaries: build, merge, schedule, measure."""
 
-from mvsum.graph import Graph, MultiViewSet, build_graph, graph_triples, union
+from mvsum.graph import Graph, build_graph, union
 from mvsum.merge import (
     CaseStats,
     CorruptSummaryError,
@@ -21,7 +21,6 @@ from mvsum.summary import (
     eqc_id,
     schema_of,
     summarize,
-    summarize_vertex,
 )
 from mvsum.summary_io import SummaryFormatError, load_summary, read_summary, save_summary
 
@@ -38,7 +37,6 @@ __all__ = [
     "MergeRecord",
     "MergeSchedule",
     "Model",
-    "MultiViewSet",
     "ParseError",
     "Payload",
     "Strategy",
@@ -50,7 +48,6 @@ __all__ = [
     "canonical_string",
     "classify_cases",
     "eqc_id",
-    "graph_triples",
     "load_summary",
     "merge",
     "merge_all",
@@ -61,6 +58,5 @@ __all__ = [
     "schema_of",
     "serialize_ntriples",
     "summarize",
-    "summarize_vertex",
     "union",
 ]

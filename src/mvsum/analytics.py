@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from mvsum.graph import Graph, MultiViewSet, build_graph
+from mvsum.graph import Graph, build_graph
 from mvsum.merge import MergeRecord, merge
 from mvsum.ntriples import RDF_TYPE, Term, Triple
 from mvsum.summary import Model, Summary
@@ -53,7 +53,16 @@ def view_seed(params: GenParams, index: int) -> str:
     return f"{params.seed}:{index}"
 
 
-def generate_view(params: GenParams, index: int) -> Graph:
+def view_id(index: int) -> str:
+    return f"view{index}"
+
+
+def view_triples(params: GenParams, index: int) -> list[Triple]:
+    """The triples of view `index`, a pure function of its per-view seed.
+
+    Edges are drawn with replacement, so the list may repeat a triple and
+    the requested edge count is an upper bound on the distinct ones.
+    """
     rng = random.Random(view_seed(params, index))
     n_shared = round(params.overlap * params.vertices_per_view)
     vertices = [Term.iri(f"urn:mvs:gen:shared:{k}") for k in range(n_shared)]
@@ -67,18 +76,21 @@ def generate_view(params: GenParams, index: int) -> Graph:
     for v in vertices:
         if rng.random() < params.type_prob:
             triples.append(Triple(v, rdf_type, rng.choice(classes)))
-    return build_graph(triples)
+    return triples
 
 
-def generate_views(params: GenParams) -> MultiViewSet:
-    """Seeded random views over a partially shared vertex pool.
+def generate_view(params: GenParams, index: int) -> Graph:
+    return build_graph(view_triples(params, index))
+
+
+def generate_views(params: GenParams) -> list[tuple[str, Graph]]:
+    """Seeded random views over a partially shared vertex pool, as (id, graph).
 
     Deterministic in (params, seed): view i is a pure function of the
     per-view seed, so regenerating with the same parameters reproduces every
-    view byte for byte. Edges are drawn with replacement and dedup into the
-    graph's edge set, so the requested edge count is an upper bound.
+    view byte for byte.
     """
-    return MultiViewSet([(f"view{i}", generate_view(params, i)) for i in range(params.views)])
+    return [(view_id(i), generate_view(params, i)) for i in range(params.views)]
 
 
 @dataclass(frozen=True)

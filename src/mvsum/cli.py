@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 
 from mvsum import analytics, multimerge, summary_io
-from mvsum.graph import build_graph, graph_triples
+from mvsum.graph import build_graph
 from mvsum.merge import CorruptSummaryError, MergeConfigError, merge
-from mvsum.ntriples import ParseError, parse_ntriples, triple_line
+from mvsum.ntriples import RDF_TYPE, ParseError, parse_ntriples, triple_line
 from mvsum.summary import DEFAULT_DIGEST, Model, check_digest, summarize
 
 
@@ -125,19 +125,21 @@ def cmd_gen(args) -> int:
     params = _gen_params(args)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    views = analytics.generate_views(params)
     manifest = {"params": dataclasses.asdict(params), "views": []}
-    for i, (view_id, g) in enumerate(views):
+    for i in range(params.views):
+        view_id = analytics.view_id(i)
         path = outdir / f"{view_id}.nt"
-        lines = sorted(triple_line(t) for t in graph_triples(g))
+        triples = set(analytics.view_triples(params, i))
+        lines = sorted(map(triple_line, triples))
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n")
+        types = sum(t.predicate.value == RDF_TYPE for t in triples)
         manifest["views"].append({
             "file": path.name,
             "view_id": view_id,
             "seed": analytics.view_seed(params, i),
-            "vertices": len(g.vertices),
-            "edges": len(g.edges),
-            "type_assertions": sum(len(v) for v in g.vertex_labels.values()),
+            "vertices": len(build_graph(triples).vertices),
+            "edges": len(triples) - types,
+            "type_assertions": types,
         })
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -1,10 +1,12 @@
-"""In-memory multi-relational labeled graph and multi-view container.
+"""In-memory multi-relational labeled graph.
 
-`rdf:type` triples with IRI objects become vertex labels, everything else
-becomes an edge, so the vertex-label alphabet and the edge-label alphabet
-stay disjoint by construction. Literals appear as edge targets only, never
-as vertices. Graphs are treated as immutable once built; `union` returns a
-new value.
+The summary models read two things per vertex: its outgoing edge labels
+and its classes, so that is all a graph keeps. `rdf:type` triples with IRI
+objects become vertex labels (classes); every other statement becomes an
+outgoing label of its subject, not an edge, so the two label alphabets stay
+disjoint by construction. An IRI or blank object becomes a vertex; a
+literal object does not. Graphs are treated as immutable once built;
+`union` returns a new value.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ from typing import Iterable
 
 from mvsum.ntriples import IRI, LITERAL, RDF_TYPE, Term, Triple
 
-Edge = tuple[Term, str, Term]
-
 
 @dataclass
 class Graph:
     vertices: set[Term] = field(default_factory=set)
-    edges: set[Edge] = field(default_factory=set)
     vertex_labels: dict[Term, set[str]] = field(default_factory=dict)
     out_labels: dict[Term, set[str]] = field(default_factory=dict)
 
@@ -35,61 +34,30 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
     """Build a graph from triples, splitting `rdf:type` off into vertex labels.
 
     A triple (s, rdf:type, c) with c an IRI adds class c to s's label set; any
-    other predicate becomes an edge. Non-literal endpoints are registered as
-    vertices; literal objects are kept on the edge only.
+    other triple (s, p, o) adds p to s's outgoing labels. Subjects and
+    non-literal objects are registered as vertices.
     """
     g = Graph()
+    vertices, vertex_labels, out_labels = g.vertices, g.vertex_labels, g.out_labels
     for s, p, o in triples:
+        vertices.add(s)
         if p.value == RDF_TYPE:
             if o.kind != IRI:
                 raise ValueError(f"rdf:type object must be an IRI, got {o.nt()}")
-            g.vertices.add(s)
-            g.vertex_labels.setdefault(s, set()).add(o.value)
+            vertex_labels.setdefault(s, set()).add(o.value)
             continue
-        g.vertices.add(s)
-        g.edges.add((s, p.value, o))
-        g.out_labels.setdefault(s, set()).add(p.value)
+        out_labels.setdefault(s, set()).add(p.value)
         if o.kind != LITERAL:
-            g.vertices.add(o)
+            vertices.add(o)
     return g
 
 
-def graph_triples(g: Graph) -> list[Triple]:
-    """The graph as triples: its edges plus one rdf:type triple per label."""
-    rdf_type = Term.iri(RDF_TYPE)
-    triples = [Triple(s, Term.iri(p), o) for s, p, o in g.edges]
-    for v, labels in g.vertex_labels.items():
-        triples.extend(Triple(v, rdf_type, Term.iri(c)) for c in labels)
-    return triples
-
-
 def union(g1: Graph, g2: Graph) -> Graph:
-    """Set union of two graphs (vertices, edges, per-vertex label unions)."""
-    g = Graph(vertices=g1.vertices | g2.vertices, edges=g1.edges | g2.edges)
+    """Set union of two graphs (vertices, per-vertex label unions)."""
+    g = Graph(vertices=g1.vertices | g2.vertices)
     for src in (g1, g2):
         for v, labels in src.vertex_labels.items():
             g.vertex_labels.setdefault(v, set()).update(labels)
         for v, labels in src.out_labels.items():
             g.out_labels.setdefault(v, set()).update(labels)
     return g
-
-
-@dataclass
-class MultiViewSet:
-    """An ordered set of named views of one underlying graph."""
-
-    views: list[tuple[str, Graph]] = field(default_factory=list)
-
-    def __post_init__(self):
-        ids = [vid for vid, _ in self.views]
-        if len(ids) != len(set(ids)):
-            raise ValueError("view ids must be unique")
-
-    def __len__(self) -> int:
-        return len(self.views)
-
-    def __iter__(self):
-        return iter(self.views)
-
-    def graphs(self) -> list[Graph]:
-        return [g for _, g in self.views]

@@ -6,8 +6,9 @@ whose situation is trivial (case 1). Step 2 finds members present in both
 summaries under *different* EQCs (case 3) and moves each into the EQC of
 the combined schema, creating it if needed. That EQC is resolved once per
 pair of EQCs, not once per member: many members share a pair, and few
-schemas exist. Step 3 recomputes the member counts (the only payload that
-needs adapting, case 2) and drops EQCs that lost all their members.
+schemas exist. Step 3 drops EQCs that lost all their members. The paper's
+payload adaptation for case 2 is a new member count, and a count is the
+size of the member set, so it needs no work.
 
 The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
 second scan: step 1's union of an EQC both inputs hold gives the size of
@@ -97,15 +98,6 @@ def remove_empty_eqc(s: Summary, c: EqcId) -> Summary:
         raise ValueError(f"EQC {c} still has members")
     del s.eqcs[c]
     del s.payloads[c]
-    return s
-
-
-def adapt_payload(s: Summary, c: EqcId) -> Summary:
-    """Refresh the count payload of EQC c; the member set needs no change."""
-    if not has_members(s, c):
-        raise ValueError(f"EQC {c} has no members")
-    payload = s.payloads[c]
-    payload.count = len(payload.members)
     return s
 
 
@@ -216,7 +208,7 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
             both = len(p1.members) + len(p2.members) - len(members)
             case2 += len(p1.members) - both
             common += len(schema.attributes or ()) + len(schema.classes or ()) + 1 + both
-            common += p1.count == p2.count
+            common += len(p1.members) == len(p2.members)
         out.payloads[cid] = Payload(members)
     out.member_index = dict(s1.member_index)
     out.member_index.update(s2.member_index)
@@ -253,12 +245,10 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
         if (ca if scan is s1 else cb) in s2_eqcs:
             case2 -= 1
 
-    # Step 3: finalize counts, drop drained EQCs.
-    for cid in list(out.eqcs):
-        if has_members(out, cid):
-            adapt_payload(out, cid)
-        else:
-            remove_empty_eqc(out, cid)
+    # Step 3: drop drained EQCs. A count is the size of the member set, so
+    # no payload needs adapting.
+    for cid in [cid for cid, payload in payloads.items() if not payload.members]:
+        remove_empty_eqc(out, cid)
     wall_ms = (time.perf_counter() - started) * 1e3
 
     e1 = s1.edge_count()

@@ -108,10 +108,9 @@ def merge_schemas(a: EqcSchema, b: EqcSchema) -> EqcSchema:
 
 @dataclass
 class Payload:
-    """Member set of one EQC plus the member count."""
+    """Member set of one EQC; its file form also states the member count."""
 
     members: set[Term] = field(default_factory=set)
-    count: int = 0
 
 
 @dataclass
@@ -147,8 +146,6 @@ class Summary:
         for cid, payload in self.payloads.items():
             if not payload.members:
                 raise ValueError(f"EQC {cid} has no members")
-            if payload.count != len(payload.members):
-                raise ValueError(f"EQC {cid}: count {payload.count} != |members| {len(payload.members)}")
             for m in payload.members:
                 if m in seen:
                     raise ValueError(f"member {m.nt()} appears in {seen[m]} and {cid}")
@@ -174,7 +171,7 @@ def schema_of(v: Term, g: Graph, model: Model) -> EqcSchema:
 def summarize_vertex(v: Term, g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> tuple[EqcId, EqcSchema, Payload]:
     """The single-vertex summary: (id, schema, payload fragment {v})."""
     schema = schema_of(v, g, model)
-    return eqc_id(schema, digest), schema, Payload({v}, 1)
+    return eqc_id(schema, digest), schema, Payload({v})
 
 
 def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
@@ -207,7 +204,7 @@ def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
         schema = EqcSchema(model, attrs, classes)
         cid = eqc_id(schema, digest)
         s.eqcs[cid] = schema
-        s.payloads[cid] = Payload(set(members), len(members))
+        s.payloads[cid] = Payload(set(members))
         for m in members:
             s.member_index[m] = cid
     return s

@@ -95,7 +95,7 @@ def _statement_lines(summary: Summary) -> list[str]:
         payload = summary.payloads[cid]
         for m in payload.members:
             append(f"{pay} <{P_MEMBER}> {m.nt()} .")
-        append(f'{pay} <{P_COUNT}> "{payload.count:d}"^^<{XSD_INTEGER}> .')
+        append(f'{pay} <{P_COUNT}> "{len(payload.members):d}"^^<{XSD_INTEGER}> .')
     lines.sort()
     return lines
 
@@ -236,7 +236,7 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             raise SummaryFormatError(
                 f"EQC {hexid}: count {counts[pid]} != {len(ms)} members"
             )
-        summary.payloads[hexid] = Payload(ms, len(ms))
+        summary.payloads[hexid] = Payload(ms)
         for m in ms:
             if summary.member_index.setdefault(m, hexid) != hexid:
                 raise SummaryFormatError(f"member {m.nt()} appears in two EQCs")
@@ -255,8 +255,11 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
 
 
 def load_summary(path: str | Path, verify: bool = True) -> Summary:
+    """`read_summary` on a file; every format error names the file first."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return read_summary(fh, verify=verify)
     except UnicodeDecodeError as exc:
         raise SummaryFormatError(f"{path}: not valid UTF-8: {exc}") from None
+    except SummaryFormatError as exc:
+        raise SummaryFormatError(f"{path}: {exc}") from None

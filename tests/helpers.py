@@ -50,13 +50,22 @@ def graph_of(*triples: tuple) -> Graph:
 
 # --- independent O(|V|^2) partition oracle ------------------------------------
 #
-# Recomputes each vertex's features straight from the raw edge set and label
-# map (not from the graph's derived out_labels), then groups vertices by
-# pairwise feature comparison. Deliberately naive; used to check summarize.
+# Recomputes the vertices and each vertex's features straight from the raw
+# triples (not from a built graph), then groups vertices by pairwise feature
+# comparison. Deliberately naive; used to check build_graph and summarize.
 
-def naive_features(g: Graph, v: Term, model: Model):
-    attrs = frozenset(pr for (s, pr, _) in g.edges if s == v)
-    classes = frozenset(g.vertex_labels.get(v, set()))
+def naive_vertices(triples) -> set[Term]:
+    vertices = set()
+    for s, pr, o in triples:
+        vertices.add(s)
+        if pr != RDF_TYPE_TERM and o.kind != "literal":
+            vertices.add(o)
+    return vertices
+
+
+def naive_features(triples, v: Term, model: Model):
+    attrs = frozenset(pr.value for (s, pr, _) in triples if s == v and pr != RDF_TYPE_TERM)
+    classes = frozenset(o.value for (s, pr, o) in triples if s == v and pr == RDF_TYPE_TERM)
     if model is Model.AC:
         return ("AC", attrs)
     if model is Model.CC:
@@ -64,10 +73,10 @@ def naive_features(g: Graph, v: Term, model: Model):
     return ("ACC", attrs, classes)
 
 
-def naive_partition(g: Graph, model: Model) -> set[frozenset]:
+def naive_partition(triples, model: Model) -> set[frozenset]:
     groups: list[tuple[object, set[Term]]] = []
-    for v in g.vertices:
-        features = naive_features(g, v, model)
+    for v in naive_vertices(triples):
+        features = naive_features(triples, v, model)
         for existing, members in groups:
             if existing == features:
                 members.add(v)
@@ -83,9 +92,10 @@ def partition_of(s: Summary) -> set[frozenset]:
 
 # --- seeded random graphs ------------------------------------------------------
 
-def random_graph(rng: random.Random, max_vertices: int = 12, max_edges: int = 20,
-                 n_predicates: int = 4, n_classes: int = 3, type_prob: float = 0.4,
-                 blank_prob: float = 0.2, literal_prob: float = 0.15) -> Graph:
+def random_triples(rng: random.Random, max_vertices: int = 12, max_edges: int = 20,
+                   n_predicates: int = 4, n_classes: int = 3, type_prob: float = 0.4,
+                   blank_prob: float = 0.2, literal_prob: float = 0.15) -> list[Triple]:
+    """Seeded random triples over a small vertex pool, repeats allowed."""
     n = rng.randint(0, max_vertices)
     vertices = []
     for i in range(n):
@@ -106,7 +116,12 @@ def random_graph(rng: random.Random, max_vertices: int = 12, max_edges: int = 20
         for v in vertices:
             if rng.random() < type_prob:
                 triples.append(Triple(v, RDF_TYPE_TERM, cls(str(rng.randrange(n_classes)))))
-    return build_graph(triples)
+    return triples
+
+
+def random_graph(rng: random.Random, **kw) -> Graph:
+    """The graph of `random_triples(rng, **kw)`."""
+    return build_graph(random_triples(rng, **kw))
 
 
 def canonical_bytes(s: Summary) -> bytes:

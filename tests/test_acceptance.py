@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import canonical_bytes, naive_partition, oracle_merged, partition_of, random_graph
+from helpers import canonical_bytes, naive_partition, oracle_merged, partition_of, random_triples
 from mvsum.analytics import GenParams, correlate_times, generate_view, generate_views, linfit, pearson
 from mvsum.cli import main as cli_main
 from mvsum.graph import build_graph, union
@@ -68,9 +68,10 @@ def test_criterion_1_merge_oracle_equivalence():
 def test_criterion_2_summarizer_oracle_equivalence():
     rng = random.Random(424242)
     for i in range(100):
-        g = random_graph(rng, max_vertices=50, max_edges=120)
+        triples = random_triples(rng, max_vertices=50, max_edges=120)
+        g = build_graph(triples)
         for model in MODELS:
-            if partition_of(summarize(g, model)) != naive_partition(g, model):
+            if partition_of(summarize(g, model)) != naive_partition(triples, model):
                 report(2, False, f"graph {i} model {model.value} disagrees with the naive partitioner")
     report(2, True, "(100 graphs x 3 models match the naive pairwise partitioner)")
 

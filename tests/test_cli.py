@@ -217,6 +217,26 @@ def test_merge_unknown_header_digest_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, old, new", [
+    (2, "<urn:p:p> .", '"urn:p:p" .'),
+    (1, "digest=sha256", "digest=nosuch"),
+])
+@pytest.mark.parametrize("command", ["merge", "merge-all"])
+def test_summary_data_error_names_file(tmp_path, capsys, command, line, old, new):
+    d = tmp_path / "sums"
+    d.mkdir()
+    s = d / "s.nt"
+    assert run("summarize", DATA / "tiny_graph.nt", "-o", s) == 0
+    lines = s.read_text().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(old, new, 1)
+    bad = d / "bad.nt"
+    bad.write_text("".join(lines))
+    argv = ["merge", s, bad] if command == "merge" else ["merge-all", d]
+    assert run(*argv, "-o", tmp_path / "m.nt") == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: line {line}: " in err
+
+
 @pytest.mark.parametrize("command", ["summarize", "bench"])
 def test_digest_flag_unknown_is_usage_error(tmp_path, capsys, command):
     inputs = [DATA / "tiny_graph.nt"] if command == "summarize" else ["--gen"]
@@ -312,6 +332,25 @@ def test_gen_deterministic_bytes(tmp_path):
         assert run("gen", "-o", d, "--views", "2", "--seed", "4") == 0
     for name in ("view0.nt", "view1.nt", "manifest.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_gen_seed_9_pinned_bytes(tmp_path):
+    # Pinned SHA-256 of each file: the generator's distinct triples, sorted,
+    # and a manifest that counts them. Only a deliberate change to the
+    # generator or the writer may change these.
+    d = tmp_path / "views"
+    assert run("gen", "-o", d, "--seed", "9") == 0
+    expected = {
+        "manifest.json": "e6c35c112854e91a8395a6ba05dd99b0b0886a9e7825dfbe9bc4cf3813103697",
+        "view0.nt": "a61b5fe0793100eb52bd2cdcbf7d7d1ce235b6f36442c9896a48e3dce4ec0630",
+        "view1.nt": "5f6bc9251a5b71e7ee9b2c11e709aa73d1d7c0f38f760ae496260c8412c08cef",
+        "view2.nt": "58f124070e5ce49e11d106057fba68cfd90862b9651043425cfc5e242416b457",
+    }
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in d.iterdir()} == expected
+    for view in json.loads((d / "manifest.json").read_text())["views"]:
+        lines = (d / view["file"]).read_text().splitlines()
+        types = sum(f"<{RDF_TYPE}>" in line for line in lines)
+        assert (view["edges"], view["type_assertions"]) == (len(lines) - types, types)
 
 
 def test_gen_invalid_fraction(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph
-from mvsum.graph import build_graph, graph_triples, union
+from helpers import RDF_TYPE_TERM, cls, graph_of, iri, naive_vertices, p, random_graph, random_triples
+from mvsum.graph import build_graph, union
 from mvsum.ntriples import Term
 
 
@@ -13,13 +13,14 @@ def test_type_triple_becomes_vertex_label():
     g = graph_of((iri("a"), RDF_TYPE_TERM, cls("C")))
     assert g.vertices == {iri("a")}
     assert g.vertex_labels == {iri("a"): {cls("C").value}}
-    assert g.edges == set()
+    assert g.out_labels == {}
 
 
-def test_plain_triple_becomes_edge():
+def test_plain_triple_becomes_out_label():
     g = graph_of((iri("a"), p("p"), iri("b")))
     assert g.vertices == {iri("a"), iri("b")}
-    assert g.edges == {(iri("a"), p("p").value, iri("b"))}
+    assert g.out_labels == {iri("a"): {p("p").value}}
+    assert g.vertex_labels == {}
     assert g.attributes_of(iri("a")) == {p("p").value}
     assert g.attributes_of(iri("b")) == set()
 
@@ -28,7 +29,7 @@ def test_literal_object_is_not_a_vertex():
     lit = Term.literal("lit")
     g = graph_of((iri("a"), p("p"), lit))
     assert g.vertices == {iri("a")}
-    assert g.edges == {(iri("a"), p("p").value, lit)}
+    assert g.out_labels == {iri("a"): {p("p").value}}
 
 
 def test_type_with_literal_object_rejected():
@@ -48,7 +49,8 @@ def test_union_spec_examples():
     assert union(g, g) == g
     g2 = graph_of((iri("x"), p("q"), iri("b")))
     merged = union(g, g2)
-    assert merged.edges == g.edges | g2.edges
+    assert merged.vertices == {iri("x"), iri("a"), iri("b")}
+    assert merged.out_labels == {iri("x"): {p("p").value, p("q").value}}
     assert merged.attributes_of(iri("x")) == {p("p").value, p("q").value}
 
 
@@ -56,6 +58,12 @@ def test_union_spec_examples():
 def graphs(draw):
     seed = draw(st.integers(0, 10**9))
     return random_graph(random.Random(seed))
+
+
+@st.composite
+def triple_lists(draw):
+    seed = draw(st.integers(0, 10**9))
+    return random_triples(random.Random(seed))
 
 
 @given(graphs(), graphs())
@@ -76,24 +84,22 @@ def test_union_idempotent(g):
     assert union(g, g) == g
 
 
-@given(graphs(), graphs())
+@given(triple_lists(), triple_lists())
 @settings(max_examples=60, deadline=None)
-def test_build_distributes_over_union(g1, g2):
-    t1, t2 = graph_triples(g1), graph_triples(g2)
+def test_build_distributes_over_union(t1, t2):
     assert build_graph(t1 + t2) == union(build_graph(t1), build_graph(t2))
 
 
-@given(graphs())
+@given(triple_lists())
 @settings(max_examples=60, deadline=None)
-def test_graph_invariants(g):
-    for s, pred, o in g.edges:
-        assert s in g.vertices
-        assert pred in g.out_labels[s]
-        if o.kind != "literal":
-            assert o in g.vertices
-    for v, labels in g.out_labels.items():
-        assert labels == {pred for (s, pred, _) in g.edges if s == v}
+def test_graph_invariants(triples):
+    g = build_graph(triples)
+    assert g.vertices == naive_vertices(triples)
+    edges = [(s, pred.value) for s, pred, _ in triples if pred != RDF_TYPE_TERM]
+    types = [(s, o.value) for s, pred, o in triples if pred == RDF_TYPE_TERM]
+    assert g.out_labels == {v: {pred for s, pred in edges if s == v} for v, _ in edges}
+    assert g.vertex_labels == {v: {c for s, c in types if s == v} for v, _ in types}
     # label alphabets disjoint: classes come from rdf:type only
-    edge_labels = {pred for (_, pred, _) in g.edges}
-    vertex_labels = set().union(*g.vertex_labels.values()) if g.vertex_labels else set()
+    edge_labels = set().union(*g.out_labels.values())
+    vertex_labels = set().union(*g.vertex_labels.values())
     assert not (edge_labels & vertex_labels)

@@ -23,7 +23,6 @@ from mvsum.graph import build_graph, union
 from mvsum.merge import (
     CorruptSummaryError,
     MergeConfigError,
-    adapt_payload,
     classify_cases,
     combine_eqcs,
     get_eqc,
@@ -90,11 +89,11 @@ def test_payload_count_updated_one_plus_two():
     g2 = graph_of((iri("y"), p("g"), iri("a")), (iri("z"), p("g"), iri("b")))
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
     green = eqc_id(EqcSchema(Model.AC, (p("g").value,), None))
-    assert s1.payloads[green].count == 1
-    assert s2.payloads[green].count == 2
+    assert len(s1.payloads[green].members) == 1
+    assert len(s2.payloads[green].members) == 2
     merged, record = merge(s1, s2)
-    assert merged.payloads[green].count == 3
     assert merged.payloads[green].members == {iri("w"), iri("y"), iri("z")}
+    assert f'<urn:mvs:payload:{green}> <urn:mvs:count> "3"^^' in format_summary(merged)
     assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
     assert record.stats.case2 >= 1  # w is only in G1 but green exists in both
 
@@ -145,17 +144,6 @@ def test_remove_only_eqc_leaves_empty_summary():
     assert s.eqcs == {} and s.payloads == {}
 
 
-def test_adapt_payload():
-    s = summarize(graph_of((iri("w"), p("p"), iri("z"))), Model.CC)
-    cid = get_eqc(s, iri("w"))
-    s.payloads[cid].count = 99
-    adapt_payload(s, cid)
-    assert s.payloads[cid].count == len(s.payloads[cid].members)
-    s.payloads[cid].members.clear()
-    with pytest.raises(ValueError):
-        adapt_payload(s, cid)
-
-
 def test_combine_eqcs_matches_union_graph_schema():
     g1 = graph_of((iri("m"), p("p"), iri("a")))
     g2 = graph_of((iri("m"), p("q"), iri("b")))
@@ -203,7 +191,7 @@ def _step1_union(s1, s2):
             members |= s1.payloads[cid].members
         if cid in s2.payloads:
             members |= s2.payloads[cid].members
-        work.payloads[cid] = Payload(members, len(members))
+        work.payloads[cid] = Payload(members)
     work.member_index = dict(s1.member_index)
     work.member_index.update(s2.member_index)
     return work, None
@@ -251,7 +239,7 @@ def test_duplicate_id_with_different_schema_is_corruption():
     cid = [c for c in s2.eqcs if s2.eqcs[c].attributes][0]
     # simulate a digest collision: same id, different schema in s1
     s1.eqcs[cid] = EqcSchema(Model.AC, ("urn:other",), None)
-    s1.payloads[cid] = Payload({iri("q")}, 1)
+    s1.payloads[cid] = Payload({iri("q")})
     s1.member_index[iri("q")] = cid
     with pytest.raises(CorruptSummaryError):
         merge(s1, s2)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RDF_TYPE_TERM, cls, graph_of, iri, naive_partition, p, partition_of, random_graph
+from helpers import RDF_TYPE_TERM, cls, graph_of, iri, naive_partition, naive_vertices, p, partition_of, random_triples
 from mvsum.graph import build_graph
+from mvsum.ntriples import Triple
 from mvsum.summary import (
     EqcSchema,
     Model,
@@ -114,13 +115,13 @@ def test_summarize_single_edge_ac():
 
 
 def test_summarize_acc_example():
-    g = graph_of(
-        (iri("x"), p("p"), iri("a")),
-        (iri("y"), p("p"), iri("b")),
-        (iri("x"), RDF_TYPE_TERM, cls("C")),
-    )
-    s = summarize(g, Model.ACC)
-    assert partition_of(s) == naive_partition(g, Model.ACC)
+    triples = [
+        Triple(iri("x"), p("p"), iri("a")),
+        Triple(iri("y"), p("p"), iri("b")),
+        Triple(iri("x"), RDF_TYPE_TERM, cls("C")),
+    ]
+    s = summarize(build_graph(triples), Model.ACC)
+    assert partition_of(s) == naive_partition(triples, Model.ACC)
     by_schema = {(schema.attributes, schema.classes): s.payloads[cid].members for cid, schema in s.eqcs.items()}
     assert by_schema == {
         ((p("p").value,), (cls("C").value,)): {iri("x")},
@@ -134,7 +135,7 @@ def test_summarize_vertex():
     cid, schema, payload = summarize_vertex(iri("v"), g, Model.AC)
     assert schema.attributes == (p("p").value, p("q").value)
     assert cid == eqc_id(schema)
-    assert payload.members == {iri("v")} and payload.count == 1
+    assert payload.members == {iri("v")}
     cid2, schema2, _ = summarize_vertex(iri("a"), g, Model.AC)
     assert schema2.attributes == ()
     with pytest.raises(KeyError):
@@ -152,35 +153,37 @@ def test_merge_schemas_unions_sides():
 def test_validate_rejects_bad_summaries():
     g = graph_of((iri("x"), p("p"), iri("a")))
     s = summarize(g, Model.AC)
-    s.payloads[next(iter(s.payloads))].count += 1
+    s.payloads[next(iter(s.payloads))].members.add(iri("zz"))
     with pytest.raises(ValueError):
         s.validate()
 
 
 @st.composite
-def graphs(draw):
+def triple_lists(draw):
     seed = draw(st.integers(0, 10**9))
-    return random_graph(random.Random(seed))
+    return random_triples(random.Random(seed))
 
 
-@given(graphs(), st.sampled_from(MODELS))
+@given(triple_lists(), st.sampled_from(MODELS))
 @settings(max_examples=100, deadline=None)
-def test_partition_properties(g, model):
+def test_partition_properties(triples, model):
+    g = build_graph(triples)
     s = summarize(g, model)
     s.validate()
     # partition: pairwise disjoint (validate checks) and covers all vertices
     members = set().union(*(pl.members for pl in s.payloads.values())) if s.payloads else set()
-    assert members == g.vertices
+    assert members == naive_vertices(triples)
     # psi-soundness: same EQC iff same schema
     for cid, payload in s.payloads.items():
         for m in payload.members:
             assert schema_of(m, g, model) == s.eqcs[cid]
-    assert partition_of(s) == naive_partition(g, model)
+    assert partition_of(s) == naive_partition(triples, model)
 
 
 def test_brute_force_equivalence_seeded():
     rng = random.Random(20240901)
     for _ in range(40):
-        g = random_graph(rng, max_vertices=50, max_edges=120)
+        triples = random_triples(rng, max_vertices=50, max_edges=120)
+        g = build_graph(triples)
         for model in MODELS:
-            assert partition_of(summarize(g, model)) == naive_partition(g, model)
+            assert partition_of(summarize(g, model)) == naive_partition(triples, model)

@@ -133,7 +133,7 @@ def _summary_with(attribute="urn:p:p", klass="urn:c:C", member="urn:x:a", cid=No
     cid = cid or eqc_id(schema)
     s = Summary(model=Model.ACC)
     s.eqcs[cid] = schema
-    s.payloads[cid] = Payload({Term.iri(member)}, 1)
+    s.payloads[cid] = Payload({Term.iri(member)})
     s.member_index[Term.iri(member)] = cid
     return s
 
