@@ -15,7 +15,6 @@ from mvsum.summary import (
     DEFAULT_DIGEST,
     EqcSchema,
     Model,
-    Payload,
     Summary,
     canonical_string,
     eqc_id,
@@ -38,7 +37,6 @@ __all__ = [
     "MergeSchedule",
     "Model",
     "ParseError",
-    "Payload",
     "Strategy",
     "Summary",
     "SummaryFormatError",

@@ -95,10 +95,7 @@ def cmd_merge_all(args) -> int:
     files = _summary_files(Path(args.directory))
     summaries = [summary_io.load_summary(p) for p in files]
     strategy = _strategy_from_args(args)
-    try:
-        final, schedule = multimerge.merge_all(summaries, strategy, names=[p.name for p in files])
-    except MergeConfigError as exc:
-        raise UsageError(str(exc)) from None
+    final, schedule = multimerge.merge_all(summaries, strategy, names=[p.name for p in files])
     summary_io.save_summary(final, args.output)
     if args.schedule:
         multimerge.write_schedule_csv(schedule, args.schedule)

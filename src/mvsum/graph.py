@@ -23,12 +23,6 @@ class Graph:
     vertex_labels: dict[Term, set[str]] = field(default_factory=dict)
     out_labels: dict[Term, set[str]] = field(default_factory=dict)
 
-    def types_of(self, v: Term) -> set[str]:
-        return self.vertex_labels.get(v, set())
-
-    def attributes_of(self, v: Term) -> set[str]:
-        return self.out_labels.get(v, set())
-
 
 def build_graph(triples: Iterable[Triple]) -> Graph:
     """Build a graph from triples, splitting `rdf:type` off into vertex labels.

@@ -6,9 +6,10 @@ whose situation is trivial (case 1). Step 2 finds members present in both
 summaries under *different* EQCs (case 3) and moves each into the EQC of
 the combined schema, creating it if needed. That EQC is resolved once per
 pair of EQCs, not once per member: many members share a pair, and few
-schemas exist. Step 3 drops EQCs that lost all their members. The paper's
-payload adaptation for case 2 is a new member count, and a count is the
-size of the member set, so it needs no work.
+schemas exist. Step 3 deletes every EQC that lost all its members from
+both the schemas and the payloads. The paper's payload adaptation for
+case 2 is a new member count; a payload is its member set and the count
+is that set's size, so it needs no work.
 
 The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
 second scan: step 1's union of an EQC both inputs hold gives the size of
@@ -30,8 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from mvsum.ntriples import Term
-from mvsum.summary import EqcId, EqcSchema, Model, Payload, Summary, eqc_id, union_side
+from mvsum.summary import EqcId, EqcSchema, Summary, eqc_id, union_side
 
 
 class MergeConfigError(ValueError):
@@ -72,35 +72,6 @@ class MergeRecord:
     stats: CaseStats | None
 
 
-def get_members(s: Summary) -> set[Term]:
-    """All member vertices of a summary."""
-    return set(s.member_index)
-
-
-def get_eqc(s: Summary, m: Term) -> EqcId:
-    """The unique EQC of member m."""
-    try:
-        return s.member_index[m]
-    except KeyError:
-        raise KeyError(f"{m.nt()} is not a member of this summary") from None
-
-
-def has_members(s: Summary, c: EqcId) -> bool:
-    """Whether EQC c currently has any members."""
-    if c not in s.eqcs:
-        raise KeyError(f"unknown EQC {c}")
-    return bool(s.payloads[c].members)
-
-
-def remove_empty_eqc(s: Summary, c: EqcId) -> Summary:
-    """Drop a drained EQC from a working summary."""
-    if has_members(s, c):
-        raise ValueError(f"EQC {c} still has members")
-    del s.eqcs[c]
-    del s.payloads[c]
-    return s
-
-
 def _target_eqc(s: Summary, c1: EqcId, c2: EqcId, ids: dict[tuple, EqcId]) -> EqcId:
     """The EQC of c1's and c2's combined schema in s, created if absent.
 
@@ -108,10 +79,7 @@ def _target_eqc(s: Summary, c1: EqcId, c2: EqcId, ids: dict[tuple, EqcId]) -> Eq
     s to its EqcId, so a caller that resolves many pairs builds, digests and
     checks each combined schema once.
     """
-    try:
-        a, b = s.eqcs[c1], s.eqcs[c2]
-    except KeyError as exc:
-        raise KeyError(f"unknown EQC {exc.args[0]}") from None
+    a, b = s.eqcs[c1], s.eqcs[c2]
     key = (union_side(a.attributes, b.attributes), union_side(a.classes, b.classes))
     cid = ids.get(key)
     if cid is None:
@@ -120,27 +88,10 @@ def _target_eqc(s: Summary, c1: EqcId, c2: EqcId, ids: dict[tuple, EqcId]) -> Eq
         existing = s.eqcs.get(cid)
         if existing is None:
             s.eqcs[cid] = combined
-            s.payloads[cid] = Payload()
+            s.payloads[cid] = set()
         elif existing != combined:
             raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
     return cid
-
-
-def combine_eqcs(s: Summary, c1: EqcId, c2: EqcId, m: Term, model: Model | None = None) -> Summary:
-    """Move m out of EQCs c1 and c2 and into the EQC of their combined schema.
-
-    The combined schema is the per-side union of the two schemas, i.e. the
-    schema m would have in the union graph. The target EQC is created if
-    absent; c1 and c2 are left in place (possibly empty) for step 3.
-    """
-    if model is not None and model != s.model:
-        raise MergeConfigError(f"model {model.value} does not match summary model {s.model.value}")
-    cid = _target_eqc(s, c1, c2, {})
-    s.payloads[c1].members.discard(m)
-    s.payloads[c2].members.discard(m)
-    s.payloads[cid].members.add(m)
-    s.member_index[m] = cid
-    return s
 
 
 def classify_cases(s1: Summary, s2: Summary) -> CaseStats:
@@ -167,22 +118,16 @@ def classify_cases(s1: Summary, s2: Summary) -> CaseStats:
     return CaseStats(case1, case2, case3, len(s1.member_index))
 
 
-def _check_compatible(s1: Summary, s2: Summary, model: Model | None) -> None:
-    if s1.model != s2.model:
-        raise MergeConfigError(f"model mismatch: {s1.model.value} vs {s2.model.value}")
-    if s1.digest != s2.digest:
-        raise MergeConfigError(f"digest mismatch: {s1.digest} vs {s2.digest}")
-    if model is not None and model != s1.model:
-        raise MergeConfigError(f"requested model {model.value} but summaries use {s1.model.value}")
-
-
-def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary, MergeRecord]:
+def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     """Merge two summaries; the result summarizes the union of their graphs.
 
     Returns the merged summary plus a MergeRecord with sizes, wall time, and
     the S1-perspective case statistics. The inputs are not modified.
     """
-    _check_compatible(s1, s2, model)
+    if s1.model != s2.model:
+        raise MergeConfigError(f"model mismatch: {s1.model.value} vs {s2.model.value}")
+    if s1.digest != s2.digest:
+        raise MergeConfigError(f"digest mismatch: {s1.digest} vs {s2.digest}")
     started = time.perf_counter()
 
     # Step 1: union of schemas and payload member sets, keyed by EqcId. For
@@ -200,16 +145,16 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
         p1 = s1.payloads.get(cid)
         p2 = s2.payloads.get(cid)
         if p1 is None:
-            members = set(p2.members)
+            members = set(p2)
         elif p2 is None:
-            members = set(p1.members)
+            members = set(p1)
         else:
-            members = p1.members | p2.members
-            both = len(p1.members) + len(p2.members) - len(members)
-            case2 += len(p1.members) - both
+            members = p1 | p2
+            both = len(p1) + len(p2) - len(members)
+            case2 += len(p1) - both
             common += len(schema.attributes or ()) + len(schema.classes or ()) + 1 + both
-            common += len(p1.members) == len(p2.members)
-        out.payloads[cid] = Payload(members)
+            common += len(p1) == len(p2)
+        out.payloads[cid] = members
     out.member_index = dict(s1.member_index)
     out.member_index.update(s2.member_index)
 
@@ -236,9 +181,9 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
         cid = row.get(cb)
         if cid is None:
             cid = row[cb] = _target_eqc(out, ca, cb, ids)
-        payloads[ca].members.discard(m)
-        payloads[cb].members.discard(m)
-        payloads[cid].members.add(m)
+        payloads[ca].discard(m)
+        payloads[cb].discard(m)
+        payloads[cid].add(m)
         index[m] = cid
         # A conflict whose S1 EQC is also in S2 was counted in case 2 above.
         case3 += 1
@@ -247,8 +192,9 @@ def merge(s1: Summary, s2: Summary, model: Model | None = None) -> tuple[Summary
 
     # Step 3: drop drained EQCs. A count is the size of the member set, so
     # no payload needs adapting.
-    for cid in [cid for cid, payload in payloads.items() if not payload.members]:
-        remove_empty_eqc(out, cid)
+    for cid in [cid for cid, members in payloads.items() if not members]:
+        del out.eqcs[cid]
+        del payloads[cid]
     wall_ms = (time.perf_counter() - started) * 1e3
 
     e1 = s1.edge_count()

@@ -2,12 +2,13 @@
 
 The final summary is the same whatever the order (merging is associative and
 symmetric); the strategies only change how much intermediate work is done.
-Sizes are serialized edge counts. smallest_first and largest_first keep a
-size-ordered pool and repeatedly merge the two extremes; random picks pairs
-with a seeded generator; greedy_parallel builds the tree that `workers`
-workers would build under the cost model cost(a, b) = a + b, each taking the
-two smallest summaries ready when it is free. That tree is deterministic,
-and its merges run one at a time in simulated start order. `schedule_work`
+Sizes are serialized edge counts. greedy_parallel builds the tree that
+`workers` workers would build under the cost model cost(a, b) = a + b, each
+taking the two smallest summaries ready when it is free. That tree is
+deterministic, and its merges run one at a time in simulated start order.
+smallest_first is the tree of one such worker, which always merges the two
+smallest summaries left; largest_first is one worker that takes the two
+largest. random picks pairs with a seeded generator. `schedule_work`
 dry-runs any strategy under the same cost model without touching real
 summaries.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from mvsum.merge import MergeConfigError, MergeRecord, merge
-from mvsum.summary import Model, Summary
+from mvsum.summary import Summary
 
 _KINDS = ("smallest_first", "largest_first", "random", "greedy_parallel")
 _RNG_NAME = "mt19937"
@@ -89,72 +90,52 @@ class MergeSchedule:
         self.total_work = sum(step.record.edges_sum for step in self.steps)
 
 
-class _Pool:
-    """Size-ordered pool of (size, name, item) with insertion-order tie breaks."""
+def _run_random(items, seed: int, do_merge, out_names):
+    """Merge pairs drawn by a seeded generator, one at a time.
 
-    def __init__(self, largest: bool = False):
-        self._sign = -1 if largest else 1
-        self._heap: list[tuple[int, int, str, object]] = []
-        self._seq = itertools.count()
-
-    def push(self, size: int, name: str, item) -> None:
-        heapq.heappush(self._heap, (self._sign * size, next(self._seq), name, item))
-
-    def pop(self) -> tuple[int, str, object]:
-        size, _, name, item = heapq.heappop(self._heap)
-        return self._sign * size, name, item
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-def _run_sequential(items, strategy: Strategy, do_merge, out_names):
+    Returns the final item, the steps and the makespan, which for one
+    merge at a time is the total work.
+    """
+    rng = random.Random(seed)
+    pool = list(items)
     steps: list[Step] = []
-    if strategy.kind == "random":
-        rng = random.Random(strategy.seed)
-        pool = list(items)
-        while len(pool) > 1:
-            _, left_name, left = pool.pop(rng.randrange(len(pool)))
-            _, right_name, right = pool.pop(rng.randrange(len(pool)))
-            item, size, record = do_merge(left, right)
-            name = next(out_names)
-            steps.append(Step(left_name, right_name, name, record))
-            pool.append((size, name, item))
-        return pool[0][2], steps
-    pool = _Pool(largest=(strategy.kind == "largest_first"))
-    for size, name, item in items:
-        pool.push(size, name, item)
+    makespan = 0
     while len(pool) > 1:
-        _, left_name, left = pool.pop()
-        _, right_name, right = pool.pop()
+        a, left_name, left = pool.pop(rng.randrange(len(pool)))
+        b, right_name, right = pool.pop(rng.randrange(len(pool)))
         item, size, record = do_merge(left, right)
         name = next(out_names)
         steps.append(Step(left_name, right_name, name, record))
-        pool.push(size, name, item)
-    return pool.pop()[2], steps
+        pool.append((size, name, item))
+        makespan += a + b
+    return pool[0][2], steps, makespan
 
 
-def _run_greedy_parallel(items, workers: int, do_merge, out_names):
-    """Build the greedy-parallel merge tree by simulating `workers` workers.
+def _run_greedy(items, workers: int, largest: bool, do_merge, out_names):
+    """Build the greedy merge tree by simulating `workers` workers.
 
     Under the cost model a merge of sizes a and b takes a + b time units.
-    The earliest-free worker takes the two smallest ready items; with fewer
-    than two ready it waits for the next merge to finish. Merges run one at
-    a time, in simulated start order, and an output becomes ready at its
-    merge's start plus a + b. Returns the final item, the steps in start
-    order and the simulated makespan.
+    The earliest-free worker takes the two smallest ready items (the two
+    largest if `largest`), ties going to inputs in their order, then to the
+    outputs of earlier merges; with fewer than two ready it waits for the
+    next merge to finish. Merges run one at a time, in simulated start
+    order, and an output becomes ready at its merge's start plus a + b. One
+    worker always finds its last output ready, so it builds the
+    smallest-first (or largest-first) tree. Returns the final item, the
+    steps in start order and the simulated makespan.
     """
-    ready = [(size, seq, name, item) for seq, (size, name, item) in enumerate(items)]
+    sign = -1 if largest else 1
+    ready = [(sign * size, seq, name, item) for seq, (size, name, item) in enumerate(items)]
     heapq.heapify(ready)
-    running: list[tuple[float, int, int, str, object]] = []  # (finish, size, seq, name, item)
+    running: list[tuple[float, int, int, str, object]] = []  # (finish, key, seq, name, item)
     free_at = [0.0] * workers  # a heap of the times the workers become free
     seq = itertools.count(len(items))
     steps: list[Step] = []
     while len(steps) < len(items) - 1:
         t = free_at[0]
         while running and running[0][0] <= t:
-            _, size, s, name, item = heapq.heappop(running)
-            heapq.heappush(ready, (size, s, name, item))
+            _, key, s, name, item = heapq.heappop(running)
+            heapq.heappush(ready, (key, s, name, item))
         if len(ready) < 2:
             heapq.heapreplace(free_at, max(t, running[0][0]))
             continue
@@ -163,19 +144,26 @@ def _run_greedy_parallel(items, workers: int, do_merge, out_names):
         item, size, record = do_merge(left, right)
         name = next(out_names)
         steps.append(Step(left_name, right_name, name, record))
-        finish = t + (a + b)
+        finish = t + sign * (a + b)
         heapq.heapreplace(free_at, finish)
-        heapq.heappush(running, (finish, size, next(seq), name, item))
+        heapq.heappush(running, (finish, sign * size, next(seq), name, item))
     # The root merge starts after every other merge has finished, so the
     # one item left is the final summary and its finish is the makespan.
     makespan, _, _, _, final = running[0]
     return final, steps, makespan
 
 
+def _run(items, strategy: Strategy, do_merge, out_names):
+    """The final item, the steps and the makespan of `strategy` over `items`."""
+    if strategy.kind == "random":
+        return _run_random(items, strategy.seed, do_merge, out_names)
+    workers = strategy.workers if strategy.kind == "greedy_parallel" else 1
+    return _run_greedy(items, workers, strategy.kind == "largest_first", do_merge, out_names)
+
+
 def merge_all(
     summaries: Sequence[Summary],
     strategy: Strategy,
-    model: Model | None = None,
     names: Sequence[str] | None = None,
 ) -> tuple[Summary, MergeSchedule]:
     """Merge n summaries into one; returns the result and the schedule taken."""
@@ -185,8 +173,6 @@ def merge_all(
     for s in summaries[1:]:
         if s.model != first.model or s.digest != first.digest:
             raise MergeConfigError("all summaries must share one model and digest")
-    if model is not None and model != first.model:
-        raise MergeConfigError(f"requested model {model.value} but summaries use {first.model.value}")
     if names is None:
         names = [f"in{i}" for i in range(len(summaries))]
     elif len(names) != len(summaries):
@@ -204,11 +190,7 @@ def merge_all(
         merged, record = merge(a, b)
         return merged, merged.edge_count(), record
 
-    if strategy.kind == "greedy_parallel":
-        final, steps, _ = _run_greedy_parallel(items, strategy.workers, do_merge, out_names)
-    else:
-        final, steps = _run_sequential(items, strategy, do_merge, out_names)
-    schedule.steps = steps
+    final, schedule.steps, _ = _run(items, strategy, do_merge, out_names)
     schedule.total_wall_ms = (time.perf_counter() - started) * 1e3
     schedule.finalize_work()
     return final, schedule
@@ -247,13 +229,9 @@ def schedule_work(
         out = size_of(a, b)
         return out, out, fake_record(a, b)
 
-    makespan = None
-    if strategy.kind == "greedy_parallel":
-        _, schedule.steps, makespan = _run_greedy_parallel(items, strategy.workers, do_merge, out_names)
-    else:
-        _, schedule.steps = _run_sequential(items, strategy, do_merge, out_names)
+    _, schedule.steps, makespan = _run(items, strategy, do_merge, out_names)
     schedule.finalize_work()
-    schedule.total_wall_ms = float(schedule.total_work) if makespan is None else makespan
+    schedule.total_wall_ms = float(makespan)
     return schedule
 
 

@@ -107,26 +107,21 @@ def merge_schemas(a: EqcSchema, b: EqcSchema) -> EqcSchema:
 
 
 @dataclass
-class Payload:
-    """Member set of one EQC; its file form also states the member count."""
-
-    members: set[Term] = field(default_factory=set)
-
-
-@dataclass
 class Summary:
     """A structural summary: schemas, payloads, and the member-to-EQC index.
 
-    `member_index` is the exact inverse of payload membership, every EqcId
-    appears in both `eqcs` and `payloads`, and a finalized summary has no
-    empty EQC. Summaries are treated as immutable once returned; the merge
-    engine mutates only summaries it is still constructing.
+    An EQC's payload is its member set; its file form also states the
+    member count. `member_index` is the exact inverse of payload membership,
+    every EqcId appears in both `eqcs` and `payloads`, and a finalized
+    summary has no empty EQC. Summaries are treated as immutable once
+    returned; the merge engine mutates only summaries it is still
+    constructing.
     """
 
     model: Model
     digest: str = DEFAULT_DIGEST
     eqcs: dict[EqcId, EqcSchema] = field(default_factory=dict)
-    payloads: dict[EqcId, Payload] = field(default_factory=dict)
+    payloads: dict[EqcId, set[Term]] = field(default_factory=dict)
     member_index: dict[Term, EqcId] = field(default_factory=dict)
 
     def edge_count(self) -> int:
@@ -134,8 +129,8 @@ class Summary:
         n = 0
         for schema in self.eqcs.values():
             n += len(schema.attributes or ()) + len(schema.classes or ()) + 1
-        for payload in self.payloads.values():
-            n += len(payload.members) + 1
+        for members in self.payloads.values():
+            n += len(members) + 1
         return n
 
     def validate(self) -> None:
@@ -143,10 +138,10 @@ class Summary:
         if set(self.eqcs) != set(self.payloads):
             raise ValueError("eqcs and payloads must have identical key sets")
         seen: dict[Term, EqcId] = {}
-        for cid, payload in self.payloads.items():
-            if not payload.members:
+        for cid, members in self.payloads.items():
+            if not members:
                 raise ValueError(f"EQC {cid} has no members")
-            for m in payload.members:
+            for m in members:
                 if m in seen:
                     raise ValueError(f"member {m.nt()} appears in {seen[m]} and {cid}")
                 seen[m] = cid
@@ -166,12 +161,6 @@ def schema_of(v: Term, g: Graph, model: Model) -> EqcSchema:
     attrs = tuple(sorted(g.out_labels.get(v, ()))) if model.wants_attributes else None
     classes = tuple(sorted(g.vertex_labels.get(v, ()))) if model.wants_classes else None
     return EqcSchema(model, attrs, classes)
-
-
-def summarize_vertex(v: Term, g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> tuple[EqcId, EqcSchema, Payload]:
-    """The single-vertex summary: (id, schema, payload fragment {v})."""
-    schema = schema_of(v, g, model)
-    return eqc_id(schema, digest), schema, Payload({v})
 
 
 def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
@@ -204,7 +193,7 @@ def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
         schema = EqcSchema(model, attrs, classes)
         cid = eqc_id(schema, digest)
         s.eqcs[cid] = schema
-        s.payloads[cid] = Payload(set(members))
+        s.payloads[cid] = set(members)
         for m in members:
             s.member_index[m] = cid
     return s

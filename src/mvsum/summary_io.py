@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable
 
 from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, parse_ntriples, triple_line
-from mvsum.summary import EqcSchema, Model, Payload, Summary, check_digest, eqc_id
+from mvsum.summary import EqcSchema, Model, Summary, check_digest, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
 PAYLOAD_NS = "urn:mvs:payload:"
@@ -92,10 +92,10 @@ def _statement_lines(summary: Summary) -> list[str]:
         for c in schema.classes or ():
             append(f"{eqc} <{P_CLASS}> <{_checked_iri(c)}> .")
         append(f"{eqc} <{P_PAYLOAD}> {pay} .")
-        payload = summary.payloads[cid]
-        for m in payload.members:
+        members = summary.payloads[cid]
+        for m in members:
             append(f"{pay} <{P_MEMBER}> {m.nt()} .")
-        append(f'{pay} <{P_COUNT}> "{len(payload.members):d}"^^<{XSD_INTEGER}> .')
+        append(f'{pay} <{P_COUNT}> "{len(members):d}"^^<{XSD_INTEGER}> .')
     lines.sort()
     return lines
 
@@ -236,7 +236,7 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             raise SummaryFormatError(
                 f"EQC {hexid}: count {counts[pid]} != {len(ms)} members"
             )
-        summary.payloads[hexid] = Payload(ms)
+        summary.payloads[hexid] = ms
         for m in ms:
             if summary.member_index.setdefault(m, hexid) != hexid:
                 raise SummaryFormatError(f"member {m.nt()} appears in two EQCs")

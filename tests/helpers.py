@@ -87,7 +87,7 @@ def naive_partition(triples, model: Model) -> set[frozenset]:
 
 
 def partition_of(s: Summary) -> set[frozenset]:
-    return {frozenset(payload.members) for payload in s.payloads.values()}
+    return {frozenset(members) for members in s.payloads.values()}
 
 
 # --- seeded random graphs ------------------------------------------------------

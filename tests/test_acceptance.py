@@ -134,12 +134,16 @@ def test_criterion_5_strategy_work_ordering():
     if not work_sf < work_lf:
         report(5, False, f"total_work smallest={work_sf} not < largest={work_lf}")
 
-    def timed(strategy):
-        runs = [merge_all(summaries, strategy)[1].total_wall_ms for _ in range(6)]
-        return statistics.median(runs[1:])  # first run is warm-up
-
-    wall_sf = timed(Strategy.smallest_first())
-    wall_lf = timed(Strategy.largest_first())
+    # One warm-up each, then the two strategies alternate, so a burst of load
+    # on the host slows both about equally instead of one block of runs.
+    strategies = (Strategy.smallest_first(), Strategy.largest_first())
+    for strategy in strategies:
+        merge_all(summaries, strategy)
+    runs = ([], [])
+    for _ in range(5):
+        for strategy, walls in zip(strategies, runs):
+            walls.append(merge_all(summaries, strategy)[1].total_wall_ms)
+    wall_sf, wall_lf = (statistics.median(walls) for walls in runs)
     ok = wall_sf < wall_lf
     report(5, ok, f"(work {work_sf} < {work_lf}; median wall {wall_sf:.1f}ms < {wall_lf:.1f}ms over 5 runs)")
 

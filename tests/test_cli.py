@@ -301,6 +301,16 @@ def test_merge_all_strategies_identical(tmp_path):
     assert len(set(outputs)) == 1
 
 
+def test_merge_all_mixed_models_is_usage_error(tmp_path, capsys):
+    d = tmp_path / "dir"
+    d.mkdir()
+    assert run("summarize", DATA / "tiny_graph.nt", "--model", "AC", "-o", d / "a.nt") == 0
+    assert run("summarize", DATA / "tiny_graph.nt", "--model", "CC", "-o", d / "b.nt") == 0
+    capsys.readouterr()
+    assert run("merge-all", d, "-o", tmp_path / "m.nt") == 2
+    assert "all summaries must share one model and digest" in capsys.readouterr().err
+
+
 def test_merge_all_random_needs_seed(tmp_path):
     d = tmp_path / "dir"
     d.mkdir()

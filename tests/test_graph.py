@@ -21,8 +21,6 @@ def test_plain_triple_becomes_out_label():
     assert g.vertices == {iri("a"), iri("b")}
     assert g.out_labels == {iri("a"): {p("p").value}}
     assert g.vertex_labels == {}
-    assert g.attributes_of(iri("a")) == {p("p").value}
-    assert g.attributes_of(iri("b")) == set()
 
 
 def test_literal_object_is_not_a_vertex():
@@ -51,7 +49,6 @@ def test_union_spec_examples():
     merged = union(g, g2)
     assert merged.vertices == {iri("x"), iri("a"), iri("b")}
     assert merged.out_labels == {iri("x"): {p("p").value, p("q").value}}
-    assert merged.attributes_of(iri("x")) == {p("p").value, p("q").value}
 
 
 @st.composite

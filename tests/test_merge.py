@@ -20,19 +20,9 @@ from helpers import (
 )
 from mvsum.analytics import correlate_times, linfit
 from mvsum.graph import build_graph, union
-from mvsum.merge import (
-    CorruptSummaryError,
-    MergeConfigError,
-    classify_cases,
-    combine_eqcs,
-    get_eqc,
-    get_members,
-    has_members,
-    merge,
-    remove_empty_eqc,
-)
+from mvsum.merge import CorruptSummaryError, MergeConfigError, classify_cases, merge
 from mvsum.ntriples import Term, Triple
-from mvsum.summary import EqcSchema, Model, Payload, Summary, eqc_id, merge_schemas, schema_of, summarize
+from mvsum.summary import EqcSchema, Model, eqc_id, merge_schemas, schema_of, summarize
 from mvsum.summary_io import format_summary
 
 MODELS = [Model.AC, Model.CC, Model.ACC]
@@ -47,7 +37,7 @@ def test_merge_with_empty_is_identity():
     s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
     merged, record = merge(s, EMPTY)
     assert summaries_equal(merged, s)
-    assert record.stats.case1 == len(get_members(s))
+    assert record.stats.case1 == len(s.member_index)
     assert record.stats.case2 == record.stats.case3 == 0
     # and the other way around
     merged, record = merge(EMPTY, s)
@@ -73,8 +63,8 @@ def test_case3_example_with_drained_eqcs():
     schemas = {schema.attributes for schema in merged.eqcs.values()}
     assert schemas == {(p("p").value, p("q").value), ()}
     combined = eqc_id(EqcSchema(Model.AC, (p("p").value, p("q").value), None))
-    assert merged.payloads[combined].members == {iri("x")}
-    assert merged.payloads[eqc_id(EqcSchema(Model.AC, (), None))].members == {iri("a"), iri("b")}
+    assert merged.payloads[combined] == {iri("x")}
+    assert merged.payloads[eqc_id(EqcSchema(Model.AC, (), None))] == {iri("a"), iri("b")}
     # EQC{p} and EQC{q} were drained and removed
     assert eqc_id(EqcSchema(Model.AC, (p("p").value,), None)) not in merged.eqcs
     assert eqc_id(EqcSchema(Model.AC, (p("q").value,), None)) not in merged.eqcs
@@ -89,112 +79,40 @@ def test_payload_count_updated_one_plus_two():
     g2 = graph_of((iri("y"), p("g"), iri("a")), (iri("z"), p("g"), iri("b")))
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
     green = eqc_id(EqcSchema(Model.AC, (p("g").value,), None))
-    assert len(s1.payloads[green].members) == 1
-    assert len(s2.payloads[green].members) == 2
+    assert len(s1.payloads[green]) == 1
+    assert len(s2.payloads[green]) == 2
     merged, record = merge(s1, s2)
-    assert merged.payloads[green].members == {iri("w"), iri("y"), iri("z")}
+    assert merged.payloads[green] == {iri("w"), iri("y"), iri("z")}
     assert f'<urn:mvs:payload:{green}> <urn:mvs:count> "3"^^' in format_summary(merged)
     assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
     assert record.stats.case2 >= 1  # w is only in G1 but green exists in both
-
-
-def test_get_members():
-    assert get_members(EMPTY) == set()
-    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
-    assert get_members(s) == {iri("x"), iri("a")}
-
-
-def test_get_eqc():
-    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
-    assert get_eqc(s, iri("x")) == eqc_id(EqcSchema(Model.AC, (p("p").value,), None))
-    assert get_eqc(s, iri("a")) == eqc_id(EqcSchema(Model.AC, (), None))
-    with pytest.raises(KeyError):
-        get_eqc(s, iri("zz"))
 
 
 def test_members_unique_after_combine():
     g1 = graph_of((iri("x"), p("p"), iri("a")))
     g2 = graph_of((iri("x"), p("q"), iri("b")))
     merged, _ = merge(summarize(g1, Model.AC), summarize(g2, Model.AC))
-    members = [m for pl in merged.payloads.values() for m in pl.members]
+    members = [m for ms in merged.payloads.values() for m in ms]
     assert len(members) == len(set(members))
-    assert get_members(merged) == {iri("x"), iri("a"), iri("b")}
+    assert set(merged.member_index) == {iri("x"), iri("a"), iri("b")}
 
 
-def test_has_members_and_remove_empty():
-    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
-    cid = get_eqc(s, iri("x"))
-    assert has_members(s, cid)
-    with pytest.raises(KeyError):
-        has_members(s, "f" * 32)
-    with pytest.raises(ValueError):
-        remove_empty_eqc(s, cid)  # still has members
-    s.payloads[cid].members.clear()
-    assert not has_members(s, cid)
-    remove_empty_eqc(s, cid)
-    assert cid not in s.eqcs and cid not in s.payloads
-
-
-def test_remove_only_eqc_leaves_empty_summary():
-    s = summarize(graph_of((iri("a"), p("t"), Term.literal("x"))), Model.CC)
-    assert len(s.eqcs) == 1
-    cid = next(iter(s.eqcs))
-    s.payloads[cid].members.clear()
-    remove_empty_eqc(s, cid)
-    assert s.eqcs == {} and s.payloads == {}
-
-
-def test_combine_eqcs_matches_union_graph_schema():
-    g1 = graph_of((iri("m"), p("p"), iri("a")))
+def test_conflicting_member_gets_its_union_graph_schema():
+    # m is {p} with class C in G1 and {q} in G2: a case-3 member whose
+    # target EQC exists in neither input.
+    g1 = graph_of((iri("m"), p("p"), iri("a")), (iri("m"), RDF_TYPE_TERM, cls("C")))
     g2 = graph_of((iri("m"), p("q"), iri("b")))
-    s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
-    work, _ = _step1_union(s1, s2)
-    c1, c2 = get_eqc(s1, iri("m")), get_eqc(s2, iri("m"))
-    combine_eqcs(work, c1, c2, iri("m"))
-    expected = schema_of(iri("m"), union(g1, g2), Model.AC)
-    target = get_eqc(work, iri("m"))
-    assert work.eqcs[target] == expected
-    assert iri("m") in work.payloads[target].members
-    assert iri("m") not in work.payloads[c1].members
-    assert iri("m") not in work.payloads[c2].members
-    # c1/c2 retained (possibly empty) until step 3
-    assert c1 in work.eqcs and c2 in work.eqcs
-
-
-def test_combine_eqcs_acc():
-    g1 = graph_of((iri("m"), p("p"), iri("a")), (iri("m"), Term.iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"), cls("C")))
-    g2 = graph_of((iri("m"), p("q"), iri("b")))
-    s1, s2 = summarize(g1, Model.ACC), summarize(g2, Model.ACC)
-    work, _ = _step1_union(s1, s2)
-    combine_eqcs(work, get_eqc(s1, iri("m")), get_eqc(s2, iri("m")), iri("m"))
-    assert work.eqcs[get_eqc(work, iri("m"))] == schema_of(iri("m"), union(g1, g2), Model.ACC)
-
-
-def test_combine_eqcs_same_eqc_is_noop():
-    s = summarize(graph_of((iri("m"), p("p"), iri("a"))), Model.AC)
-    cid = get_eqc(s, iri("m"))
-    combine_eqcs(s, cid, cid, iri("m"))
-    assert s.payloads[cid].members == {iri("m")}
-    assert get_eqc(s, iri("m")) == cid
-    with pytest.raises(KeyError):
-        combine_eqcs(s, cid, "f" * 32, iri("m"))
-
-
-def _step1_union(s1, s2):
-    """A working summary as after step 1 (union of schemas and payloads)."""
-    work = Summary(model=s1.model, digest=s1.digest, eqcs=dict(s1.eqcs))
-    for cid, schema in s2.eqcs.items():
-        work.eqcs.setdefault(cid, schema)
-    for cid in work.eqcs:
-        members = set()
-        if cid in s1.payloads:
-            members |= s1.payloads[cid].members
-        if cid in s2.payloads:
-            members |= s2.payloads[cid].members
-        work.payloads[cid] = Payload(members)
-    work.member_index = dict(s1.member_index)
-    work.member_index.update(s2.member_index)
-    return work, None
+    for model in (Model.AC, Model.ACC):
+        s1, s2 = summarize(g1, model), summarize(g2, model)
+        merged, record = merge(s1, s2)
+        assert record.stats.case3 == 1
+        target = merged.member_index[iri("m")]
+        assert target not in s1.eqcs and target not in s2.eqcs
+        assert merged.eqcs[target] == schema_of(iri("m"), union(g1, g2), model)
+        assert merged.payloads[target] == {iri("m")}
+        # m's EQCs in the inputs held only m, so step 3 dropped them
+        assert s1.member_index[iri("m")] not in merged.eqcs
+        assert s2.member_index[iri("m")] not in merged.eqcs
 
 
 def test_classify_disjoint_graphs_all_case1():
@@ -229,8 +147,6 @@ def test_model_mismatch_rejected():
     s3 = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC, digest="sha512")
     with pytest.raises(MergeConfigError):
         merge(s1, s3)
-    with pytest.raises(MergeConfigError):
-        merge(s1, s1, model=Model.CC)
 
 
 def test_duplicate_id_with_different_schema_is_corruption():
@@ -239,7 +155,7 @@ def test_duplicate_id_with_different_schema_is_corruption():
     cid = [c for c in s2.eqcs if s2.eqcs[c].attributes][0]
     # simulate a digest collision: same id, different schema in s1
     s1.eqcs[cid] = EqcSchema(Model.AC, ("urn:other",), None)
-    s1.payloads[cid] = Payload({iri("q")})
+    s1.payloads[cid] = {iri("q")}
     s1.member_index[iri("q")] = cid
     with pytest.raises(CorruptSummaryError):
         merge(s1, s2)

@@ -2,7 +2,7 @@ import csv
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import canonical_bytes, graph_of, iri, p
@@ -174,6 +174,29 @@ def test_work_ordering_on_skewed_inputs(base, extra):
     smallest = schedule_work(sizes, Strategy.smallest_first()).total_work
     largest = schedule_work(sizes, Strategy.largest_first()).total_work
     assert smallest < largest
+
+
+def _naive_extremes_steps(sizes, largest):
+    """(left, right) steps of repeatedly merging the two extremes of a sorted list."""
+    pool = [(size, order, f"in{order}") for order, size in enumerate(sizes)]
+    steps = []
+    for k in range(1, len(sizes)):
+        pool.sort(key=lambda e: (-e[0] if largest else e[0], e[1]))
+        (a, _, left), (b, _, right) = pool[0], pool[1]
+        del pool[:2]
+        steps.append((left, right))
+        pool.append((a + b, len(sizes) + k, f"m{k}"))
+    return steps
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+@example([1, 1, 2, 2])  # m1 = 2 ties with in2 and in3
+@settings(max_examples=150, deadline=None)
+def test_size_ordered_schedules_match_naive_reference(sizes):
+    # small sizes drawn from a narrow range, so ties are common
+    for strategy, largest in ((Strategy.smallest_first(), False), (Strategy.largest_first(), True)):
+        schedule = schedule_work(sizes, strategy)
+        assert [(s.left, s.right) for s in schedule.steps] == _naive_extremes_steps(sizes, largest)
 
 
 def test_schedule_csv(tmp_path):

@@ -17,7 +17,6 @@ from mvsum.summary import (
     merge_schemas,
     schema_of,
     summarize,
-    summarize_vertex,
 )
 
 MODELS = [Model.AC, Model.CC, Model.ACC]
@@ -109,7 +108,7 @@ def test_summarize_empty_graph():
 def test_summarize_single_edge_ac():
     g = graph_of((iri("x"), p("p"), iri("a")))
     s = summarize(g, Model.AC)
-    by_schema = {schema.attributes: s.payloads[cid].members for cid, schema in s.eqcs.items()}
+    by_schema = {schema.attributes: s.payloads[cid] for cid, schema in s.eqcs.items()}
     assert by_schema == {(p("p").value,): {iri("x")}, (): {iri("a")}}
     s.validate()
 
@@ -122,24 +121,12 @@ def test_summarize_acc_example():
     ]
     s = summarize(build_graph(triples), Model.ACC)
     assert partition_of(s) == naive_partition(triples, Model.ACC)
-    by_schema = {(schema.attributes, schema.classes): s.payloads[cid].members for cid, schema in s.eqcs.items()}
+    by_schema = {(schema.attributes, schema.classes): s.payloads[cid] for cid, schema in s.eqcs.items()}
     assert by_schema == {
         ((p("p").value,), (cls("C").value,)): {iri("x")},
         ((p("p").value,), ()): {iri("y")},
         ((), ()): {iri("a"), iri("b")},
     }
-
-
-def test_summarize_vertex():
-    g = graph_of((iri("v"), p("p"), iri("a")), (iri("v"), p("q"), iri("a")))
-    cid, schema, payload = summarize_vertex(iri("v"), g, Model.AC)
-    assert schema.attributes == (p("p").value, p("q").value)
-    assert cid == eqc_id(schema)
-    assert payload.members == {iri("v")}
-    cid2, schema2, _ = summarize_vertex(iri("a"), g, Model.AC)
-    assert schema2.attributes == ()
-    with pytest.raises(KeyError):
-        summarize_vertex(iri("zz"), g, Model.AC)
 
 
 def test_merge_schemas_unions_sides():
@@ -153,7 +140,7 @@ def test_merge_schemas_unions_sides():
 def test_validate_rejects_bad_summaries():
     g = graph_of((iri("x"), p("p"), iri("a")))
     s = summarize(g, Model.AC)
-    s.payloads[next(iter(s.payloads))].members.add(iri("zz"))
+    s.payloads[next(iter(s.payloads))].add(iri("zz"))
     with pytest.raises(ValueError):
         s.validate()
 
@@ -171,11 +158,10 @@ def test_partition_properties(triples, model):
     s = summarize(g, model)
     s.validate()
     # partition: pairwise disjoint (validate checks) and covers all vertices
-    members = set().union(*(pl.members for pl in s.payloads.values())) if s.payloads else set()
-    assert members == naive_vertices(triples)
+    assert set().union(*s.payloads.values()) == naive_vertices(triples)
     # psi-soundness: same EQC iff same schema
-    for cid, payload in s.payloads.items():
-        for m in payload.members:
+    for cid, members in s.payloads.items():
+        for m in members:
             assert schema_of(m, g, model) == s.eqcs[cid]
     assert partition_of(s) == naive_partition(triples, model)
 

@@ -11,7 +11,7 @@ from helpers import RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph
 from mvsum import summary_io
 from mvsum.graph import build_graph
 from mvsum.ntriples import BLANK, IRI, Term, parse_ntriples
-from mvsum.summary import EqcSchema, Model, Payload, Summary, eqc_id, summarize
+from mvsum.summary import EqcSchema, Model, Summary, eqc_id, summarize
 from mvsum.summary_io import (
     SummaryFormatError,
     format_summary,
@@ -69,7 +69,7 @@ def test_reload_preserves_everything():
         loaded = reload(s)
         assert loaded.eqcs == s.eqcs
         assert loaded.member_index == s.member_index
-        assert {c: pl.members for c, pl in loaded.payloads.items()} == {c: pl.members for c, pl in s.payloads.items()}
+        assert loaded.payloads == s.payloads
         assert set(loaded.eqcs) == set(s.eqcs)  # EqcIds byte-identical
         loaded.validate()
         assert format_summary(loaded) == format_summary(s)
@@ -133,7 +133,7 @@ def _summary_with(attribute="urn:p:p", klass="urn:c:C", member="urn:x:a", cid=No
     cid = cid or eqc_id(schema)
     s = Summary(model=Model.ACC)
     s.eqcs[cid] = schema
-    s.payloads[cid] = Payload({Term.iri(member)})
+    s.payloads[cid] = {Term.iri(member)}
     s.member_index[Term.iri(member)] = cid
     return s
 
