@@ -115,6 +115,39 @@ def test_conflicting_member_gets_its_union_graph_schema():
         assert s2.member_index[iri("m")] not in merged.eqcs
 
 
+def test_member_in_same_eqc_in_both_stays_put():
+    # m is {p} in both graphs: a shared member, not a conflict, so step 2
+    # leaves it where step 1 put it and creates no EQC.
+    g1 = graph_of((iri("m"), p("p"), iri("a")))
+    g2 = graph_of((iri("m"), p("p"), iri("b")))
+    s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
+    cid = s1.member_index[iri("m")]
+    assert s2.member_index[iri("m")] == cid
+    merged, record = merge(s1, s2)
+    assert record.stats.case3 == 0
+    assert set(merged.eqcs) == set(s1.eqcs) | set(s2.eqcs)
+    assert merged.member_index[iri("m")] == cid
+    assert merged.payloads[cid] == {iri("m")}
+    merged.validate()
+
+
+def test_partly_drained_eqc_is_kept():
+    # x and y are {p} in G1; only x conflicts in G2. Step 3 drops only EQCs
+    # with no members left, so EQC{p} keeps y.
+    g1 = graph_of((iri("x"), p("p"), iri("a")), (iri("y"), p("p"), iri("a")))
+    g2 = graph_of((iri("x"), p("q"), iri("b")))
+    s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
+    merged, record = merge(s1, s2)
+    assert record.stats.case3 == 1
+    green = eqc_id(EqcSchema(Model.AC, (p("p").value,), None))
+    assert merged.payloads[green] == {iri("y")}
+    assert merged.member_index[iri("y")] == green
+    # EQC{q} held only x, so it was drained and dropped
+    assert eqc_id(EqcSchema(Model.AC, (p("q").value,), None)) not in merged.eqcs
+    merged.validate()
+    assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
+
+
 def test_classify_disjoint_graphs_all_case1():
     g1 = graph_of((iri("u"), p("p"), iri("a")), (iri("u"), p("r"), iri("a")))
     g2 = graph_of((iri("v"), p("q"), Term.literal("x")))

@@ -145,6 +145,43 @@ def test_validate_rejects_bad_summaries():
         s.validate()
 
 
+def test_validate_rejects_empty_payload():
+    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
+    cid = s.member_index[iri("x")]
+    s.payloads[cid].clear()
+    del s.member_index[iri("x")]
+    with pytest.raises(ValueError, match="no members"):
+        s.validate()
+
+
+def test_validate_rejects_member_in_two_eqcs():
+    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
+    s.payloads[s.member_index[iri("a")]].add(iri("x"))
+    with pytest.raises(ValueError, match="appears in"):
+        s.validate()
+
+
+def test_validate_rejects_stale_member_index():
+    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
+    s.member_index[iri("x")] = s.member_index[iri("a")]
+    with pytest.raises(ValueError, match="member_index"):
+        s.validate()
+
+
+def test_member_index_names_the_eqc_of_each_vertex_schema():
+    g = graph_of((iri("v"), p("p"), iri("a")), (iri("v"), p("q"), iri("a")))
+    for model in MODELS:
+        s = summarize(g, model)
+        assert set(s.member_index) == g.vertices
+        for v in g.vertices:
+            cid = s.member_index[v]
+            assert cid == eqc_id(schema_of(v, g, model), s.digest)
+            assert v in s.payloads[cid]
+    s = summarize(g, Model.AC)
+    assert s.eqcs[s.member_index[iri("v")]].attributes == (p("p").value, p("q").value)
+    assert s.eqcs[s.member_index[iri("a")]].attributes == ()
+
+
 @st.composite
 def triple_lists(draw):
     seed = draw(st.integers(0, 10**9))
