@@ -64,14 +64,21 @@ def cmd_summarize(args) -> int:
     return 0
 
 
+def _check_headers(what: str, named) -> None:
+    """UsageError naming the first input whose model or digest differs from the first input's."""
+    (first, s1), *rest = named
+    for name, s in rest:
+        if s.model != s1.model or s.digest != s1.digest:
+            raise UsageError(
+                f"{what}: {first} is model={s1.model.value} digest={s1.digest}, "
+                f"{name} is model={s.model.value} digest={s.digest}"
+            )
+
+
 def cmd_merge(args) -> int:
     s1 = summary_io.load_summary(args.left)
     s2 = summary_io.load_summary(args.right)
-    if s1.model != s2.model or s1.digest != s2.digest:
-        raise UsageError(
-            f"cannot merge: {args.left} is model={s1.model.value} digest={s1.digest}, "
-            f"{args.right} is model={s2.model.value} digest={s2.digest}"
-        )
+    _check_headers("cannot merge", [(args.left, s1), (args.right, s2)])
     merged, record = merge(s1, s2)
     summary_io.save_summary(merged, args.output)
     if args.stats:
@@ -94,6 +101,7 @@ def _strategy_from_args(args) -> multimerge.Strategy:
 def cmd_merge_all(args) -> int:
     files = _summary_files(Path(args.directory))
     summaries = [summary_io.load_summary(p) for p in files]
+    _check_headers("all summaries must share one model and digest", zip(files, summaries))
     strategy = _strategy_from_args(args)
     final, schedule = multimerge.merge_all(summaries, strategy, names=[p.name for p in files])
     summary_io.save_summary(final, args.output)
@@ -147,26 +155,25 @@ def cmd_gen(args) -> int:
 def _bench_inputs(args) -> list[tuple[str, object]]:
     model = Model(args.model)
     digest = args.digest
-    named = []
     if args.directory:
-        for path in _summary_files(Path(args.directory)):
+        paths = _summary_files(Path(args.directory))
+        summaries = []
+        for path in paths:
             with open(path, "rb") as fh:
                 first = fh.readline()
             if summary_io.is_summary_header(first):
-                named.append((path.name, summary_io.load_summary(path)))
+                summaries.append(summary_io.load_summary(path))
             else:
                 g = _read_graph(path, args.skip_malformed)
-                named.append((path.name, summarize(g, model, digest=digest)))
+                summaries.append(summarize(g, model, digest=digest))
+        _check_headers("bench inputs must share one model and digest", zip(paths, summaries))
+        named = [(path.name, s) for path, s in zip(paths, summaries)]
     else:
+        # Generated views are all summarized under one model and digest.
         params = _gen_params(args)
-        for view_id, g in analytics.generate_views(params):
-            named.append((view_id, summarize(g, model, digest=digest)))
+        named = [(view_id, summarize(g, model, digest=digest)) for view_id, g in analytics.generate_views(params)]
     if len(named) < 2:
         raise UsageError("bench needs at least two summaries")
-    models = {s.model for _, s in named}
-    digests = {s.digest for _, s in named}
-    if len(models) > 1 or len(digests) > 1:
-        raise UsageError("bench inputs must share one model and digest")
     return named
 
 

@@ -7,6 +7,11 @@ outgoing label of its subject, not an edge, so the two label alphabets stay
 disjoint by construction. An IRI or blank object becomes a vertex; a
 literal object does not. Graphs are treated as immutable once built;
 `union` returns a new value.
+
+`build_graph` runs with the cyclic collector paused (see `mvsum._collector`),
+and so does the parser generator it drives, since the parser's work runs
+inside `build_graph`'s loop. Terms, Triples and label sets hold no cycles,
+so a collection there would free nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from mvsum._collector import paused
 from mvsum.ntriples import IRI, LITERAL, RDF_TYPE, Term, Triple
 
 
@@ -24,6 +30,7 @@ class Graph:
     out_labels: dict[Term, set[str]] = field(default_factory=dict)
 
 
+@paused()
 def build_graph(triples: Iterable[Triple]) -> Graph:
     """Build a graph from triples, splitting `rdf:type` off into vertex labels.
 

@@ -14,6 +14,12 @@ writer refuses (such as `\\u0020`), or to a lone surrogate (U+D800 to
 U+DFFF), is a ParseError too, so every statement the parser accepts can be
 written back. So is an `rdf:type` statement whose object is not an IRI,
 since the graph model has no place for a literal or blank class.
+
+A matched line builds its Terms and its Triple with `tuple.__new__`, which
+skips the NamedTuple constructor's Python frame, and yields exact `Term`
+and `Triple` instances. Each `parse_ntriples` call keeps its own dict of
+predicate Terms, so the statements of one parse share one Term per
+predicate; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -233,7 +239,16 @@ _LINE = re.compile(
 )
 
 
-def _parse_line(text: str, line: int, bnode_ns: str) -> Triple:
+# Builds an exact Term or Triple without the NamedTuple constructor's frame.
+_new = tuple.__new__
+
+
+def _parse_line(text: str, line: int, bnode_ns: str, predicates: dict[str, Term]) -> Triple:
+    """Parse one statement; `predicates` maps predicate IRIs to shared Terms.
+
+    The caller owns `predicates`, so equal predicates share one Term for as
+    long as the caller keeps the dict, and no longer.
+    """
     m = _LINE.fullmatch(text)
     if m is None:
         return _tokenize_line(text, line, bnode_ns)
@@ -253,14 +268,20 @@ def _parse_line(text: str, line: int, bnode_ns: str) -> Triple:
             dt = _unescape(dt, line, m.start(7) + 1, iri=True)
     if o_iri is None and p_iri == RDF_TYPE:
         raise ParseError(_TYPE_OBJECT, line, m.start(6) if lit is not None else m.start(5) - 1)
-    subj = Term(IRI, s_iri) if s_iri is not None else Term(BLANK, normalize_bnode_label(s_label, bnode_ns))
-    if o_iri is not None:
-        obj = Term(IRI, o_iri)
-    elif o_label is not None:
-        obj = Term(BLANK, normalize_bnode_label(o_label, bnode_ns))
+    if s_iri is not None:
+        subj = _new(Term, (IRI, s_iri, None, None))
     else:
-        obj = Term(LITERAL, lit, dt, lang)
-    return Triple(subj, Term(IRI, p_iri), obj)
+        subj = _new(Term, (BLANK, normalize_bnode_label(s_label, bnode_ns), None, None))
+    pred = predicates.get(p_iri)
+    if pred is None:
+        pred = predicates[p_iri] = _new(Term, (IRI, p_iri, None, None))
+    if o_iri is not None:
+        obj = _new(Term, (IRI, o_iri, None, None))
+    elif o_label is not None:
+        obj = _new(Term, (BLANK, normalize_bnode_label(o_label, bnode_ns), None, None))
+    else:
+        obj = _new(Term, (LITERAL, lit, dt, lang))
+    return _new(Triple, (subj, pred, obj))
 
 
 def parse_ntriples(
@@ -279,6 +300,7 @@ def parse_ntriples(
     several files form one logical graph). `start` is the line number of the
     first line, for a caller that has already read the lines before it.
     """
+    predicates: dict[str, Term] = {}
     for lineno, raw in enumerate(source, start=start):
         if isinstance(raw, bytes):
             try:
@@ -296,7 +318,7 @@ def parse_ntriples(
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            yield _parse_line(text, lineno, bnode_ns)
+            yield _parse_line(text, lineno, bnode_ns, predicates)
         except ParseError as err:
             if on_error is None:
                 raise

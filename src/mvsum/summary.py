@@ -6,6 +6,10 @@ the set of outgoing edge labels (AC), the set of classes (CC), or both
 (ACC). Each EQC is addressed by a digest of its canonical schema string, so
 independently computed summaries assign equal ids to equal schemas, which is
 what makes merging summaries possible at all.
+
+`summarize` runs with the cyclic collector paused (see `mvsum._collector`):
+its groups, schemas and member sets hold no cycles, so a collection there
+would free nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 
+from mvsum._collector import paused
 from mvsum.graph import Graph
 from mvsum.ntriples import Term
 
@@ -163,6 +168,7 @@ def schema_of(v: Term, g: Graph, model: Model) -> EqcSchema:
     return EqcSchema(model, attrs, classes)
 
 
+@paused()
 def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
     """Summarize a whole graph: every vertex lands in exactly one EQC."""
     check_digest(digest)

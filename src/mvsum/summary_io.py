@@ -19,7 +19,12 @@ other spacing, an escape, a non-plain blank label, CRLF, a `bytes` line, a
 foreign statement or garbage) goes, on its own, through `parse_ntriples`,
 and its triple is mapped onto the same shape, so one set of checks serves
 both paths. An error in one statement names its physical line, the
-header being line 1.
+header being line 1. So does an error found after the last line: it names
+the EQC's `payload` statement or its payload's `count` statement.
+
+`read_summary` and the writer's statement formatting run with the cyclic
+collector paused (see `mvsum._collector`): their Terms, id strings, sets and
+dicts hold no cycles, so a collection there would free nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import re
 from pathlib import Path
 from typing import Iterable
 
+from mvsum._collector import paused
 from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, parse_ntriples, triple_line
 from mvsum.summary import EqcSchema, Model, Summary, check_digest, eqc_id
 
@@ -78,6 +84,7 @@ def is_summary_header(line: str | bytes) -> bool:
     return _HEADER.match(line.rstrip("\r\n")) is not None
 
 
+@paused()
 def _statement_lines(summary: Summary) -> list[str]:
     # Lines are formatted directly, but every IRI is still checked: a Summary
     # built through the API may hold IRIs that were never parsed. The payload
@@ -145,6 +152,7 @@ def _generic_shape(raw: str | bytes, lineno: int) -> tuple[str, str, str] | None
     raise SummaryFormatError(f"line {lineno}: unexpected statement: {triple_line(triple)}")
 
 
+@paused()
 def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     """Rebuild a summary from its file lines.
 
@@ -173,12 +181,14 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             raise SummaryFormatError(f"line 1: {exc}") from None
 
     # Keyed by the EQC id, or by the payload id (the text after PAYLOAD_NS).
+    # `payload_of` and `counts` also keep the line of their statement, which
+    # the checks after the loop name.
     attrs: dict[str, set[str]] = {}
     classes: dict[str, set[str]] = {}
-    payload_of: dict[str, str] = {}
+    payload_of: dict[str, tuple[str, int]] = {}
     eqc_ids: set[str] = set()
     members: dict[str, set[Term]] = {}
-    counts: dict[str, int] = {}
+    counts: dict[str, tuple[int, int]] = {}
     match = _STATEMENT.fullmatch
     for lineno, raw in enumerate(it, start=2):
         try:
@@ -202,14 +212,18 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             if not _COUNT.fullmatch(value):
                 t = Triple(Term(IRI, PAYLOAD_NS + sid), Term(IRI, P_COUNT), Term(LITERAL, value, XSD_INTEGER))
                 raise SummaryFormatError(f"line {lineno}: count is not a plain decimal: {triple_line(t)}")
-            counts[sid] = int(value)
+            counts[sid] = int(value), lineno
         elif shape == "payload":
             eqc_ids.add(sid)
-            if payload_of.setdefault(value, sid) != sid:
+            if payload_of.setdefault(value, (sid, lineno))[0] != sid:
                 raise SummaryFormatError(f"line {lineno}: payload vertex {PAYLOAD_NS}{value} attached to two EQCs")
         else:
             eqc_ids.add(sid)
             classes.setdefault(sid, set()).add(value)
+
+    missing = eqc_ids - {hexid for hexid, _ in payload_of.values()}
+    if missing:
+        raise SummaryFormatError(f"EQCs without payloads: {sorted(missing)}")
 
     summary = Summary(model=model, digest=digest)
     for hexid in sorted(eqc_ids):
@@ -223,30 +237,28 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
         if (hexid in classes) and not model.wants_classes:
             raise SummaryFormatError(f"EQC {hexid} has classes under model {model.value}")
         if verify and eqc_id(schema, digest) != hexid:
-            raise SummaryFormatError(f"EQC id {hexid} does not match its schema under digest {digest}")
+            line = min(n for c, n in payload_of.values() if c == hexid)
+            raise SummaryFormatError(f"line {line}: EQC id {hexid} does not match its schema under digest {digest}")
         summary.eqcs[hexid] = schema
 
-    for pid, hexid in payload_of.items():
-        ms = members.get(pid, set())
+    member_index = summary.member_index
+    for pid, (hexid, line) in payload_of.items():
+        if hexid in summary.payloads:
+            raise SummaryFormatError(f"line {line}: EQC {hexid} has a second payload {PAYLOAD_NS}{pid}")
+        ms = members.get(pid)
         if not ms:
-            raise SummaryFormatError(f"EQC {hexid} has an empty payload")
+            raise SummaryFormatError(f"line {line}: EQC {hexid} has an empty payload")
         if pid not in counts:
-            raise SummaryFormatError(f"payload of EQC {hexid} has no count")
-        if counts[pid] != len(ms):
-            raise SummaryFormatError(
-                f"EQC {hexid}: count {counts[pid]} != {len(ms)} members"
-            )
+            raise SummaryFormatError(f"line {line}: payload of EQC {hexid} has no count")
+        count, count_line = counts[pid]
+        if count != len(ms):
+            raise SummaryFormatError(f"line {count_line}: EQC {hexid}: count {count} != {len(ms)} members")
         summary.payloads[hexid] = ms
         for m in ms:
-            if summary.member_index.setdefault(m, hexid) != hexid:
-                raise SummaryFormatError(f"member {m.nt()} appears in two EQCs")
+            other = member_index.setdefault(m, hexid)
+            if other != hexid:
+                raise SummaryFormatError(f"line {line}: member {m.nt()} of EQC {hexid} already appears in EQC {other}")
 
-    missing = eqc_ids - set(summary.payloads)
-    if missing:
-        raise SummaryFormatError(f"EQCs without payloads: {sorted(missing)}")
-    orphans = set(payload_of.values()) - eqc_ids
-    if orphans:
-        raise SummaryFormatError(f"payloads for unknown EQCs: {sorted(orphans)}")
     stray = (set(members) | set(counts)) - set(payload_of)
     if stray:
         stray_iris = sorted(PAYLOAD_NS + pid for pid in stray)

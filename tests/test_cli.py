@@ -304,11 +304,24 @@ def test_merge_all_strategies_identical(tmp_path):
 def test_merge_all_mixed_models_is_usage_error(tmp_path, capsys):
     d = tmp_path / "dir"
     d.mkdir()
-    assert run("summarize", DATA / "tiny_graph.nt", "--model", "AC", "-o", d / "a.nt") == 0
-    assert run("summarize", DATA / "tiny_graph.nt", "--model", "CC", "-o", d / "b.nt") == 0
+    for name, model in [("a.nt", "AC"), ("b.nt", "AC"), ("c.nt", "CC"), ("d.nt", "ACC")]:
+        assert run("summarize", DATA / "tiny_graph.nt", "--model", model, "-o", d / name) == 0
     capsys.readouterr()
     assert run("merge-all", d, "-o", tmp_path / "m.nt") == 2
-    assert "all summaries must share one model and digest" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "all summaries must share one model and digest" in err
+    # The first file that differs from the first file, with both headers.
+    assert f"{d / 'a.nt'} is model=AC digest=sha256, {d / 'c.nt'} is model=CC digest=sha256" in err
+    assert "d.nt" not in err
+    # A digest mismatch is named the same way.
+    e = tmp_path / "digests"
+    e.mkdir()
+    assert run("summarize", DATA / "tiny_graph.nt", "-o", e / "a.nt") == 0
+    assert run("summarize", DATA / "tiny_graph.nt", "--digest", "sha512", "-o", e / "b.nt") == 0
+    capsys.readouterr()
+    assert run("merge-all", e, "-o", tmp_path / "m.nt") == 2
+    err = capsys.readouterr().err
+    assert f"{e / 'a.nt'} is model=ACC digest=sha256, {e / 'b.nt'} is model=ACC digest=sha512" in err
 
 
 def test_merge_all_random_needs_seed(tmp_path):
@@ -431,6 +444,19 @@ def test_bench_on_directory_of_summaries(tmp_path):
     assert run("bench", d, "--repeats", "1", "-o", records) == 0
     with open(records, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 2
+
+
+def test_bench_mixed_models_names_the_file(tmp_path, capsys):
+    d = tmp_path / "dir"
+    d.mkdir()
+    # A graph, summarized under --model ACC, beside a summary file under AC.
+    (d / "g.nt").write_bytes((DATA / "tiny_graph.nt").read_bytes())
+    assert run("summarize", DATA / "tiny_graph.nt", "--model", "AC", "-o", d / "s.nt") == 0
+    capsys.readouterr()
+    assert run("bench", d, "-o", tmp_path / "r.csv") == 2
+    err = capsys.readouterr().err
+    assert "bench inputs must share one model and digest" in err
+    assert f"{d / 'g.nt'} is model=ACC digest=sha256, {d / 's.nt'} is model=AC digest=sha256" in err
 
 
 def test_bench_needs_inputs_xor_gen(tmp_path):

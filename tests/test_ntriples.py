@@ -27,6 +27,18 @@ def parse_one(line: str) -> Triple:
     return t
 
 
+def _pattern_path(text: str, line: int, bnode_ns: str) -> Triple:
+    """`_parse_line` with a fresh predicate dict, as a new `parse_ntriples` call has."""
+    return _parse_line(text, line, bnode_ns, {})
+
+
+def _assert_exact_types(t) -> None:
+    # A Term equals the plain 4-tuple of its fields, so equality cannot tell
+    # them apart; the types must be exact.
+    assert type(t) is Triple
+    assert all(type(term) is Term for term in t)
+
+
 def test_parse_plain_iri_triple():
     t = parse_one("<urn:a> <urn:p> <urn:b> .")
     assert t == Triple(Term.iri("urn:a"), Term.iri("urn:p"), Term.iri("urn:b"))
@@ -100,7 +112,7 @@ def test_escaped_iri_character_the_writer_refuses_is_parse_error(line, col, char
     (r'<urn:a> <urn:p> "x\U0000D800" .   junk', 19),  # the tokenizer path
 ])
 def test_surrogate_escape_is_parse_error(line, col):
-    for parse in (_parse_line, _tokenize_line):
+    for parse in (_pattern_path, _tokenize_line):
         with pytest.raises(ParseError) as exc:
             parse(line, 1, "")
         assert (exc.value.line, exc.value.col) == (1, col)
@@ -119,7 +131,7 @@ _TYPE = f"<{RDF_TYPE}>"
     (f'<urn:a> {_TYPE} "x" .   junk', 59),  # the tokenizer path
 ])
 def test_rdf_type_object_must_be_iri(line, col):
-    for parse in (_parse_line, _tokenize_line):
+    for parse in (_pattern_path, _tokenize_line):
         with pytest.raises(ParseError) as exc:
             parse(line, 1, "")
         assert (exc.value.line, exc.value.col) == (1, col)
@@ -361,8 +373,26 @@ def _outcome(parse, line, bnode_ns):
 @settings(max_examples=1000)
 def test_line_pattern_agrees_with_tokenizer(line, bnode_ns):
     expected = _outcome(_tokenize_line, line, bnode_ns)
-    assert _outcome(_parse_line, line, bnode_ns) == expected
+    got = _outcome(_pattern_path, line, bnode_ns)
+    assert got == expected
     if isinstance(expected, Triple):
+        _assert_exact_types(expected)
+        _assert_exact_types(got)
         # Every valid line takes the pattern, and what it yields writes back.
         assert _LINE.fullmatch(line) is not None
         assert _tokenize_line(triple_line(expected), 1, "") == expected
+
+
+def test_predicate_term_shared_within_one_parse_only():
+    lines = ['<urn:a> <urn:p> <urn:b> .', '_:x <urn:p> "v" .', '<urn:c> <urn:q> <urn:b> .']
+    first = list(parse_ntriples(lines))
+    second = list(parse_ntriples(line.encode("utf-8") for line in lines))
+    assert first == second
+    for triples in (first, second):
+        for t in triples:
+            _assert_exact_types(t)
+        # Equal predicates of one parse are one object.
+        assert triples[0].predicate is triples[1].predicate
+    # A second parse builds its own: nothing is cached across calls.
+    assert second[0].predicate is not first[0].predicate
+    assert second[2].predicate is not first[2].predicate

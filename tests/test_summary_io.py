@@ -212,6 +212,44 @@ def test_statement_errors_name_their_line(line, message):
     assert str(exc.value) == message
 
 
+# Checks made after the last line name the line of the EQC's `payload`
+# statement, or of its payload's `count` statement.
+_INT = "<http://www.w3.org/2001/XMLSchema#integer>"
+_E = eqc_id(EqcSchema(Model.AC, ("urn:p",), None))
+_F = eqc_id(EqcSchema(Model.AC, ("urn:q",), None))
+
+
+def _eqc_lines(cid, attribute, members, count=None, payload=None):
+    payload = payload or cid
+    lines = [
+        f"<urn:mvs:eqc:{cid}> <urn:mvs:attribute> <{attribute}> .",
+        f"<urn:mvs:eqc:{cid}> <urn:mvs:payload> <urn:mvs:payload:{payload}> .",
+    ]
+    lines.append(f'<urn:mvs:payload:{payload}> <urn:mvs:count> "{count or len(members)}"^^{_INT} .')
+    lines += [f"<urn:mvs:payload:{payload}> <urn:mvs:member> <{m}> ." for m in members]
+    return lines
+
+
+@pytest.mark.parametrize("body, message", [
+    (_eqc_lines(_E, "urn:p", ["urn:x"], count="7"),
+     f"line 4: EQC {_E}: count 7 != 1 members"),
+    (_eqc_lines(_E, "urn:p", []),
+     f"line 3: EQC {_E} has an empty payload"),
+    ([line for line in _eqc_lines(_E, "urn:p", ["urn:x"]) if "urn:mvs:count" not in line],
+     f"line 3: payload of EQC {_E} has no count"),
+    (_eqc_lines(_E, "urn:q", ["urn:x"]),
+     f"line 3: EQC id {_E} does not match its schema under digest sha256"),
+    (_eqc_lines(_E, "urn:p", ["urn:x"]) + _eqc_lines(_F, "urn:q", ["urn:y", "urn:x"]),
+     f"line 7: member <urn:x> of EQC {_F} already appears in EQC {_E}"),
+    (_eqc_lines(_E, "urn:p", ["urn:x"], payload="P1") + _eqc_lines(_E, "urn:p", ["urn:y"], payload="P2")[1:],
+     f"line 6: EQC {_E} has a second payload urn:mvs:payload:P2"),
+])
+def test_checks_after_the_last_line_name_a_line(body, message):
+    with pytest.raises(SummaryFormatError) as exc:
+        read_summary([HEADER, *body])
+    assert str(exc.value) == message
+
+
 def test_unknown_header_digest_is_format_error():
     s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
     text = format_summary(s).replace("digest=sha256", "digest=nosuch")
