@@ -6,19 +6,16 @@ from mvsum.merge import (
     CorruptSummaryError,
     MergeConfigError,
     MergeRecord,
-    classify_cases,
     merge,
 )
 from mvsum.multimerge import MergeSchedule, Strategy, merge_all, schedule_work
 from mvsum.ntriples import ParseError, Term, Triple, parse_ntriples, serialize_ntriples
 from mvsum.summary import (
     DEFAULT_DIGEST,
-    EqcSchema,
     Model,
     Summary,
     canonical_string,
     eqc_id,
-    schema_of,
     summarize,
 )
 from mvsum.summary_io import SummaryFormatError, load_summary, read_summary, save_summary
@@ -30,7 +27,6 @@ __all__ = [
     "CaseStats",
     "CorruptSummaryError",
     "DEFAULT_DIGEST",
-    "EqcSchema",
     "Graph",
     "MergeConfigError",
     "MergeRecord",
@@ -44,7 +40,6 @@ __all__ = [
     "Triple",
     "build_graph",
     "canonical_string",
-    "classify_cases",
     "eqc_id",
     "load_summary",
     "merge",
@@ -53,7 +48,6 @@ __all__ = [
     "read_summary",
     "save_summary",
     "schedule_work",
-    "schema_of",
     "serialize_ntriples",
     "summarize",
     "union",

@@ -14,8 +14,8 @@ is that set's size, so it needs no work.
 The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
 second scan: step 1's union of an EQC both inputs hold gives the size of
 their intersection, and step 2 counts the case-3 members and which of them
-step 1 counted as case 2. `classify_cases` counts the same cases member by
-member, as a reference.
+step 1 counted as case 2. A reference oracle in `tests/helpers.py` counts
+the same cases member by member.
 
 Merging S1 into S2 and S2 into S1 produces the same summary; only the case
 statistics, which are reported from S1's perspective, differ -- and the
@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from mvsum.summary import EqcId, EqcSchema, Summary, eqc_id, union_side
+from mvsum.summary import EqcId, Schema, Summary, eqc_id, union_side
 
 
 class MergeConfigError(ValueError):
@@ -72,50 +72,25 @@ class MergeRecord:
     stats: CaseStats | None
 
 
-def _target_eqc(s: Summary, c1: EqcId, c2: EqcId, ids: dict[tuple, EqcId]) -> EqcId:
+def _target_eqc(s: Summary, c1: EqcId, c2: EqcId, ids: dict[Schema, EqcId]) -> EqcId:
     """The EQC of c1's and c2's combined schema in s, created if absent.
 
-    `ids` maps each combined (attributes, classes) pair already resolved in
-    s to its EqcId, so a caller that resolves many pairs builds, digests and
-    checks each combined schema once.
+    `ids` maps each combined schema already resolved in s to its EqcId, so a
+    caller that resolves many pairs digests and checks each combined schema
+    once.
     """
-    a, b = s.eqcs[c1], s.eqcs[c2]
-    key = (union_side(a.attributes, b.attributes), union_side(a.classes, b.classes))
-    cid = ids.get(key)
+    (attrs1, classes1), (attrs2, classes2) = s.eqcs[c1], s.eqcs[c2]
+    schema = (union_side(attrs1, attrs2), union_side(classes1, classes2))
+    cid = ids.get(schema)
     if cid is None:
-        combined = EqcSchema(s.model, *key)
-        cid = ids[key] = eqc_id(combined, s.digest)
+        cid = ids[schema] = eqc_id(s.model, schema, s.digest)
         existing = s.eqcs.get(cid)
         if existing is None:
-            s.eqcs[cid] = combined
+            s.eqcs[cid] = schema
             s.payloads[cid] = set()
-        elif existing != combined:
+        elif existing != schema:
             raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
     return cid
-
-
-def classify_cases(s1: Summary, s2: Summary) -> CaseStats:
-    """Count, for every member of S1, which merge case it falls into.
-
-    Case 1: not in S2 and its EQC unknown to S2, or in S2 under the same
-    EQC. Case 2: not in S2 but its EQC exists in S2. Case 3: in S2 under a
-    different EQC.
-    """
-    get = s2.member_index.get
-    s2_eqcs = s2.eqcs
-    case1 = case2 = case3 = 0
-    for m, cid in s1.member_index.items():
-        other = get(m)
-        if other is None:
-            if cid in s2_eqcs:
-                case2 += 1
-            else:
-                case1 += 1
-        elif other == cid:
-            case1 += 1
-        else:
-            case3 += 1
-    return CaseStats(case1, case2, case3, len(s1.member_index))
 
 
 def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
@@ -141,7 +116,7 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
         elif existing != schema:
             raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
     case2 = common = 0
-    for cid, schema in out.eqcs.items():
+    for cid, (attributes, classes) in out.eqcs.items():
         p1 = s1.payloads.get(cid)
         p2 = s2.payloads.get(cid)
         if p1 is None:
@@ -152,7 +127,7 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
             members = p1 | p2
             both = len(p1) + len(p2) - len(members)
             case2 += len(p1) - both
-            common += len(schema.attributes or ()) + len(schema.classes or ()) + 1 + both
+            common += len(attributes) + len(classes) + 1 + both
             common += len(p1) == len(p2)
         out.payloads[cid] = members
     out.member_index = dict(s1.member_index)
@@ -169,7 +144,7 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     get = other.member_index.get
     payloads, index, s2_eqcs = out.payloads, out.member_index, s2.eqcs
     targets: dict[EqcId, dict[EqcId, EqcId]] = {}
-    ids: dict[tuple, EqcId] = {}
+    ids: dict[Schema, EqcId] = {}
     case3 = 0
     for m, ca in scan.member_index.items():
         cb = get(m)

@@ -7,6 +7,9 @@ the set of outgoing edge labels (AC), the set of classes (CC), or both
 independently computed summaries assign equal ids to equal schemas, which is
 what makes merging summaries possible at all.
 
+A schema is a plain `(attributes, classes)` pair; the summary, not the
+schema, carries the model, and a side the model omits is empty.
+
 `summarize` runs with the cyclic collector paused (see `mvsum._collector`):
 its groups, schemas and member sets hold no cycles, so a collection there
 would free nothing.
@@ -54,61 +57,38 @@ def check_digest(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True, slots=True)
-class EqcSchema:
-    """The schema of one equivalence class.
-
-    `attributes` is present (possibly empty) for AC/ACC and None for CC;
-    `classes` is present for CC/ACC and None for AC. Both are tuples sorted
-    by Unicode code point. The empty schema is a valid schema: vertices with
-    no outgoing edges and no types belong to it.
-    """
-
-    model: Model
-    attributes: tuple[str, ...] | None = None
-    classes: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.model.wants_attributes != (self.attributes is not None):
-            raise ValueError(f"attributes present iff model is AC/ACC (got {self.model.value})")
-        if self.model.wants_classes != (self.classes is not None):
-            raise ValueError(f"classes present iff model is CC/ACC (got {self.model.value})")
+# (attributes, classes), each sorted by code point. The empty schema is
+# valid: vertices with no outgoing edges and no types belong to it.
+Schema = tuple[tuple[str, ...], tuple[str, ...]]
 
 
-def canonical_string(schema: EqcSchema) -> str:
-    """Deterministic, injective text form of a schema.
+def canonical_string(model: Model, schema: Schema) -> str:
+    """Deterministic, injective text form of a schema under a model.
 
     Model tag, then one angle-bracketed IRI per line for the attributes, a
-    literal `|` separator line, then one per line for the classes; a side the
-    model omits collapses to empty.
+    literal `|` separator line, then one per line for the classes.
     """
-    parts = [schema.model.value, "\n"]
-    for a in schema.attributes or ():
+    attributes, classes = schema
+    parts = [model.value, "\n"]
+    for a in attributes:
         parts.append(f"<{a}>\n")
     parts.append("|\n")
-    for c in schema.classes or ():
+    for c in classes:
         parts.append(f"<{c}>\n")
     return "".join(parts)
 
 
-def eqc_id(schema: EqcSchema, digest: str = DEFAULT_DIGEST) -> EqcId:
+def eqc_id(model: Model, schema: Schema, digest: str = DEFAULT_DIGEST) -> EqcId:
     """First 128 bits of the digest of the canonical schema string, as hex."""
-    h = hashlib.new(digest, canonical_string(schema).encode("utf-8"))
+    h = hashlib.new(digest, canonical_string(model, schema).encode("utf-8"))
     return h.hexdigest()[:32]
 
 
-def union_side(a: tuple[str, ...] | None, b: tuple[str, ...] | None) -> tuple[str, ...] | None:
+def union_side(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     """Sorted union of one side (attributes or classes) of two schemas."""
-    if a is None or a == b:
+    if a == b:
         return a
     return tuple(sorted(set(a).union(b)))
-
-
-def merge_schemas(a: EqcSchema, b: EqcSchema) -> EqcSchema:
-    """Per-side union of two schemas of the same model."""
-    if a.model != b.model:
-        raise ValueError(f"cannot merge {a.model.value} schema with {b.model.value} schema")
-    return EqcSchema(a.model, union_side(a.attributes, b.attributes), union_side(a.classes, b.classes))
 
 
 @dataclass
@@ -117,23 +97,23 @@ class Summary:
 
     An EQC's payload is its member set; its file form also states the
     member count. `member_index` is the exact inverse of payload membership,
-    every EqcId appears in both `eqcs` and `payloads`, and a finalized
-    summary has no empty EQC. Summaries are treated as immutable once
-    returned; the merge engine mutates only summaries it is still
-    constructing.
+    every EqcId appears in both `eqcs` and `payloads`, a side the model
+    omits is empty in every schema, and a finalized summary has no empty
+    EQC. Summaries are treated as immutable once returned; the merge engine
+    mutates only summaries it is still constructing.
     """
 
     model: Model
     digest: str = DEFAULT_DIGEST
-    eqcs: dict[EqcId, EqcSchema] = field(default_factory=dict)
+    eqcs: dict[EqcId, Schema] = field(default_factory=dict)
     payloads: dict[EqcId, set[Term]] = field(default_factory=dict)
     member_index: dict[Term, EqcId] = field(default_factory=dict)
 
     def edge_count(self) -> int:
         """Number of statements in the serialized-triple representation."""
         n = 0
-        for schema in self.eqcs.values():
-            n += len(schema.attributes or ()) + len(schema.classes or ()) + 1
+        for attributes, classes in self.eqcs.values():
+            n += len(attributes) + len(classes) + 1
         for members in self.payloads.values():
             n += len(members) + 1
         return n
@@ -152,42 +132,30 @@ class Summary:
                 seen[m] = cid
         if seen != self.member_index:
             raise ValueError("member_index is not the inverse of payload membership")
-        for cid, schema in self.eqcs.items():
-            if schema.model != self.model:
-                raise ValueError(f"EQC {cid} schema model {schema.model.value} != summary model {self.model.value}")
-            if eqc_id(schema, self.digest) != cid:
+        for cid, (attributes, classes) in self.eqcs.items():
+            if attributes and not self.model.wants_attributes:
+                raise ValueError(f"EQC {cid} has attributes under model {self.model.value}")
+            if classes and not self.model.wants_classes:
+                raise ValueError(f"EQC {cid} has classes under model {self.model.value}")
+            if eqc_id(self.model, (attributes, classes), self.digest) != cid:
                 raise ValueError(f"EQC id {cid} does not match its schema digest")
-
-
-def schema_of(v: Term, g: Graph, model: Model) -> EqcSchema:
-    """The schema of one vertex under a model."""
-    if v not in g.vertices:
-        raise KeyError(f"unknown vertex {v.nt()}")
-    attrs = tuple(sorted(g.out_labels.get(v, ()))) if model.wants_attributes else None
-    classes = tuple(sorted(g.vertex_labels.get(v, ()))) if model.wants_classes else None
-    return EqcSchema(model, attrs, classes)
 
 
 @paused()
 def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
     """Summarize a whole graph: every vertex lands in exactly one EQC."""
     check_digest(digest)
-    # Group vertices by their raw (attributes, classes) key first, so the
-    # schema object and its digest are built once per EQC, not per vertex.
-    want_attrs, want_classes = model.wants_attributes, model.wants_classes
-    out_labels, vertex_labels = g.out_labels, g.vertex_labels
-    groups: dict[tuple, list[Term]] = {}
+    # Group vertices by their schema first, so its digest is computed once
+    # per EQC, not per vertex. A side the model omits is read from an empty
+    # map, so it is () for every vertex.
+    out_labels = g.out_labels if model.wants_attributes else {}
+    vertex_labels = g.vertex_labels if model.wants_classes else {}
+    groups: dict[Schema, list[Term]] = {}
     for v in g.vertices:
-        if want_attrs:
-            labels = out_labels.get(v)
-            attrs = tuple(sorted(labels)) if labels else ()
-        else:
-            attrs = None
-        if want_classes:
-            labels = vertex_labels.get(v)
-            classes = tuple(sorted(labels)) if labels else ()
-        else:
-            classes = None
+        labels = out_labels.get(v)
+        attrs = tuple(sorted(labels)) if labels else ()
+        labels = vertex_labels.get(v)
+        classes = tuple(sorted(labels)) if labels else ()
         key = (attrs, classes)
         bucket = groups.get(key)
         if bucket is None:
@@ -195,9 +163,8 @@ def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
         else:
             bucket.append(v)
     s = Summary(model=model, digest=digest)
-    for (attrs, classes), members in groups.items():
-        schema = EqcSchema(model, attrs, classes)
-        cid = eqc_id(schema, digest)
+    for schema, members in groups.items():
+        cid = eqc_id(model, schema, digest)
         s.eqcs[cid] = schema
         s.payloads[cid] = set(members)
         for m in members:

@@ -18,8 +18,9 @@ or payload id string. A line the pattern rejects (a comment, a blank line,
 other spacing, an escape, a non-plain blank label, CRLF, a `bytes` line, a
 foreign statement or garbage) goes, on its own, through `parse_ntriples`,
 and its triple is mapped onto the same shape, so one set of checks serves
-both paths. An error in one statement names its physical line, the
-header being line 1. So does an error found after the last line: it names
+both paths. An error in one statement names its physical line, the header
+being line 1: so do an attribute under CC, a class under AC and a second,
+differing count of one payload. An error found after the last line names
 the EQC's `payload` statement or its payload's `count` statement.
 
 `read_summary` and the writer's statement formatting run with the cyclic
@@ -35,7 +36,7 @@ from typing import Iterable
 
 from mvsum._collector import paused
 from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, parse_ntriples, triple_line
-from mvsum.summary import EqcSchema, Model, Summary, check_digest, eqc_id
+from mvsum.summary import Model, Summary, check_digest, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
 PAYLOAD_NS = "urn:mvs:payload:"
@@ -91,12 +92,12 @@ def _statement_lines(summary: Summary) -> list[str]:
     # IRI holds the same id as the checked EQC IRI.
     lines = []
     append = lines.append
-    for cid, schema in summary.eqcs.items():
+    for cid, (attributes, classes) in summary.eqcs.items():
         eqc = f"<{_checked_iri(EQC_NS + cid)}>"
         pay = f"<{PAYLOAD_NS}{cid}>"
-        for a in schema.attributes or ():
+        for a in attributes:
             append(f"{eqc} <{P_ATTRIBUTE}> <{_checked_iri(a)}> .")
-        for c in schema.classes or ():
+        for c in classes:
             append(f"{eqc} <{P_CLASS}> <{_checked_iri(c)}> .")
         append(f"{eqc} <{P_PAYLOAD}> {pay} .")
         members = summary.payloads[cid]
@@ -183,6 +184,7 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     # Keyed by the EQC id, or by the payload id (the text after PAYLOAD_NS).
     # `payload_of` and `counts` also keep the line of their statement, which
     # the checks after the loop name.
+    want_attrs, want_classes = model.wants_attributes, model.wants_classes
     attrs: dict[str, set[str]] = {}
     classes: dict[str, set[str]] = {}
     payload_of: dict[str, tuple[str, int]] = {}
@@ -204,6 +206,8 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
                 continue
             shape, sid, value = parsed
         if shape == "attribute":
+            if not want_attrs:
+                raise SummaryFormatError(f"line {lineno}: EQC {sid} has attributes under model {model.value}")
             eqc_ids.add(sid)
             attrs.setdefault(sid, set()).add(value)
         elif shape == IRI or shape == BLANK:
@@ -212,12 +216,16 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             if not _COUNT.fullmatch(value):
                 t = Triple(Term(IRI, PAYLOAD_NS + sid), Term(IRI, P_COUNT), Term(LITERAL, value, XSD_INTEGER))
                 raise SummaryFormatError(f"line {lineno}: count is not a plain decimal: {triple_line(t)}")
-            counts[sid] = int(value), lineno
+            count = int(value)
+            if counts.setdefault(sid, (count, lineno))[0] != count:
+                raise SummaryFormatError(f"line {lineno}: payload {PAYLOAD_NS}{sid} has two counts: {counts[sid][0]} and {count}")
         elif shape == "payload":
             eqc_ids.add(sid)
             if payload_of.setdefault(value, (sid, lineno))[0] != sid:
                 raise SummaryFormatError(f"line {lineno}: payload vertex {PAYLOAD_NS}{value} attached to two EQCs")
         else:
+            if not want_classes:
+                raise SummaryFormatError(f"line {lineno}: EQC {sid} has classes under model {model.value}")
             eqc_ids.add(sid)
             classes.setdefault(sid, set()).add(value)
 
@@ -227,16 +235,8 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
 
     summary = Summary(model=model, digest=digest)
     for hexid in sorted(eqc_ids):
-        schema = EqcSchema(
-            model,
-            tuple(sorted(attrs.get(hexid, ()))) if model.wants_attributes else None,
-            tuple(sorted(classes.get(hexid, ()))) if model.wants_classes else None,
-        )
-        if (hexid in attrs) and not model.wants_attributes:
-            raise SummaryFormatError(f"EQC {hexid} has attributes under model {model.value}")
-        if (hexid in classes) and not model.wants_classes:
-            raise SummaryFormatError(f"EQC {hexid} has classes under model {model.value}")
-        if verify and eqc_id(schema, digest) != hexid:
+        schema = tuple(sorted(attrs.get(hexid, ()))), tuple(sorted(classes.get(hexid, ())))
+        if verify and eqc_id(model, schema, digest) != hexid:
             line = min(n for c, n in payload_of.values() if c == hexid)
             raise SummaryFormatError(f"line {line}: EQC id {hexid} does not match its schema under digest {digest}")
         summary.eqcs[hexid] = schema

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import mvsum
 from mvsum.graph import Graph, build_graph, union
+from mvsum.merge import CaseStats
 from mvsum.ntriples import RDF_TYPE, Term, Triple
-from mvsum.summary import Model, Summary, summarize
+from mvsum.summary import Model, Schema, Summary, summarize
 from mvsum.summary_io import format_summary
 
 
@@ -88,6 +89,39 @@ def naive_partition(triples, model: Model) -> set[frozenset]:
 
 def partition_of(s: Summary) -> set[frozenset]:
     return {frozenset(members) for members in s.payloads.values()}
+
+
+# --- reference oracles, one vertex or one member at a time ---------------------
+
+def schema_of(v: Term, g: Graph, model: Model) -> Schema:
+    """The schema of one vertex under a model, read from the built graph."""
+    if v not in g.vertices:
+        raise KeyError(f"unknown vertex {v.nt()}")
+    attrs = tuple(sorted(g.out_labels.get(v, ()))) if model.wants_attributes else ()
+    classes = tuple(sorted(g.vertex_labels.get(v, ()))) if model.wants_classes else ()
+    return attrs, classes
+
+
+def classify_cases(s1: Summary, s2: Summary) -> CaseStats:
+    """Count, for every member of S1, which merge case it falls into.
+
+    Case 1: not in S2 and its EQC unknown to S2, or in S2 under the same
+    EQC. Case 2: not in S2 but its EQC exists in S2. Case 3: in S2 under a
+    different EQC. `merge` gathers the same counts while it merges.
+    """
+    case1 = case2 = case3 = 0
+    for m, cid in s1.member_index.items():
+        other = s2.member_index.get(m)
+        if other is None:
+            if cid in s2.eqcs:
+                case2 += 1
+            else:
+                case1 += 1
+        elif other == cid:
+            case1 += 1
+        else:
+            case3 += 1
+    return CaseStats(case1, case2, case3, len(s1.member_index))
 
 
 # --- seeded random graphs ------------------------------------------------------

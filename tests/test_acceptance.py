@@ -14,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import canonical_bytes, naive_partition, oracle_merged, partition_of, random_triples
+from helpers import canonical_bytes, classify_cases, naive_partition, oracle_merged, partition_of, random_triples
 from mvsum.analytics import GenParams, correlate_times, generate_view, generate_views, linfit, pearson
 from mvsum.cli import main as cli_main
 from mvsum.graph import build_graph, union
-from mvsum.merge import classify_cases, merge
+from mvsum.merge import merge
 from mvsum.multimerge import Strategy, merge_all
 from mvsum.ntriples import Term, Triple, parse_ntriples, serialize_ntriples
 from mvsum.summary import Model, summarize

@@ -15,7 +15,7 @@ from mvsum import multimerge
 from mvsum.graph import build_graph
 from mvsum.merge import merge
 from mvsum.ntriples import ParseError, Term, parse_ntriples
-from mvsum.summary import EqcSchema, Model, Summary, eqc_id, summarize
+from mvsum.summary import Model, Summary, eqc_id, summarize
 from mvsum.summary_io import SummaryFormatError, format_summary, load_summary, read_summary, save_summary
 
 GRAPH = [
@@ -47,8 +47,8 @@ def _summary():
 
 def _bad_summary():
     # An IRI the writer refuses, in a summary built through the API.
-    schema = EqcSchema(Model.AC, ("urn:p",), None)
-    cid = eqc_id(schema)
+    schema = (("urn:p",), ())
+    cid = eqc_id(Model.AC, schema)
     return Summary(Model.AC, eqcs={cid: schema}, payloads={cid: {Term.iri("urn:a b")}},
                    member_index={Term.iri("urn:a b"): cid})
 

@@ -15,14 +15,16 @@ from helpers import (
     graph_of,
     iri,
     oracle_merged,
+    classify_cases,
     p,
     random_graph,
+    schema_of,
 )
 from mvsum.analytics import correlate_times, linfit
 from mvsum.graph import build_graph, union
-from mvsum.merge import CorruptSummaryError, MergeConfigError, classify_cases, merge
+from mvsum.merge import CorruptSummaryError, MergeConfigError, merge
 from mvsum.ntriples import Term, Triple
-from mvsum.summary import EqcSchema, Model, eqc_id, merge_schemas, schema_of, summarize
+from mvsum.summary import Model, eqc_id, summarize, union_side
 from mvsum.summary_io import format_summary
 
 MODELS = [Model.AC, Model.CC, Model.ACC]
@@ -60,14 +62,13 @@ def test_case3_example_with_drained_eqcs():
     merged, record = merge(s1, s2)
     assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
     merged.validate()
-    schemas = {schema.attributes for schema in merged.eqcs.values()}
-    assert schemas == {(p("p").value, p("q").value), ()}
-    combined = eqc_id(EqcSchema(Model.AC, (p("p").value, p("q").value), None))
+    assert set(merged.eqcs.values()) == {((p("p").value, p("q").value), ()), ((), ())}
+    combined = eqc_id(Model.AC, ((p("p").value, p("q").value), ()))
     assert merged.payloads[combined] == {iri("x")}
-    assert merged.payloads[eqc_id(EqcSchema(Model.AC, (), None))] == {iri("a"), iri("b")}
+    assert merged.payloads[eqc_id(Model.AC, ((), ()))] == {iri("a"), iri("b")}
     # EQC{p} and EQC{q} were drained and removed
-    assert eqc_id(EqcSchema(Model.AC, (p("p").value,), None)) not in merged.eqcs
-    assert eqc_id(EqcSchema(Model.AC, (p("q").value,), None)) not in merged.eqcs
+    assert eqc_id(Model.AC, ((p("p").value,), ())) not in merged.eqcs
+    assert eqc_id(Model.AC, ((p("q").value,), ())) not in merged.eqcs
     assert record.stats.case1 == 0
     assert record.stats.case2 == 1  # a
     assert record.stats.case3 == 1  # x
@@ -78,7 +79,7 @@ def test_payload_count_updated_one_plus_two():
     g1 = graph_of((iri("w"), p("g"), iri("a")))
     g2 = graph_of((iri("y"), p("g"), iri("a")), (iri("z"), p("g"), iri("b")))
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
-    green = eqc_id(EqcSchema(Model.AC, (p("g").value,), None))
+    green = eqc_id(Model.AC, ((p("g").value,), ()))
     assert len(s1.payloads[green]) == 1
     assert len(s2.payloads[green]) == 2
     merged, record = merge(s1, s2)
@@ -139,11 +140,11 @@ def test_partly_drained_eqc_is_kept():
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
     merged, record = merge(s1, s2)
     assert record.stats.case3 == 1
-    green = eqc_id(EqcSchema(Model.AC, (p("p").value,), None))
+    green = eqc_id(Model.AC, ((p("p").value,), ()))
     assert merged.payloads[green] == {iri("y")}
     assert merged.member_index[iri("y")] == green
     # EQC{q} held only x, so it was drained and dropped
-    assert eqc_id(EqcSchema(Model.AC, (p("q").value,), None)) not in merged.eqcs
+    assert eqc_id(Model.AC, ((p("q").value,), ())) not in merged.eqcs
     merged.validate()
     assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
 
@@ -185,12 +186,23 @@ def test_model_mismatch_rejected():
 def test_duplicate_id_with_different_schema_is_corruption():
     s1 = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
     s2 = summarize(graph_of((iri("y"), p("q"), iri("b"))), Model.AC)
-    cid = [c for c in s2.eqcs if s2.eqcs[c].attributes][0]
+    cid = [c for c, (attributes, _) in s2.eqcs.items() if attributes][0]
     # simulate a digest collision: same id, different schema in s1
-    s1.eqcs[cid] = EqcSchema(Model.AC, ("urn:other",), None)
+    s1.eqcs[cid] = (("urn:other",), ())
     s1.payloads[cid] = {iri("q")}
     s1.member_index[iri("q")] = cid
     with pytest.raises(CorruptSummaryError):
+        merge(s1, s2)
+    # The same collision on the combined schema of a conflicting member: x is
+    # {p} in s1 and {q} in s2, and s1 already holds {p, q}'s id under another
+    # schema.
+    s1 = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
+    s2 = summarize(graph_of((iri("x"), p("q"), iri("b"))), Model.AC)
+    cid = eqc_id(Model.AC, ((p("p").value, p("q").value), ()))
+    s1.eqcs[cid] = (("urn:other",), ())
+    s1.payloads[cid] = {iri("q")}
+    s1.member_index[iri("q")] = cid
+    with pytest.raises(CorruptSummaryError, match=f"^EqcId {cid} maps to two different schemas$"):
         merge(s1, s2)
 
 
@@ -255,7 +267,9 @@ def _has_one_sided_target(s1, s2):
     for m, c1 in s1.member_index.items():
         c2 = s2.member_index.get(m)
         if c2 is not None and c2 != c1:
-            target = eqc_id(merge_schemas(s1.eqcs[c1], s2.eqcs[c2]), s1.digest)
+            (attrs1, classes1), (attrs2, classes2) = s1.eqcs[c1], s2.eqcs[c2]
+            combined = (union_side(attrs1, attrs2), union_side(classes1, classes2))
+            target = eqc_id(s1.model, combined, s1.digest)
             if (target in s1.eqcs) != (target in s2.eqcs):
                 return True
     return False

@@ -5,39 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RDF_TYPE_TERM, cls, graph_of, iri, naive_partition, naive_vertices, p, partition_of, random_triples
+from helpers import (
+    RDF_TYPE_TERM,
+    cls,
+    graph_of,
+    iri,
+    naive_partition,
+    naive_vertices,
+    p,
+    partition_of,
+    random_triples,
+    schema_of,
+)
 from mvsum.graph import build_graph
 from mvsum.ntriples import Triple
-from mvsum.summary import (
-    EqcSchema,
-    Model,
-    canonical_string,
-    check_digest,
-    eqc_id,
-    merge_schemas,
-    schema_of,
-    summarize,
-)
+from mvsum.summary import Model, Summary, canonical_string, check_digest, eqc_id, summarize, union_side
 
 MODELS = [Model.AC, Model.CC, Model.ACC]
 
 
 def test_schema_of_ac():
     g = graph_of((iri("v"), p("p"), iri("a")), (iri("v"), p("q"), iri("b")))
-    s = schema_of(iri("v"), g, Model.AC)
-    assert s.attributes == (p("p").value, p("q").value)
-    assert s.classes is None
+    assert schema_of(iri("v"), g, Model.AC) == ((p("p").value, p("q").value), ())
 
 
 def test_schema_of_cc_untyped_vertex_is_empty_schema():
     g = graph_of((iri("v"), p("p"), iri("a")))
-    assert schema_of(iri("v"), g, Model.CC) == EqcSchema(Model.CC, None, ())
+    assert schema_of(iri("v"), g, Model.CC) == ((), ())
 
 
 def test_schema_of_acc():
     g = graph_of((iri("v"), p("p"), iri("a")), (iri("v"), RDF_TYPE_TERM, cls("C")))
-    s = schema_of(iri("v"), g, Model.ACC)
-    assert s == EqcSchema(Model.ACC, (p("p").value,), (cls("C").value,))
+    assert schema_of(iri("v"), g, Model.ACC) == ((p("p").value,), (cls("C").value,))
 
 
 def test_schema_of_unknown_vertex():
@@ -47,48 +46,58 @@ def test_schema_of_unknown_vertex():
 
 
 def test_canonical_string_formats():
-    assert canonical_string(EqcSchema(Model.AC, ("urn:p", "urn:q"), None)) == "AC\n<urn:p>\n<urn:q>\n|\n"
-    assert canonical_string(EqcSchema(Model.CC, None, ())) == "CC\n|\n"
-    assert canonical_string(EqcSchema(Model.ACC, ("urn:p",), ("urn:C",))) == "ACC\n<urn:p>\n|\n<urn:C>\n"
+    assert canonical_string(Model.AC, (("urn:p", "urn:q"), ())) == "AC\n<urn:p>\n<urn:q>\n|\n"
+    assert canonical_string(Model.CC, ((), ())) == "CC\n|\n"
+    assert canonical_string(Model.ACC, (("urn:p",), ("urn:C",))) == "ACC\n<urn:p>\n|\n<urn:C>\n"
+
+
+def _one_eqc_summary(model, schema):
+    # Built through the API, with the id of the schema it holds, so only the
+    # side/model check can refuse it.
+    cid = eqc_id(model, schema)
+    return Summary(model, eqcs={cid: schema}, payloads={cid: {iri("v")}}, member_index={iri("v"): cid})
 
 
 def test_schema_sides_match_model():
-    with pytest.raises(ValueError):
-        EqcSchema(Model.AC, ("urn:p",), ())
-    with pytest.raises(ValueError):
-        EqcSchema(Model.CC, ("urn:p",), None)
-    with pytest.raises(ValueError):
-        EqcSchema(Model.ACC, ("urn:p",), None)
+    _one_eqc_summary(Model.ACC, (("urn:p",), ("urn:C",))).validate()
+    _one_eqc_summary(Model.AC, (("urn:p",), ())).validate()
+    _one_eqc_summary(Model.CC, ((), ("urn:C",))).validate()
+    s = _one_eqc_summary(Model.AC, (("urn:p",), ("urn:C",)))
+    with pytest.raises(ValueError, match=f"^EQC {next(iter(s.eqcs))} has classes under model AC$"):
+        s.validate()
+    s = _one_eqc_summary(Model.CC, (("urn:p",), ("urn:C",)))
+    with pytest.raises(ValueError, match=f"^EQC {next(iter(s.eqcs))} has attributes under model CC$"):
+        s.validate()
 
 
 def test_eqc_id_matches_independent_digest():
     # Oracle: hash the hand-written canonical strings with hashlib directly.
-    for text, schema in [
-        ("AC\n<urn:p>\n|\n", EqcSchema(Model.AC, ("urn:p",), None)),
-        ("AC\n<urn:q>\n|\n", EqcSchema(Model.AC, ("urn:q",), None)),
-        ("ACC\n<urn:p>\n|\n", EqcSchema(Model.ACC, ("urn:p",), ())),
+    for text, model, schema in [
+        ("AC\n<urn:p>\n|\n", Model.AC, (("urn:p",), ())),
+        ("AC\n<urn:q>\n|\n", Model.AC, (("urn:q",), ())),
+        ("ACC\n<urn:p>\n|\n", Model.ACC, (("urn:p",), ())),
     ]:
         expected = hashlib.sha256(text.encode()).hexdigest()[:32]
-        assert eqc_id(schema) == expected
+        assert eqc_id(model, schema) == expected
 
 
 def test_distinct_schemas_distinct_ids():
-    a = eqc_id(EqcSchema(Model.AC, ("urn:p",), None))
-    b = eqc_id(EqcSchema(Model.AC, ("urn:q",), None))
-    c = eqc_id(EqcSchema(Model.ACC, ("urn:p",), ()))
+    a = eqc_id(Model.AC, (("urn:p",), ()))
+    b = eqc_id(Model.AC, (("urn:q",), ()))
+    c = eqc_id(Model.ACC, (("urn:p",), ()))
     assert len({a, b, c}) == 3
     assert all(len(x) == 32 for x in (a, b, c))
 
 
 def test_eqc_id_deterministic():
-    s = EqcSchema(Model.ACC, ("urn:p",), ("urn:C",))
-    assert eqc_id(s) == eqc_id(EqcSchema(Model.ACC, ("urn:p",), ("urn:C",)))
+    s = (("urn:p",), ("urn:C",))
+    assert eqc_id(Model.ACC, s) == eqc_id(Model.ACC, (("urn:p",), ("urn:C",)))
 
 
 def test_digest_configurable():
-    s = EqcSchema(Model.AC, ("urn:p",), None)
-    assert eqc_id(s, "sha512") == hashlib.sha512(canonical_string(s).encode()).hexdigest()[:32]
-    assert eqc_id(s, "sha512") != eqc_id(s, "sha256")
+    s = (("urn:p",), ())
+    assert eqc_id(Model.AC, s, "sha512") == hashlib.sha512(canonical_string(Model.AC, s).encode()).hexdigest()[:32]
+    assert eqc_id(Model.AC, s, "sha512") != eqc_id(Model.AC, s, "sha256")
 
 
 def test_check_digest():
@@ -108,8 +117,8 @@ def test_summarize_empty_graph():
 def test_summarize_single_edge_ac():
     g = graph_of((iri("x"), p("p"), iri("a")))
     s = summarize(g, Model.AC)
-    by_schema = {schema.attributes: s.payloads[cid] for cid, schema in s.eqcs.items()}
-    assert by_schema == {(p("p").value,): {iri("x")}, (): {iri("a")}}
+    by_schema = {schema: s.payloads[cid] for cid, schema in s.eqcs.items()}
+    assert by_schema == {((p("p").value,), ()): {iri("x")}, ((), ()): {iri("a")}}
     s.validate()
 
 
@@ -121,7 +130,7 @@ def test_summarize_acc_example():
     ]
     s = summarize(build_graph(triples), Model.ACC)
     assert partition_of(s) == naive_partition(triples, Model.ACC)
-    by_schema = {(schema.attributes, schema.classes): s.payloads[cid] for cid, schema in s.eqcs.items()}
+    by_schema = {schema: s.payloads[cid] for cid, schema in s.eqcs.items()}
     assert by_schema == {
         ((p("p").value,), (cls("C").value,)): {iri("x")},
         ((p("p").value,), ()): {iri("y")},
@@ -129,12 +138,11 @@ def test_summarize_acc_example():
     }
 
 
-def test_merge_schemas_unions_sides():
-    a = EqcSchema(Model.ACC, ("urn:p",), ("urn:C",))
-    b = EqcSchema(Model.ACC, ("urn:q",), ())
-    assert merge_schemas(a, b) == EqcSchema(Model.ACC, ("urn:p", "urn:q"), ("urn:C",))
-    with pytest.raises(ValueError):
-        merge_schemas(a, EqcSchema(Model.AC, ("urn:q",), None))
+def test_union_side_unions_sorted_sides():
+    (a1, c1), (a2, c2) = (("urn:q",), ("urn:C",)), (("urn:p", "urn:q"), ())
+    assert (union_side(a1, a2), union_side(c1, c2)) == (("urn:p", "urn:q"), ("urn:C",))
+    assert union_side((), ()) == ()
+    assert union_side(("urn:p",), ("urn:p",)) == ("urn:p",)
 
 
 def test_validate_rejects_bad_summaries():
@@ -175,11 +183,11 @@ def test_member_index_names_the_eqc_of_each_vertex_schema():
         assert set(s.member_index) == g.vertices
         for v in g.vertices:
             cid = s.member_index[v]
-            assert cid == eqc_id(schema_of(v, g, model), s.digest)
+            assert cid == eqc_id(model, schema_of(v, g, model), s.digest)
             assert v in s.payloads[cid]
     s = summarize(g, Model.AC)
-    assert s.eqcs[s.member_index[iri("v")]].attributes == (p("p").value, p("q").value)
-    assert s.eqcs[s.member_index[iri("a")]].attributes == ()
+    assert s.eqcs[s.member_index[iri("v")]] == ((p("p").value, p("q").value), ())
+    assert s.eqcs[s.member_index[iri("a")]] == ((), ())
 
 
 @st.composite

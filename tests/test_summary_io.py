@@ -11,7 +11,7 @@ from helpers import RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph
 from mvsum import summary_io
 from mvsum.graph import build_graph
 from mvsum.ntriples import BLANK, IRI, Term, parse_ntriples
-from mvsum.summary import EqcSchema, Model, Summary, eqc_id, summarize
+from mvsum.summary import Model, Summary, eqc_id, summarize
 from mvsum.summary_io import (
     SummaryFormatError,
     format_summary,
@@ -129,8 +129,8 @@ def test_count_must_be_plain_digits(count):
 
 
 def _summary_with(attribute="urn:p:p", klass="urn:c:C", member="urn:x:a", cid=None):
-    schema = EqcSchema(Model.ACC, (attribute,), (klass,))
-    cid = cid or eqc_id(schema)
+    schema = ((attribute,), (klass,))
+    cid = cid or eqc_id(Model.ACC, schema)
     s = Summary(model=Model.ACC)
     s.eqcs[cid] = schema
     s.payloads[cid] = {Term.iri(member)}
@@ -212,11 +212,43 @@ def test_statement_errors_name_their_line(line, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("spacing", [" ", "  "], ids=["canonical", "extra-spaces"])
+@pytest.mark.parametrize("model, predicate, message", [
+    ("AC", "class", "line 3: EQC e has classes under model AC"),
+    ("CC", "attribute", "line 3: EQC e has attributes under model CC"),
+    ("ACC", "class", "line 2: EQC id e does not match its schema under digest sha256"),
+    ("ACC", "attribute", "line 2: EQC id e does not match its schema under digest sha256"),
+])
+def test_a_side_the_model_omits_names_its_line(model, predicate, message, spacing):
+    # The canonical line takes the statement pattern and the spaced one the
+    # generic parser; both reach the same check. Under ACC either side is
+    # legal, so the first error is the one after the last line.
+    line = f"<urn:mvs:eqc:e>{spacing}<urn:mvs:{predicate}> <urn:v> .\n"
+    assert (summary_io._STATEMENT.fullmatch(line) is not None) == (spacing == " ")
+    with pytest.raises(SummaryFormatError) as exc:
+        read_summary([HEADER.replace("model=AC", f"model={model}"), EQC_LINE, line])
+    assert str(exc.value) == message
+
+
+def test_a_second_count_must_agree():
+    count = '<urn:mvs:payload:e> <urn:mvs:count> "%s"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+    member = "<urn:mvs:payload:e> <urn:mvs:member> <urn:x> .\n"
+    with pytest.raises(SummaryFormatError) as exc:
+        read_summary([HEADER, EQC_LINE, count % "7", member, count % "1"])
+    assert str(exc.value) == "line 5: payload urn:mvs:payload:e has two counts: 7 and 1"
+    with pytest.raises(SummaryFormatError) as exc:
+        read_summary([HEADER, EQC_LINE, count % "1", member, count.replace("> <", ">  <") % "2"])
+    assert str(exc.value) == "line 5: payload urn:mvs:payload:e has two counts: 1 and 2"
+    # A repeated statement with an equal count is legal N-Triples.
+    s = read_summary([HEADER, EQC_LINE, count % "1", member, count % "1", count % "01"], verify=False)
+    assert s.payloads == {"e": {Term.iri("urn:x")}}
+
+
 # Checks made after the last line name the line of the EQC's `payload`
 # statement, or of its payload's `count` statement.
 _INT = "<http://www.w3.org/2001/XMLSchema#integer>"
-_E = eqc_id(EqcSchema(Model.AC, ("urn:p",), None))
-_F = eqc_id(EqcSchema(Model.AC, ("urn:q",), None))
+_E = eqc_id(Model.AC, (("urn:p",), ()))
+_F = eqc_id(Model.AC, (("urn:q",), ()))
 
 
 def _eqc_lines(cid, attribute, members, count=None, payload=None):
