@@ -97,10 +97,11 @@ class Summary:
 
     An EQC's payload is its member set; its file form also states the
     member count. `member_index` is the exact inverse of payload membership,
-    every EqcId appears in both `eqcs` and `payloads`, a side the model
-    omits is empty in every schema, and a finalized summary has no empty
-    EQC. Summaries are treated as immutable once returned; the merge engine
-    mutates only summaries it is still constructing.
+    every EqcId appears in both `eqcs` and `payloads`, each schema side is
+    strictly increasing by code point, a side the model omits is empty in
+    every schema, and a finalized summary has no empty EQC. Summaries are
+    treated as immutable once returned; the merge engine mutates only
+    summaries it is still constructing.
     """
 
     model: Model
@@ -137,6 +138,11 @@ class Summary:
                 raise ValueError(f"EQC {cid} has attributes under model {self.model.value}")
             if classes and not self.model.wants_classes:
                 raise ValueError(f"EQC {cid} has classes under model {self.model.value}")
+            # The loader sorts each side before it digests it, so a side out
+            # of order, or with a repeat, would write a file that cannot load.
+            for name, side in (("attributes", attributes), ("classes", classes)):
+                if any(a >= b for a, b in zip(side, side[1:])):
+                    raise ValueError(f"EQC {cid} has {name} that are not strictly increasing")
             if eqc_id(self.model, (attributes, classes), self.digest) != cid:
                 raise ValueError(f"EQC id {cid} does not match its schema digest")
 

@@ -11,6 +11,22 @@ Statements are emitted sorted, so equal summaries serialize to equal bytes.
     <urn:mvs:payload:HEX> <urn:mvs:member> <member> .
     <urn:mvs:payload:HEX> <urn:mvs:count> "n"^^<...#integer> .
 
+The writer builds that order instead of sorting the whole file. It sorts
+the EQC subjects `<urn:mvs:eqc:ID>` as whole strings and emits, subject by
+subject, that subject's lines (attributes, classes, `payload`) sorted; then,
+for the same subjects in the same order, each payload subject's lines
+(`count`, members) sorted. This is the order of one sort of all lines:
+no IRI holds `>`, so no subject is a prefix of another and lines group by
+subject; `<urn:mvs:eqc:` sorts before `<urn:mvs:payload:`; and a payload
+subject holds its EQC's id, so the payload subjects sort like the EQC
+subjects. Whole lines and whole subjects are compared, never bare ids or
+IRIs: `<urn:a/b> .` sorts before `<urn:a> .`, and the subject of id `ab!`
+before that of `ab`. The lines are joined into chunks of a few thousand,
+and `save_summary` writes each chunk as it comes, so the writer holds one
+chunk and one subject's lines, never the whole file. It writes to a
+temporary file beside the target and renames that onto the target at the
+end, so the target holds the old file or the new one, never a part.
+
 The reader matches each line, as the writer formats it, against one
 compiled pattern for these five shapes; a member IRI or a plain `_:` label
 is the only part that becomes a `Term`, and the rest is grouped by the EQC
@@ -23,16 +39,20 @@ being line 1: so do an attribute under CC, a class under AC and a second,
 differing count of one payload. An error found after the last line names
 the EQC's `payload` statement or its payload's `count` statement.
 
-`read_summary` and the writer's statement formatting run with the cyclic
-collector paused (see `mvsum._collector`): their Terms, id strings, sets and
-dicts hold no cycles, so a collection there would free nothing.
+`read_summary`, `format_summary` and `save_summary` run with the cyclic
+collector paused (see `mvsum._collector`): their Terms, id strings, lines,
+sets and dicts hold no cycles, so a collection there would free nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
+import secrets
+import stat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from mvsum._collector import paused
 from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, parse_ntriples, triple_line
@@ -47,10 +67,14 @@ P_MEMBER = "urn:mvs:member"
 P_COUNT = "urn:mvs:count"
 
 _HEADER = re.compile(r"# mvs-summary v1 model=(AC|CC|ACC) digest=(\S+)\s*\Z")
+# Lines per chunk the writer yields: a chunk is a few hundred kilobytes, so
+# the writer's memory does not grow with the file.
+_CHUNK_LINES = 4096
+
 # `int()` alone would also take signs, spaces, underscores and non-ASCII digits.
 _COUNT = re.compile(r"[0-9]+")
 
-# The five statement shapes exactly as `_statement_lines` writes them. Group
+# The five statement shapes exactly as `_blocks` writes them. Group
 # 2 is the subject's id, and the last group to match names the shape:
 # `attribute`, `class` or `payload` after an EQC subject (group 1 set), `iri`
 # or `blank` (the member's Term kind) or `count` after a payload subject. An
@@ -85,41 +109,101 @@ def is_summary_header(line: str | bytes) -> bool:
     return _HEADER.match(line.rstrip("\r\n")) is not None
 
 
-@paused()
-def _statement_lines(summary: Summary) -> list[str]:
-    # Lines are formatted directly, but every IRI is still checked: a Summary
-    # built through the API may hold IRIs that were never parsed. The payload
-    # IRI holds the same id as the checked EQC IRI.
-    lines = []
-    append = lines.append
-    for cid, (attributes, classes) in summary.eqcs.items():
+def _blocks(summary: Summary) -> Iterator[list[str]]:
+    """Each subject's statement lines, sorted and LF-terminated, in file order.
+
+    First every EQC subject, then every payload subject in the same order;
+    the module docstring says why this is the order of one global sort.
+    """
+    # Every IRI is still checked: a Summary built through the API may hold
+    # IRIs that were never parsed. The payload IRI holds the same id as the
+    # checked EQC IRI.
+    cids = sorted(summary.eqcs, key=lambda cid: cid + ">")
+    for cid in cids:
         eqc = f"<{_checked_iri(EQC_NS + cid)}>"
+        attributes, classes = summary.eqcs[cid]
+        block = [f"{eqc} <{P_ATTRIBUTE}> <{_checked_iri(a)}> .\n" for a in attributes]
+        block += [f"{eqc} <{P_CLASS}> <{_checked_iri(c)}> .\n" for c in classes]
+        block.append(f"{eqc} <{P_PAYLOAD}> <{PAYLOAD_NS}{cid}> .\n")
+        block.sort()
+        yield block
+    for cid in cids:
         pay = f"<{PAYLOAD_NS}{cid}>"
-        for a in attributes:
-            append(f"{eqc} <{P_ATTRIBUTE}> <{_checked_iri(a)}> .")
-        for c in classes:
-            append(f"{eqc} <{P_CLASS}> <{_checked_iri(c)}> .")
-        append(f"{eqc} <{P_PAYLOAD}> {pay} .")
         members = summary.payloads[cid]
-        for m in members:
-            append(f"{pay} <{P_MEMBER}> {m.nt()} .")
-        append(f'{pay} <{P_COUNT}> "{len(members):d}"^^<{XSD_INTEGER}> .')
-    lines.sort()
-    return lines
+        block = [f"{pay} <{P_MEMBER}> {m.nt()} .\n" for m in members]
+        block.append(f'{pay} <{P_COUNT}> "{len(members):d}"^^<{XSD_INTEGER}> .\n')
+        block.sort()
+        yield block
 
 
+def _statement_chunks(summary: Summary) -> Iterator[str]:
+    """The statements in file order, joined into chunks of at least `_CHUNK_LINES` lines.
+
+    Only the last chunk may be shorter, and a summary without EQCs has none.
+    """
+    chunk: list[str] = []
+    for block in _blocks(summary):
+        chunk += block
+        if len(chunk) >= _CHUNK_LINES:
+            yield "".join(chunk)
+            chunk = []
+    if chunk:
+        yield "".join(chunk)
+
+
+@paused()
 def format_summary(summary: Summary) -> str:
     """The full file text: header plus sorted statements, LF-terminated."""
-    lines = [header_line(summary)]
-    lines.extend(_statement_lines(summary))
-    lines.append("")
-    return "\n".join(lines)
+    return f"{header_line(summary)}\n" + "".join(_statement_chunks(summary))
 
 
+def _write(fh: TextIO, summary: Summary) -> None:
+    fh.write(f"{header_line(summary)}\n")
+    for chunk in _statement_chunks(summary):
+        fh.write(chunk)
+
+
+@paused()
 def save_summary(summary: Summary, path: str | Path) -> None:
-    # Encode before opening the target, so a summary that cannot be written
-    # leaves no file behind.
-    Path(path).write_bytes(format_summary(summary).encode("utf-8"))
+    """Write `format_summary(summary)` to `path` as UTF-8, a chunk at a time.
+
+    A regular or new file is replaced atomically: the text goes to a sibling
+    temporary file, created exclusively with mode 0o666 less the umask, which
+    then replaces the target. A target that already exists keeps its
+    permission bits, and a symlinked target is written through the link. On
+    any error the temporary file is removed, so a summary that cannot be
+    written leaves no new file and the old one intact. A target that exists
+    but is not a regular file (a FIFO, `/dev/stdout`) is written to
+    directly. An `OSError` names `path`, never the temporary file.
+    """
+    try:
+        st = os.stat(path)
+    except OSError:  # a new file, or an error that creating it reports
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            _write(fh, summary)
+        return
+    target = os.path.realpath(path)
+    # A short name of its own: the target's name plus a suffix could exceed
+    # the file system's name limit.
+    tmp = os.path.join(os.path.dirname(target), f".mvsum-{secrets.token_hex(8)}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                _write(fh, summary)
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.errno is not None and exc.filename in (None, tmp):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
 
 
 def _generic_shape(raw: str | bytes, lineno: int) -> tuple[str, str, str] | None:

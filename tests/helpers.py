@@ -9,9 +9,19 @@ from pathlib import Path
 import mvsum
 from mvsum.graph import Graph, build_graph, union
 from mvsum.merge import CaseStats
-from mvsum.ntriples import RDF_TYPE, Term, Triple
+from mvsum.ntriples import RDF_TYPE, XSD_INTEGER, Term, Triple, _checked_iri
 from mvsum.summary import Model, Schema, Summary, summarize
-from mvsum.summary_io import format_summary
+from mvsum.summary_io import (
+    EQC_NS,
+    P_ATTRIBUTE,
+    P_CLASS,
+    P_COUNT,
+    P_MEMBER,
+    P_PAYLOAD,
+    PAYLOAD_NS,
+    format_summary,
+    header_line,
+)
 
 
 def iri(name: str) -> Term:
@@ -156,6 +166,29 @@ def random_triples(rng: random.Random, max_vertices: int = 12, max_edges: int = 
 def random_graph(rng: random.Random, **kw) -> Graph:
     """The graph of `random_triples(rng, **kw)`."""
     return build_graph(random_triples(rng, **kw))
+
+
+def reference_format(summary: Summary) -> str:
+    """The one-sort writer: build every statement line, sort them all once.
+
+    The reference for `format_summary`, which builds the same order subject
+    by subject. Checks every IRI as the writer does.
+    """
+    lines = []
+    for cid, (attributes, classes) in summary.eqcs.items():
+        eqc = f"<{_checked_iri(EQC_NS + cid)}>"
+        pay = f"<{PAYLOAD_NS}{cid}>"
+        for a in attributes:
+            lines.append(f"{eqc} <{P_ATTRIBUTE}> <{_checked_iri(a)}> .")
+        for c in classes:
+            lines.append(f"{eqc} <{P_CLASS}> <{_checked_iri(c)}> .")
+        lines.append(f"{eqc} <{P_PAYLOAD}> {pay} .")
+        members = summary.payloads[cid]
+        for m in members:
+            lines.append(f"{pay} <{P_MEMBER}> {m.nt()} .")
+        lines.append(f'{pay} <{P_COUNT}> "{len(members):d}"^^<{XSD_INTEGER}> .')
+    lines.sort()
+    return "\n".join([header_line(summary), *lines, ""])
 
 
 def canonical_bytes(s: Summary) -> bytes:

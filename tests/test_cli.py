@@ -60,6 +60,13 @@ def test_summarize_malformed_fail_fast(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_summarize_into_a_missing_directory_names_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.nt"
+    assert run("summarize", DATA / "tiny_graph.nt", "-o", out) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_summarize_skip_mode(tmp_path, capsys):
     bad = tmp_path / "bad.nt"
     bad.write_text("<urn:a> <urn:p> <urn:b> .\nbroken line\n")

@@ -1,7 +1,7 @@
 """The cyclic collector is paused over the bulk stages and restored after.
 
-`build_graph`, `summarize`, `read_summary` and the writer's statement
-formatting run with cyclic GC disabled. After any of them, with a normal
+`build_graph`, `summarize`, `read_summary`, `format_summary` and
+`save_summary` run with cyclic GC disabled. After any of them, with a normal
 return or an exception, `gc.isenabled()` must read what it read before; a
 caller's own code between parsed items runs with the caller's setting, and
 merging never touches the collector.
@@ -11,7 +11,7 @@ import gc
 
 import pytest
 
-from mvsum import multimerge
+from mvsum import multimerge, summary_io
 from mvsum.graph import build_graph
 from mvsum.merge import merge
 from mvsum.ntriples import ParseError, Term, parse_ntriples
@@ -114,8 +114,14 @@ def test_summary_reader_restores_collector(caller_gc, tmp_path):
     assert gc.isenabled() is caller_gc
 
 
-def test_summary_writer_restores_collector(caller_gc, tmp_path):
+def test_summary_writer_restores_collector(caller_gc, tmp_path, monkeypatch):
     assert format_summary(_summary()).splitlines(keepends=True) == _file_lines()
+    assert gc.isenabled() is caller_gc
+    # The chunk generator never pauses: between chunks the caller's own code
+    # runs under the caller's setting.
+    monkeypatch.setattr(summary_io, "_CHUNK_LINES", 1)
+    seen = [gc.isenabled() for _ in summary_io._statement_chunks(_summary())]
+    assert seen == [caller_gc] * 4
     assert gc.isenabled() is caller_gc
     save_summary(_summary(), tmp_path / "s.nt")
     assert gc.isenabled() is caller_gc
@@ -127,7 +133,7 @@ def test_summary_writer_restores_collector(caller_gc, tmp_path):
     assert gc.isenabled() is caller_gc
 
 
-def test_merge_does_not_touch_the_collector(caller_gc, monkeypatch):
+def test_merge_does_not_touch_the_collector(caller_gc, monkeypatch, tmp_path):
     s1 = _summary()
     s2 = summarize(build_graph(parse_ntriples(["<urn:x:a> <urn:p:r> <urn:x:c> ."])), Model.ACC)
     lines = _file_lines()
@@ -138,10 +144,11 @@ def test_merge_does_not_touch_the_collector(caller_gc, monkeypatch):
     multimerge.merge_all([s1, s2, s1], multimerge.Strategy.smallest_first())
     multimerge.merge_all([s1, s2, s1], multimerge.Strategy.greedy_parallel(2))
     assert calls == []
-    # The same spies see each of the four paused stages once; each re-enables
+    # The same spies see each of the five paused stages once; each re-enables
     # only a collector that was enabled.
     g = build_graph(parse_ntriples(GRAPH))
     summarize(g, Model.ACC)
     read_summary(lines)
     format_summary(s1)
-    assert calls == (["disable", "enable"] if caller_gc else ["disable"]) * 4
+    save_summary(s1, tmp_path / "s.nt")
+    assert calls == (["disable", "enable"] if caller_gc else ["disable"]) * 5

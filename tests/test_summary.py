@@ -70,6 +70,23 @@ def test_schema_sides_match_model():
         s.validate()
 
 
+@pytest.mark.parametrize("model, schema, side", [
+    (Model.AC, (("urn:q", "urn:p"), ()), "attributes"),
+    (Model.AC, (("urn:p", "urn:p"), ()), "attributes"),
+    (Model.CC, ((), ("urn:D", "urn:C")), "classes"),
+    (Model.ACC, (("urn:p",), ("urn:C", "urn:C")), "classes"),
+    # Code-point order, not the order of the lines the writer sorts.
+    (Model.AC, (("urn:a/b", "urn:a"), ()), "attributes"),
+])
+def test_validate_refuses_a_side_not_strictly_increasing(model, schema, side):
+    # Each summary carries the id of the very schema it holds, so only the
+    # order check can refuse it; the sorted side is accepted.
+    s = _one_eqc_summary(model, schema)
+    with pytest.raises(ValueError, match=f"^EQC {next(iter(s.eqcs))} has {side} that are not strictly increasing$"):
+        s.validate()
+    _one_eqc_summary(model, tuple(tuple(sorted(set(part))) for part in schema)).validate()
+
+
 def test_eqc_id_matches_independent_digest():
     # Oracle: hash the hand-written canonical strings with hashlib directly.
     for text, model, schema in [

@@ -1,14 +1,18 @@
 import hashlib
+import os
 import random
 import re
+import stat
+import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph
-from mvsum import summary_io
+from helpers import RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph, reference_format
+from mvsum import analytics, summary_io
 from mvsum.graph import build_graph
 from mvsum.ntriples import BLANK, IRI, Term, parse_ntriples
 from mvsum.summary import Model, Summary, eqc_id, summarize
@@ -150,11 +154,105 @@ def test_writer_rejects_forbidden_iri_characters(bad):
         format_summary(_summary_with(**bad))
 
 
-def test_save_refuses_surrogate_and_leaves_no_file(tmp_path):
+@pytest.mark.parametrize("member, error", [
+    ("urn:x:z\ud800", UnicodeEncodeError),
+    ("urn:x:z b", ValueError),
+], ids=["surrogate", "forbidden"])
+def test_save_that_fails_leaves_no_file(tmp_path, monkeypatch, member, error):
+    # One line per chunk, so the bad member, which sorts last, fails after
+    # earlier chunks reached the temporary file.
+    monkeypatch.setattr(summary_io, "_CHUNK_LINES", 1)
+    s = _summary_with(member=member)
+    with pytest.raises(error):
+        save_summary(s, tmp_path / "s.nt")
+    assert list(tmp_path.iterdir()) == []
+    # A failed overwrite leaves the old file's bytes.
+    path = tmp_path / "old.nt"
+    save_summary(_summary_with(), path)
+    old = path.read_bytes()
+    with pytest.raises(error):
+        save_summary(s, path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_new_file_mode_is_that_of_write_bytes(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        (tmp_path / "ref").write_bytes(b"")
+        save_summary(_summary_with(), tmp_path / "s.nt")
+    finally:
+        os.umask(umask)
+    mode = stat.S_IMODE((tmp_path / "ref").stat().st_mode)
+    assert mode == 0o640
+    assert stat.S_IMODE((tmp_path / "s.nt").stat().st_mode) == mode
+
+
+def test_save_overwrite_keeps_permission_bits(tmp_path):
     path = tmp_path / "s.nt"
-    with pytest.raises(UnicodeEncodeError):
-        save_summary(_summary_with(member="urn:x:a\ud800"), path)
-    assert not path.exists()
+    path.write_bytes(b"old")
+    path.chmod(0o600)
+    save_summary(_summary_with(), path)
+    assert path.read_text(encoding="utf-8") == format_summary(_summary_with())
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_save_takes_a_name_of_the_longest_length(tmp_path):
+    path = tmp_path / ("s" * 255)
+    save_summary(_summary_with(), path)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_writes_through_a_symlink(tmp_path):
+    real, link = tmp_path / "real.nt", tmp_path / "link.nt"
+    real.write_bytes(b"old")
+    link.symlink_to(real.name)
+    save_summary(_summary_with(), link)
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_text(encoding="utf-8") == format_summary(_summary_with())
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+
+def test_save_writes_into_a_fifo(tmp_path):
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+    reader.start()
+    save_summary(_summary_with(), path)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [format_summary(_summary_with()).encode("utf-8")]
+    assert stat.S_ISFIFO(path.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _save_peak(s, path):
+    """Peak bytes `save_summary` allocates above what exists when it starts."""
+    tracemalloc.start()
+    try:
+        save_summary(s, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_memory_does_not_grow_with_the_file(tmp_path):
+    # The writer holds one chunk and one payload's lines, not the whole file,
+    # so each extra file byte costs it well under one byte of memory. A
+    # writer that builds the file in memory costs a few bytes per file byte.
+    points = []
+    for vertices, edges in ((2500, 6000), (10000, 25000)):
+        params = analytics.GenParams(views=1, vertices_per_view=vertices, edges_per_view=edges,
+                                     predicate_alphabet=20, class_alphabet=8, overlap=0.5,
+                                     type_prob=0.3, seed=5)
+        (_, g), = analytics.generate_views(params)
+        s = summarize(g, Model.ACC)
+        path = tmp_path / f"s{vertices}.nt"
+        points.append((s.edge_count(), _save_peak(s, path), path.stat().st_size))
+    (e1, peak1, size1), (e2, peak2, size2) = points
+    assert 8_000 < e1 < 12_000 and 35_000 < e2 < 45_000
+    assert (peak2 - peak1) / (size2 - size1) < 0.5
 
 
 def test_foreign_statement_rejected():
@@ -409,3 +507,65 @@ def test_statement_pattern_agrees_with_generic_parse(lines, verify):
     with mock.patch.object(summary_io, "_STATEMENT", _NEVER):
         generic = _load_outcome(lines, verify)
     assert fast == generic
+
+
+# --- the writer's order against one global sort ----------------------------------
+#
+# Summaries built straight through the API and never validated, from pools
+# chosen to break a writer that compares bare ids or bare IRIs: ids and IRIs
+# where one is a prefix of another and the next character sorts below `>`.
+
+_IDS = ["abc", "abc1", "ab", "ab!", "ab=", "ab/", "abd", "a", ""]
+_IRIS = ["urn:a", "urn:a/b", "urn:a!", "urn:a=", "urn:a;", "urn:ab", "urn:a0", "urn:é"]
+_MEMBERS = [Term.iri(i) for i in _IRIS] + [Term.blank(b) for b in ("b", "b1", "B", "b0")]
+
+
+@st.composite
+def _adversarial_summaries(draw):
+    ids = draw(st.lists(st.sampled_from(_IDS), unique=True))
+    side = st.lists(st.sampled_from(_IRIS), max_size=4).map(tuple)
+    s = Summary(model=draw(st.sampled_from(list(Model))))
+    for cid in ids:
+        s.eqcs[cid] = (draw(side), draw(side))
+        s.payloads[cid] = draw(st.sets(st.sampled_from(_MEMBERS), max_size=6))
+    return s
+
+
+@given(_adversarial_summaries())
+@example(Summary(model=Model.AC))
+@example(Summary(model=Model.ACC, eqcs={"abc": (("urn:a", "urn:a/b"), ()), "abc1": ((), ()), "ab": ((), ())},
+                 payloads={"abc": {Term.iri("urn:a"), Term.iri("urn:a!")}, "abc1": {Term.blank("b")}, "ab": set()}))
+@settings(max_examples=500, deadline=None)
+def test_writer_order_is_one_global_sort(s):
+    assert format_summary(s) == reference_format(s)
+
+
+@st.composite
+def _api_summaries(draw):
+    # Valid in most respects, but a side may be out of order, repeat an IRI
+    # or be one the model omits; each EQC carries the id of what it holds.
+    model = draw(st.sampled_from(list(Model)))
+    side = st.lists(st.sampled_from(_IRIS), max_size=3).map(tuple)
+    members = draw(st.lists(st.sampled_from(_MEMBERS), unique=True))
+    s = Summary(model=model)
+    while members:
+        schema = draw(side), draw(side)
+        cid = eqc_id(model, schema)
+        if cid in s.eqcs:
+            continue
+        k = draw(st.integers(1, len(members)))
+        s.eqcs[cid] = schema
+        s.payloads[cid] = set(members[:k])
+        s.member_index.update((m, cid) for m in members[:k])
+        members = members[k:]
+    return s
+
+
+@given(_api_summaries())
+@settings(max_examples=300, deadline=None)
+def test_every_valid_summary_reads_back_equal(s):
+    try:
+        s.validate()
+    except ValueError:
+        return
+    assert reload(s) == s
