@@ -2,14 +2,15 @@
 
 The merge has three steps. Step 1 takes the plain union of the two
 summaries' schemas and payloads, which is already correct for every member
-whose situation is trivial (case 1). Step 2 finds members present in both
-summaries under *different* EQCs (case 3) and moves each into the EQC of
-the combined schema, creating it if needed. That EQC is resolved once per
-pair of EQCs, not once per member: many members share a pair, and few
-schemas exist. Step 3 deletes every EQC that lost all its members from
-both the schemas and the payloads. The paper's payload adaptation for
-case 2 is a new member count; a payload is its member set and the count
-is that set's size, so it needs no work.
+whose situation is trivial (case 1). Step 2 looks each member of the
+smaller input up in the larger input's member index, the one member-to-EQC
+map a merge builds, to find members under *different* EQCs (case 3), and
+moves each into the EQC of the combined schema, creating it if needed. That
+EQC is resolved once per pair of EQCs: many members share a pair, and few
+schemas exist. Step 3 deletes every EQC that lost all its members from both
+the schemas and the payloads. The paper's payload adaptation for case 2 is
+a new member count; a payload is its member set and the count is that set's
+size, so it needs no work.
 
 The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
 second scan: step 1's union of an EQC both inputs hold gives the size of
@@ -130,40 +131,37 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
             common += len(attributes) + len(classes) + 1 + both
             common += len(p1) == len(p2)
         out.payloads[cid] = members
-    out.member_index = dict(s1.member_index)
-    out.member_index.update(s2.member_index)
 
     # Step 2: detect case 3 and move each conflicting member into the EQC of
-    # the combined schema. Scanning the smaller member index finds the same
-    # conflicts at lower cost. `targets` holds the target of each EQC pair
-    # met so far, so the schema work is done once per pair, not per member.
-    # It is nested, one EQC then the other, so that it allocates no object
-    # per pair: tens of thousands of pair keys or member lists alive until
-    # the step ends set off a full cyclic collection.
-    scan, other = (s1, s2) if len(s1.member_index) <= len(s2.member_index) else (s2, s1)
+    # the combined schema. Scanning the smaller input's payloads against the
+    # larger input's member index finds the same conflicts at lower cost.
+    # `row` holds the target of each pair of the scanned EQC with an EQC of
+    # the other input met so far, so the schema work is done once per pair,
+    # not per member; an EQC with no conflict gets no row.
+    members_s1 = sum(map(len, s1.payloads.values()))
+    scan, other = (s1, s2) if members_s1 <= sum(map(len, s2.payloads.values())) else (s2, s1)
     get = other.member_index.get
-    payloads, index, s2_eqcs = out.payloads, out.member_index, s2.eqcs
-    targets: dict[EqcId, dict[EqcId, EqcId]] = {}
+    payloads, s2_eqcs = out.payloads, s2.eqcs
     ids: dict[Schema, EqcId] = {}
     case3 = 0
-    for m, ca in scan.member_index.items():
-        cb = get(m)
-        if cb is None or cb == ca:
-            continue
-        row = targets.get(ca)
-        if row is None:
-            row = targets[ca] = {}
-        cid = row.get(cb)
-        if cid is None:
-            cid = row[cb] = _target_eqc(out, ca, cb, ids)
-        payloads[ca].discard(m)
-        payloads[cb].discard(m)
-        payloads[cid].add(m)
-        index[m] = cid
-        # A conflict whose S1 EQC is also in S2 was counted in case 2 above.
-        case3 += 1
-        if (ca if scan is s1 else cb) in s2_eqcs:
-            case2 -= 1
+    for ca, members in scan.payloads.items():
+        row = None
+        for m in members:
+            cb = get(m)
+            if cb is None or cb == ca:
+                continue
+            if row is None:
+                row = {}
+            cid = row.get(cb)
+            if cid is None:
+                cid = row[cb] = _target_eqc(out, ca, cb, ids)
+            payloads[ca].discard(m)
+            payloads[cb].discard(m)
+            payloads[cid].add(m)
+            # A conflict whose S1 EQC is also in S2 was counted in case 2 above.
+            case3 += 1
+            if (ca if scan is s1 else cb) in s2_eqcs:
+                case2 -= 1
 
     # Step 3: drop drained EQCs. A count is the size of the member set, so
     # no payload needs adapting.
@@ -174,7 +172,6 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
 
     e1 = s1.edge_count()
     e2 = s2.edge_count()
-    members_s1 = len(s1.member_index)
     record = MergeRecord(
         edges_s1=e1,
         edges_s2=e2,

@@ -84,10 +84,11 @@ class MergeSchedule:
     strategy: str
     steps: list[Step] = field(default_factory=list)
     total_wall_ms: float = 0.0
-    total_work: int = 0
 
-    def finalize_work(self) -> None:
-        self.total_work = sum(step.record.edges_sum for step in self.steps)
+    @property
+    def total_work(self) -> int:
+        """The steps' summed `edges_sum`: the work under cost(a, b) = a + b."""
+        return sum(step.record.edges_sum for step in self.steps)
 
 
 def _run_random(items, seed: int, do_merge, out_names):
@@ -192,7 +193,6 @@ def merge_all(
 
     final, schedule.steps, _ = _run(items, strategy, do_merge, out_names)
     schedule.total_wall_ms = (time.perf_counter() - started) * 1e3
-    schedule.finalize_work()
     return final, schedule
 
 
@@ -230,7 +230,6 @@ def schedule_work(
         return out, out, fake_record(a, b)
 
     _, schedule.steps, makespan = _run(items, strategy, do_merge, out_names)
-    schedule.finalize_work()
     schedule.total_wall_ms = float(makespan)
     return schedule
 

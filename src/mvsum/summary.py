@@ -93,22 +93,30 @@ def union_side(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
 
 @dataclass
 class Summary:
-    """A structural summary: schemas, payloads, and the member-to-EQC index.
+    """A structural summary: EQC schemas and one payload (member set) per EQC.
 
     An EQC's payload is its member set; its file form also states the
-    member count. `member_index` is the exact inverse of payload membership,
-    every EqcId appears in both `eqcs` and `payloads`, each schema side is
-    strictly increasing by code point, a side the model omits is empty in
-    every schema, and a finalized summary has no empty EQC. Summaries are
-    treated as immutable once returned; the merge engine mutates only
-    summaries it is still constructing.
+    member count. Every EqcId is in both `eqcs` and `payloads`, no member
+    is in two payloads, each schema side is strictly increasing by code
+    point, a side the model omits is empty in every schema, and a finalized
+    summary has no empty EQC. No index is stored: `member_index` builds the
+    member-to-EQC map anew on each call. Summaries are treated as immutable
+    once returned; the merge engine mutates only summaries it is still building.
     """
 
     model: Model
     digest: str = DEFAULT_DIGEST
     eqcs: dict[EqcId, Schema] = field(default_factory=dict)
     payloads: dict[EqcId, set[Term]] = field(default_factory=dict)
-    member_index: dict[Term, EqcId] = field(default_factory=dict)
+
+    @property
+    def member_index(self) -> dict[Term, EqcId]:
+        """Each member's EQC, the inverse of `payloads`: a new dict per call."""
+        # `dict.fromkeys` reuses the hashes the sets store; rehashing cost 2x on coarse EQCs.
+        index: dict[Term, EqcId] = {}
+        for cid, members in self.payloads.items():
+            index.update(dict.fromkeys(members, cid))
+        return index
 
     def edge_count(self) -> int:
         """Number of statements in the serialized-triple representation."""
@@ -131,8 +139,6 @@ class Summary:
                 if m in seen:
                     raise ValueError(f"member {m.nt()} appears in {seen[m]} and {cid}")
                 seen[m] = cid
-        if seen != self.member_index:
-            raise ValueError("member_index is not the inverse of payload membership")
         for cid, (attributes, classes) in self.eqcs.items():
             if attributes and not self.model.wants_attributes:
                 raise ValueError(f"EQC {cid} has attributes under model {self.model.value}")
@@ -173,6 +179,4 @@ def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
         cid = eqc_id(model, schema, digest)
         s.eqcs[cid] = schema
         s.payloads[cid] = set(members)
-        for m in members:
-            s.member_index[m] = cid
     return s

@@ -37,7 +37,9 @@ and its triple is mapped onto the same shape, so one set of checks serves
 both paths. An error in one statement names its physical line, the header
 being line 1: so do an attribute under CC, a class under AC and a second,
 differing count of one payload. An error found after the last line names
-the EQC's `payload` statement or its payload's `count` statement.
+the EQC's `payload` statement or its payload's `count` statement, the first
+statement of an EQC without a payload, or the first `member` or `count`
+statement of a payload attached to no EQC.
 
 `read_summary`, `format_summary` and `save_summary` run with the cyclic
 collector paused (see `mvsum._collector`): their Terms, id strings, lines,
@@ -266,14 +268,15 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             raise SummaryFormatError(f"line 1: {exc}") from None
 
     # Keyed by the EQC id, or by the payload id (the text after PAYLOAD_NS).
-    # `payload_of` and `counts` also keep the line of their statement, which
-    # the checks after the loop name.
+    # `payload_of` and `counts` keep their statement's line, `eqc_line` and
+    # `member_line` the line an id is first seen on, for the later checks.
     want_attrs, want_classes = model.wants_attributes, model.wants_classes
     attrs: dict[str, set[str]] = {}
     classes: dict[str, set[str]] = {}
     payload_of: dict[str, tuple[str, int]] = {}
-    eqc_ids: set[str] = set()
+    eqc_line: dict[str, int] = {}
     members: dict[str, set[Term]] = {}
+    member_line: dict[str, int] = {}
     counts: dict[str, tuple[int, int]] = {}
     match = _STATEMENT.fullmatch
     for lineno, raw in enumerate(it, start=2):
@@ -292,10 +295,14 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
         if shape == "attribute":
             if not want_attrs:
                 raise SummaryFormatError(f"line {lineno}: EQC {sid} has attributes under model {model.value}")
-            eqc_ids.add(sid)
+            eqc_line.setdefault(sid, lineno)
             attrs.setdefault(sid, set()).add(value)
         elif shape == IRI or shape == BLANK:
-            members.setdefault(sid, set()).add(Term(shape, value))
+            ms = members.get(sid)
+            if ms is None:
+                ms = members[sid] = set()
+                member_line[sid] = lineno
+            ms.add(Term(shape, value))
         elif shape == "count":
             if not _COUNT.fullmatch(value):
                 t = Triple(Term(IRI, PAYLOAD_NS + sid), Term(IRI, P_COUNT), Term(LITERAL, value, XSD_INTEGER))
@@ -304,28 +311,29 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             if counts.setdefault(sid, (count, lineno))[0] != count:
                 raise SummaryFormatError(f"line {lineno}: payload {PAYLOAD_NS}{sid} has two counts: {counts[sid][0]} and {count}")
         elif shape == "payload":
-            eqc_ids.add(sid)
+            eqc_line.setdefault(sid, lineno)
             if payload_of.setdefault(value, (sid, lineno))[0] != sid:
                 raise SummaryFormatError(f"line {lineno}: payload vertex {PAYLOAD_NS}{value} attached to two EQCs")
         else:
             if not want_classes:
                 raise SummaryFormatError(f"line {lineno}: EQC {sid} has classes under model {model.value}")
-            eqc_ids.add(sid)
+            eqc_line.setdefault(sid, lineno)
             classes.setdefault(sid, set()).add(value)
 
-    missing = eqc_ids - {hexid for hexid, _ in payload_of.values()}
+    missing = eqc_line.keys() - {hexid for hexid, _ in payload_of.values()}
     if missing:
-        raise SummaryFormatError(f"EQCs without payloads: {sorted(missing)}")
+        line = min(eqc_line[hexid] for hexid in missing)
+        raise SummaryFormatError(f"line {line}: EQCs without payloads: {sorted(missing)}")
 
     summary = Summary(model=model, digest=digest)
-    for hexid in sorted(eqc_ids):
+    for hexid in sorted(eqc_line):
         schema = tuple(sorted(attrs.get(hexid, ()))), tuple(sorted(classes.get(hexid, ())))
         if verify and eqc_id(model, schema, digest) != hexid:
             line = min(n for c, n in payload_of.values() if c == hexid)
             raise SummaryFormatError(f"line {line}: EQC id {hexid} does not match its schema under digest {digest}")
         summary.eqcs[hexid] = schema
 
-    member_index = summary.member_index
+    owner: dict[Term, str] = {}
     for pid, (hexid, line) in payload_of.items():
         if hexid in summary.payloads:
             raise SummaryFormatError(f"line {line}: EQC {hexid} has a second payload {PAYLOAD_NS}{pid}")
@@ -339,14 +347,16 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             raise SummaryFormatError(f"line {count_line}: EQC {hexid}: count {count} != {len(ms)} members")
         summary.payloads[hexid] = ms
         for m in ms:
-            other = member_index.setdefault(m, hexid)
+            other = owner.setdefault(m, hexid)
             if other != hexid:
                 raise SummaryFormatError(f"line {line}: member {m.nt()} of EQC {hexid} already appears in EQC {other}")
 
-    stray = (set(members) | set(counts)) - set(payload_of)
+    stray = (members.keys() | counts.keys()) - payload_of.keys()
     if stray:
+        line = min([member_line[pid] for pid in stray if pid in member_line]
+                   + [counts[pid][1] for pid in stray if pid in counts])
         stray_iris = sorted(PAYLOAD_NS + pid for pid in stray)
-        raise SummaryFormatError(f"payload vertices never attached to an EQC: {stray_iris}")
+        raise SummaryFormatError(f"line {line}: payload vertices never attached to an EQC: {stray_iris}")
     return summary
 
 

@@ -112,6 +112,15 @@ def schema_of(v: Term, g: Graph, model: Model) -> Schema:
     return attrs, classes
 
 
+def inverse(s: Summary) -> dict[Term, str]:
+    """Each member's EQC, one member at a time: the reference for `Summary.member_index`."""
+    index = {}
+    for cid, members in s.payloads.items():
+        for m in members:
+            index[m] = cid
+    return index
+
+
 def classify_cases(s1: Summary, s2: Summary) -> CaseStats:
     """Count, for every member of S1, which merge case it falls into.
 
@@ -119,9 +128,10 @@ def classify_cases(s1: Summary, s2: Summary) -> CaseStats:
     EQC. Case 2: not in S2 but its EQC exists in S2. Case 3: in S2 under a
     different EQC. `merge` gathers the same counts while it merges.
     """
+    index1, index2 = inverse(s1), inverse(s2)
     case1 = case2 = case3 = 0
-    for m, cid in s1.member_index.items():
-        other = s2.member_index.get(m)
+    for m, cid in index1.items():
+        other = index2.get(m)
         if other is None:
             if cid in s2.eqcs:
                 case2 += 1
@@ -131,7 +141,7 @@ def classify_cases(s1: Summary, s2: Summary) -> CaseStats:
             case1 += 1
         else:
             case3 += 1
-    return CaseStats(case1, case2, case3, len(s1.member_index))
+    return CaseStats(case1, case2, case3, len(index1))
 
 
 # --- seeded random graphs ------------------------------------------------------

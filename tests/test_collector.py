@@ -49,8 +49,7 @@ def _bad_summary():
     # An IRI the writer refuses, in a summary built through the API.
     schema = (("urn:p",), ())
     cid = eqc_id(Model.AC, schema)
-    return Summary(Model.AC, eqcs={cid: schema}, payloads={cid: {Term.iri("urn:a b")}},
-                   member_index={Term.iri("urn:a b"): cid})
+    return Summary(Model.AC, eqcs={cid: schema}, payloads={cid: {Term.iri("urn:a b")}})
 
 
 def _file_lines():

@@ -190,7 +190,6 @@ def test_duplicate_id_with_different_schema_is_corruption():
     # simulate a digest collision: same id, different schema in s1
     s1.eqcs[cid] = (("urn:other",), ())
     s1.payloads[cid] = {iri("q")}
-    s1.member_index[iri("q")] = cid
     with pytest.raises(CorruptSummaryError):
         merge(s1, s2)
     # The same collision on the combined schema of a conflicting member: x is
@@ -201,7 +200,6 @@ def test_duplicate_id_with_different_schema_is_corruption():
     cid = eqc_id(Model.AC, ((p("p").value, p("q").value), ()))
     s1.eqcs[cid] = (("urn:other",), ())
     s1.payloads[cid] = {iri("q")}
-    s1.member_index[iri("q")] = cid
     with pytest.raises(CorruptSummaryError, match=f"^EqcId {cid} maps to two different schemas$"):
         merge(s1, s2)
 

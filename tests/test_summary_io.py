@@ -138,7 +138,6 @@ def _summary_with(attribute="urn:p:p", klass="urn:c:C", member="urn:x:a", cid=No
     s = Summary(model=Model.ACC)
     s.eqcs[cid] = schema
     s.payloads[cid] = {Term.iri(member)}
-    s.member_index[Term.iri(member)] = cid
     return s
 
 
@@ -343,7 +342,9 @@ def test_a_second_count_must_agree():
 
 
 # Checks made after the last line name the line of the EQC's `payload`
-# statement, or of its payload's `count` statement.
+# statement, or of its payload's `count` statement. Of the EQCs without a
+# payload, and of the payloads attached to no EQC, they name the earliest
+# statement.
 _INT = "<http://www.w3.org/2001/XMLSchema#integer>"
 _E = eqc_id(Model.AC, (("urn:p",), ()))
 _F = eqc_id(Model.AC, (("urn:q",), ()))
@@ -373,6 +374,15 @@ def _eqc_lines(cid, attribute, members, count=None, payload=None):
      f"line 7: member <urn:x> of EQC {_F} already appears in EQC {_E}"),
     (_eqc_lines(_E, "urn:p", ["urn:x"], payload="P1") + _eqc_lines(_E, "urn:p", ["urn:y"], payload="P2")[1:],
      f"line 6: EQC {_E} has a second payload urn:mvs:payload:P2"),
+    (_eqc_lines(_E, "urn:p", ["urn:x"]) + [f"<urn:mvs:eqc:{_F}> <urn:mvs:attribute> <urn:q> ."],
+     f"line 6: EQCs without payloads: ['{_F}']"),
+    (["<urn:mvs:eqc:b> <urn:mvs:attribute> <urn:q> .", "<urn:mvs:eqc:a> <urn:mvs:attribute> <urn:p> ."],
+     "line 2: EQCs without payloads: ['a', 'b']"),
+    (_eqc_lines(_E, "urn:p", ["urn:x"]) + _eqc_lines(_F, "urn:q", ["urn:y"], payload="P")[2:],
+     "line 6: payload vertices never attached to an EQC: ['urn:mvs:payload:P']"),
+    (["<urn:mvs:payload:q> <urn:mvs:member> <urn:y> .", f'<urn:mvs:payload:p> <urn:mvs:count> "1"^^{_INT} .',
+      "<urn:mvs:payload:p> <urn:mvs:member> <urn:x> ."],
+     "line 2: payload vertices never attached to an EQC: ['urn:mvs:payload:p', 'urn:mvs:payload:q']"),
 ])
 def test_checks_after_the_last_line_name_a_line(body, message):
     with pytest.raises(SummaryFormatError) as exc:
@@ -556,7 +566,6 @@ def _api_summaries(draw):
         k = draw(st.integers(1, len(members)))
         s.eqcs[cid] = schema
         s.payloads[cid] = set(members[:k])
-        s.member_index.update((m, cid) for m in members[:k])
         members = members[k:]
     return s
 
