@@ -8,6 +8,12 @@ disjoint by construction. An IRI or blank object becomes a vertex; a
 literal object does not. Graphs are treated as immutable once built;
 `union` returns a new value.
 
+Within one `build_graph` call each vertex has one Term: the Term held in
+`vertices` is the key it has in `vertex_labels` and `out_labels`, and each
+class IRI is one string, however many statements repeat them. A local dict
+maps each Term to its first copy and is dropped on return; nothing is
+cached across calls.
+
 `build_graph` runs with the cyclic collector paused (see `mvsum._collector`),
 and so does the parser generator it drives, since the parser's work runs
 inside `build_graph`'s loop. Terms, Triples and label sets hold no cycles,
@@ -40,16 +46,20 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
     """
     g = Graph()
     vertices, vertex_labels, out_labels = g.vertices, g.vertex_labels, g.out_labels
+    # Maps each vertex and class Term to its first copy, so that `vertices`
+    # and both label maps share one Term per vertex and one string per class.
+    one = {}.setdefault
     for s, p, o in triples:
+        s = one(s, s)
         vertices.add(s)
         if p.value == RDF_TYPE:
             if o.kind != IRI:
                 raise ValueError(f"rdf:type object must be an IRI, got {o.nt()}")
-            vertex_labels.setdefault(s, set()).add(o.value)
+            vertex_labels.setdefault(s, set()).add(one(o, o).value)
             continue
         out_labels.setdefault(s, set()).add(p.value)
         if o.kind != LITERAL:
-            vertices.add(o)
+            vertices.add(one(o, o))
     return g
 
 

@@ -41,6 +41,14 @@ the EQC's `payload` statement or its payload's `count` statement, the first
 statement of an EQC without a payload, or the first `member` or `count`
 statement of a payload attached to no EQC.
 
+Within one `read_summary` call each id and each label is one string: a
+local dict maps every copy a line brings to the first one, so an EQC's id
+is the same object in `eqcs`, in `payloads` and in the loader's own dicts,
+and a predicate named on thousands of attribute lines is one string. Each
+schema side is collected in a list, then deduplicated, sorted and made a
+tuple when its EQC is built, so statements may come in any order and any
+number of times. Nothing is kept across calls.
+
 `read_summary`, `format_summary` and `save_summary` run with the cyclic
 collector paused (see `mvsum._collector`): their Terms, id strings, lines,
 sets and dicts hold no cycles, so a collection there would free nothing.
@@ -57,7 +65,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from mvsum._collector import paused
-from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, parse_ntriples, triple_line
+from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, _new, parse_ntriples, triple_line
 from mvsum.summary import Model, Summary, check_digest, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
@@ -270,9 +278,14 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     # Keyed by the EQC id, or by the payload id (the text after PAYLOAD_NS).
     # `payload_of` and `counts` keep their statement's line, `eqc_line` and
     # `member_line` the line an id is first seen on, for the later checks.
+    # `one` maps each id and label string to its first copy, so all of these
+    # dicts and the schemas hold one object per value, and a line's own
+    # copies are freed with the line. A schema side is a list, deduplicated
+    # when its tuple is built below.
     want_attrs, want_classes = model.wants_attributes, model.wants_classes
-    attrs: dict[str, set[str]] = {}
-    classes: dict[str, set[str]] = {}
+    one: dict[str, str] = {}
+    attrs: dict[str, list[str]] = {}
+    classes: dict[str, list[str]] = {}
     payload_of: dict[str, tuple[str, int]] = {}
     eqc_line: dict[str, int] = {}
     members: dict[str, set[Term]] = {}
@@ -292,17 +305,18 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             if parsed is None:
                 continue
             shape, sid, value = parsed
+        sid = one.setdefault(sid, sid)
         if shape == "attribute":
             if not want_attrs:
                 raise SummaryFormatError(f"line {lineno}: EQC {sid} has attributes under model {model.value}")
             eqc_line.setdefault(sid, lineno)
-            attrs.setdefault(sid, set()).add(value)
+            attrs.setdefault(sid, []).append(one.setdefault(value, value))
         elif shape == IRI or shape == BLANK:
             ms = members.get(sid)
             if ms is None:
                 ms = members[sid] = set()
                 member_line[sid] = lineno
-            ms.add(Term(shape, value))
+            ms.add(_new(Term, (shape, value, None, None)))
         elif shape == "count":
             if not _COUNT.fullmatch(value):
                 t = Triple(Term(IRI, PAYLOAD_NS + sid), Term(IRI, P_COUNT), Term(LITERAL, value, XSD_INTEGER))
@@ -312,13 +326,14 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
                 raise SummaryFormatError(f"line {lineno}: payload {PAYLOAD_NS}{sid} has two counts: {counts[sid][0]} and {count}")
         elif shape == "payload":
             eqc_line.setdefault(sid, lineno)
+            value = one.setdefault(value, value)
             if payload_of.setdefault(value, (sid, lineno))[0] != sid:
                 raise SummaryFormatError(f"line {lineno}: payload vertex {PAYLOAD_NS}{value} attached to two EQCs")
         else:
             if not want_classes:
                 raise SummaryFormatError(f"line {lineno}: EQC {sid} has classes under model {model.value}")
             eqc_line.setdefault(sid, lineno)
-            classes.setdefault(sid, set()).add(value)
+            classes.setdefault(sid, []).append(one.setdefault(value, value))
 
     missing = eqc_line.keys() - {hexid for hexid, _ in payload_of.values()}
     if missing:
@@ -327,7 +342,7 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
 
     summary = Summary(model=model, digest=digest)
     for hexid in sorted(eqc_line):
-        schema = tuple(sorted(attrs.get(hexid, ()))), tuple(sorted(classes.get(hexid, ())))
+        schema = tuple(sorted(set(attrs.pop(hexid, ())))), tuple(sorted(set(classes.pop(hexid, ()))))
         if verify and eqc_id(model, schema, digest) != hexid:
             line = min(n for c, n in payload_of.values() if c == hexid)
             raise SummaryFormatError(f"line {line}: EQC id {hexid} does not match its schema under digest {digest}")

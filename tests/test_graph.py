@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import RDF_TYPE_TERM, cls, graph_of, iri, naive_vertices, p, random_graph, random_triples
 from mvsum.graph import build_graph, union
-from mvsum.ntriples import Term
+from mvsum.ntriples import RDF_TYPE, Term, parse_ntriples
 
 
 def test_type_triple_becomes_vertex_label():
@@ -38,6 +38,25 @@ def test_type_with_literal_object_rejected():
 def test_type_with_blank_object_rejected():
     with pytest.raises(ValueError):
         graph_of((iri("a"), RDF_TYPE_TERM, Term.blank("c")))
+
+
+def test_each_vertex_is_one_term():
+    # Each parsed statement brings its own Terms. `a` and `_:c` are objects
+    # before they are subjects, and `urn:c:C` is the class of three vertices.
+    lines = [
+        "<urn:x:b> <urn:p:p> <urn:x:a> .",
+        "<urn:x:a> <urn:p:q> _:c .",
+        f"<urn:x:a> <{RDF_TYPE}> <urn:c:C> .",
+        f"_:c <{RDF_TYPE}> <urn:c:C> .",
+        '_:c <urn:p:p> "lit" .',
+        f"<urn:x:b> <{RDF_TYPE}> <urn:c:C> .",
+    ]
+    g = build_graph(parse_ntriples(lines))
+    held = {id(v) for v in g.vertices}
+    assert len(held) == 3
+    for labels in (g.out_labels, g.vertex_labels):
+        assert len(labels) == 3 and all(id(v) in held for v in labels)
+    assert len({id(c) for classes in g.vertex_labels.values() for c in classes}) == 1
 
 
 def test_union_spec_examples():
