@@ -1,6 +1,6 @@
 """Multi-view structural graph summaries: build, merge, schedule, measure."""
 
-from mvsum.graph import Graph, build_graph, union
+from mvsum.graph import Graph, build_graph
 from mvsum.merge import (
     CaseStats,
     CorruptSummaryError,
@@ -9,7 +9,7 @@ from mvsum.merge import (
     merge,
 )
 from mvsum.multimerge import MergeSchedule, Strategy, merge_all, schedule_work
-from mvsum.ntriples import ParseError, Term, Triple, parse_ntriples, serialize_ntriples
+from mvsum.ntriples import ParseError, Term, Triple, parse_ntriples
 from mvsum.summary import (
     DEFAULT_DIGEST,
     Model,
@@ -48,7 +48,5 @@ __all__ = [
     "read_summary",
     "save_summary",
     "schedule_work",
-    "serialize_ntriples",
     "summarize",
-    "union",
 ]

@@ -1,4 +1,4 @@
-"""Streaming N-Triples reader and writer.
+"""Streaming N-Triples reader, and the canonical statement line.
 
 This is the exchange format for both input graphs and summary files: one
 statement per line, UTF-8, `#` comment lines ignored. Only the N-Triples
@@ -98,17 +98,12 @@ class Triple(NamedTuple):
 # Labels are normalized to plain alphanumerics: already-plain labels pass
 # through unchanged (so normalization is idempotent and serialized output
 # re-parses to equal terms), anything else becomes `x` plus the UTF-8 hex of
-# the whole label. A namespace tag isolates labels from different files so
-# that unioning multi-file graphs never identifies unrelated blank nodes.
+# the whole label. Labels are global: `_:b` in two files is one node.
 
 _BNODE_PLAIN = re.compile(r"[A-Za-z0-9]+\Z")
 
 
-def normalize_bnode_label(label: str, ns: str = "") -> str:
-    if ns:
-        if not _BNODE_PLAIN.fullmatch(ns):
-            raise ValueError(f"blank node namespace must be alphanumeric: {ns!r}")
-        label = f"{ns}.{label}"
+def normalize_bnode_label(label: str) -> str:
     if _BNODE_PLAIN.fullmatch(label):
         return label
     return "x" + label.encode("utf-8").hex()
@@ -160,7 +155,7 @@ def _skip_ws(text: str, pos: int) -> int:
     return m.end() if m else pos
 
 
-def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicate: bool, bnode_ns: str) -> tuple[Term, int]:
+def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicate: bool) -> tuple[Term, int]:
     m = _IRIREF.match(text, pos)
     if m:
         return Term(IRI, _unescape(m.group(1), line, pos + 2, iri=True)), m.end()
@@ -168,7 +163,7 @@ def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicat
         raise ParseError("expected IRI predicate", line, pos + 1)
     m = _BNODE.match(text, pos)
     if m:
-        return Term(BLANK, normalize_bnode_label(m.group(1), bnode_ns)), m.end()
+        return Term(BLANK, normalize_bnode_label(m.group(1))), m.end()
     if as_subject:
         raise ParseError("expected IRI or blank node subject", line, pos + 1)
     m = _STRING.match(text, pos)
@@ -192,19 +187,19 @@ def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicat
 _TYPE_OBJECT = "rdf:type object must be an IRI"
 
 
-def _tokenize_line(text: str, line: int, bnode_ns: str) -> Triple:
+def _tokenize_line(text: str, line: int) -> Triple:
     """Parse one statement term by term; the reference for `_parse_line`.
 
     Slower than the whole-line pattern, but it knows where parsing stopped,
     so its ParseError carries the exact column and reason.
     """
     pos = _skip_ws(text, 0)
-    subj, pos = _parse_term(text, pos, line, as_subject=True, as_predicate=False, bnode_ns=bnode_ns)
+    subj, pos = _parse_term(text, pos, line, as_subject=True, as_predicate=False)
     pos = _skip_ws(text, pos)
-    pred, pos = _parse_term(text, pos, line, as_subject=False, as_predicate=True, bnode_ns=bnode_ns)
+    pred, pos = _parse_term(text, pos, line, as_subject=False, as_predicate=True)
     pos = _skip_ws(text, pos)
     obj_col = pos + 1
-    obj, pos = _parse_term(text, pos, line, as_subject=False, as_predicate=False, bnode_ns=bnode_ns)
+    obj, pos = _parse_term(text, pos, line, as_subject=False, as_predicate=False)
     if obj.kind != IRI and pred.value == RDF_TYPE:
         raise ParseError(_TYPE_OBJECT, line, obj_col)
     pos = _skip_ws(text, pos)
@@ -243,7 +238,7 @@ _LINE = re.compile(
 _new = tuple.__new__
 
 
-def _parse_line(text: str, line: int, bnode_ns: str, predicates: dict[str, Term]) -> Triple:
+def _parse_line(text: str, line: int, predicates: dict[str, Term]) -> Triple:
     """Parse one statement; `predicates` maps predicate IRIs to shared Terms.
 
     The caller owns `predicates`, so equal predicates share one Term for as
@@ -251,7 +246,7 @@ def _parse_line(text: str, line: int, bnode_ns: str, predicates: dict[str, Term]
     """
     m = _LINE.fullmatch(text)
     if m is None:
-        return _tokenize_line(text, line, bnode_ns)
+        return _tokenize_line(text, line)
     s_iri, s_label, p_iri, o_iri, o_label, lit, dt, lang = m.groups()
     if "\\" in text:
         # Only group contents are unescaped, in the tokenizer's order, so the
@@ -271,14 +266,14 @@ def _parse_line(text: str, line: int, bnode_ns: str, predicates: dict[str, Term]
     if s_iri is not None:
         subj = _new(Term, (IRI, s_iri, None, None))
     else:
-        subj = _new(Term, (BLANK, normalize_bnode_label(s_label, bnode_ns), None, None))
+        subj = _new(Term, (BLANK, normalize_bnode_label(s_label), None, None))
     pred = predicates.get(p_iri)
     if pred is None:
         pred = predicates[p_iri] = _new(Term, (IRI, p_iri, None, None))
     if o_iri is not None:
         obj = _new(Term, (IRI, o_iri, None, None))
     elif o_label is not None:
-        obj = _new(Term, (BLANK, normalize_bnode_label(o_label, bnode_ns), None, None))
+        obj = _new(Term, (BLANK, normalize_bnode_label(o_label), None, None))
     else:
         obj = _new(Term, (LITERAL, lit, dt, lang))
     return _new(Triple, (subj, pred, obj))
@@ -287,7 +282,6 @@ def _parse_line(text: str, line: int, bnode_ns: str, predicates: dict[str, Term]
 def parse_ntriples(
     source: Iterable[str | bytes],
     on_error: Callable[[ParseError], None] | None = None,
-    bnode_ns: str = "",
     start: int = 1,
 ) -> Iterator[Triple]:
     """Yield triples from N-Triples text, one statement per line.
@@ -296,9 +290,9 @@ def parse_ntriples(
     Blank lines and `#` comment lines are skipped. A malformed line raises
     ParseError; passing `on_error` switches to skip-and-count mode, where the
     handler receives each error and parsing continues with the next line.
-    `bnode_ns` namespaces blank node labels (use a distinct tag per file when
-    several files form one logical graph). `start` is the line number of the
-    first line, for a caller that has already read the lines before it.
+    `start` is the line number of the first line, for a caller that has
+    already read the lines before it. Blank node labels are not namespaced:
+    `_:b` names one node in every source.
     """
     predicates: dict[str, Term] = {}
     for lineno, raw in enumerate(source, start=start):
@@ -318,7 +312,7 @@ def parse_ntriples(
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            yield _parse_line(text, lineno, bnode_ns, predicates)
+            yield _parse_line(text, lineno, predicates)
         except ParseError as err:
             if on_error is None:
                 raise
@@ -349,14 +343,3 @@ def triple_line(t: Triple) -> str:
     if t.predicate.kind != IRI:
         raise ValueError("predicate is always an IRI")
     return f"{t.subject.nt()} {t.predicate.nt()} {t.object.nt()} ."
-
-
-def serialize_ntriples(triples: Iterable[Triple], sink) -> None:
-    """Write triples to a text sink, one canonical statement per line (LF).
-
-    Round-trip stable: parsing the output yields the input triples in order.
-    """
-    write = sink.write
-    for t in triples:
-        write(triple_line(t))
-        write("\n")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from mvsum._collector import paused
 from mvsum.graph import Graph
-from mvsum.ntriples import Term
+from mvsum.ntriples import BLANK, LITERAL, Term, normalize_bnode_label
 
 EqcId = str
 
@@ -97,7 +97,8 @@ class Summary:
 
     An EQC's payload is its member set; its file form also states the
     member count. Every EqcId is in both `eqcs` and `payloads`, no member
-    is in two payloads, each schema side is strictly increasing by code
+    is in two payloads, each member is an IRI or a blank node with an
+    alphanumeric label, each schema side is strictly increasing by code
     point, a side the model omits is empty in every schema, and a finalized
     summary has no empty EQC. No index is stored: `member_index` builds the
     member-to-EQC map anew on each call. Summaries are treated as immutable
@@ -139,6 +140,12 @@ class Summary:
                 if m in seen:
                     raise ValueError(f"member {m.nt()} appears in {seen[m]} and {cid}")
                 seen[m] = cid
+                # The loader reads IRI and blank members only, and normalizes
+                # a blank label, so these two would not load back as written.
+                if m.kind == LITERAL:
+                    raise ValueError(f"EQC {cid} has a literal member {m.nt()}")
+                if m.kind == BLANK and normalize_bnode_label(m.value) != m.value:
+                    raise ValueError(f"EQC {cid} has a blank member {m.nt()} whose label is not alphanumeric")
         for cid, (attributes, classes) in self.eqcs.items():
             if attributes and not self.model.wants_attributes:
                 raise ValueError(f"EQC {cid} has attributes under model {self.model.value}")
@@ -158,17 +165,14 @@ def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
     """Summarize a whole graph: every vertex lands in exactly one EQC."""
     check_digest(digest)
     # Group vertices by their schema first, so its digest is computed once
-    # per EQC, not per vertex. A side the model omits is read from an empty
-    # map, so it is () for every vertex.
+    # per EQC, not per vertex. The graph's label tuples are already sorted,
+    # so they are the schema sides as they stand. A side the model omits is
+    # read from an empty map, so it is () for every vertex.
     out_labels = g.out_labels if model.wants_attributes else {}
     vertex_labels = g.vertex_labels if model.wants_classes else {}
     groups: dict[Schema, list[Term]] = {}
     for v in g.vertices:
-        labels = out_labels.get(v)
-        attrs = tuple(sorted(labels)) if labels else ()
-        labels = vertex_labels.get(v)
-        classes = tuple(sorted(labels)) if labels else ()
-        key = (attrs, classes)
+        key = (out_labels.get(v, ()), vertex_labels.get(v, ()))
         bucket = groups.get(key)
         if bucket is None:
             groups[key] = [v]

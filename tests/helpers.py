@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 import mvsum
-from mvsum.graph import Graph, build_graph, union
+from mvsum.graph import Graph, build_graph
 from mvsum.merge import CaseStats
 from mvsum.ntriples import RDF_TYPE, XSD_INTEGER, Term, Triple, _checked_iri
 from mvsum.summary import Model, Schema, Summary, summarize
@@ -102,6 +102,21 @@ def partition_of(s: Summary) -> set[frozenset]:
 
 
 # --- reference oracles, one vertex or one member at a time ---------------------
+
+def union(g1: Graph, g2: Graph) -> Graph:
+    """The union graph: every vertex, and per vertex the union of its labels.
+
+    Each label side is a sorted tuple, as `build_graph` makes it, so the
+    graph of two statement lists concatenated equals the union of their graphs.
+    """
+    g = Graph(vertices=g1.vertices | g2.vertices)
+    for side in ("vertex_labels", "out_labels"):
+        merged = getattr(g, side)
+        for src in (g1, g2):
+            for v, labels in getattr(src, side).items():
+                merged[v] = tuple(sorted(set(merged.get(v, ())) | set(labels)))
+    return g
+
 
 def schema_of(v: Term, g: Graph, model: Model) -> Schema:
     """The schema of one vertex under a model, read from the built graph."""

@@ -19,9 +19,10 @@ from helpers import (
     p,
     random_graph,
     schema_of,
+    union,
 )
 from mvsum.analytics import correlate_times, linfit
-from mvsum.graph import build_graph, union
+from mvsum.graph import build_graph
 from mvsum.merge import CorruptSummaryError, MergeConfigError, merge
 from mvsum.ntriples import Term, Triple
 from mvsum.summary import Model, eqc_id, summarize, union_side

@@ -15,7 +15,6 @@ from mvsum.ntriples import (
     _tokenize_line,
     normalize_bnode_label,
     parse_ntriples,
-    serialize_ntriples,
     triple_line,
 )
 
@@ -27,9 +26,14 @@ def parse_one(line: str) -> Triple:
     return t
 
 
-def _pattern_path(text: str, line: int, bnode_ns: str) -> Triple:
+def _pattern_path(text: str, line: int) -> Triple:
     """`_parse_line` with a fresh predicate dict, as a new `parse_ntriples` call has."""
-    return _parse_line(text, line, bnode_ns, {})
+    return _parse_line(text, line, {})
+
+
+def round_trip(triples: list[Triple]) -> list[Triple]:
+    """Write each triple as its canonical line, then parse the lines back."""
+    return list(parse_ntriples(triple_line(t) + "\n" for t in triples))
 
 
 def _assert_exact_types(t) -> None:
@@ -114,7 +118,7 @@ def test_escaped_iri_character_the_writer_refuses_is_parse_error(line, col, char
 def test_surrogate_escape_is_parse_error(line, col):
     for parse in (_pattern_path, _tokenize_line):
         with pytest.raises(ParseError) as exc:
-            parse(line, 1, "")
+            parse(line, 1)
         assert (exc.value.line, exc.value.col) == (1, col)
         assert exc.value.reason.startswith("escape of a surrogate code point")
 
@@ -133,7 +137,7 @@ _TYPE = f"<{RDF_TYPE}>"
 def test_rdf_type_object_must_be_iri(line, col):
     for parse in (_pattern_path, _tokenize_line):
         with pytest.raises(ParseError) as exc:
-            parse(line, 1, "")
+            parse(line, 1)
         assert (exc.value.line, exc.value.col) == (1, col)
         assert exc.value.reason == "rdf:type object must be an IRI"
     assert parse_one(f"<urn:a> {_TYPE} <urn:C> .").object == Term.iri("urn:C")
@@ -192,12 +196,6 @@ def test_serialize_literal_quote_escaped():
     assert line == '<urn:a> <urn:p> "say \\"hi\\"" .'
 
 
-def test_serialize_empty_sequence():
-    sink = io.StringIO()
-    serialize_ntriples([], sink)
-    assert sink.getvalue() == ""
-
-
 def test_serialize_rejects_invalid_terms():
     with pytest.raises(ValueError):
         triple_line(Triple(Term.literal("x"), Term.iri("urn:p"), Term.iri("urn:b")))
@@ -216,9 +214,7 @@ def test_round_trip_corpus():
         Triple(Term.iri("urn:a"), Term.iri("urn:q"), Term.literal('tab\t "q" \\ \n ü')),
         Triple(Term.iri("urn:a"), Term.iri("urn:q"), Term.blank("y2")),
     ]
-    sink = io.StringIO()
-    serialize_ntriples(triples, sink)
-    assert list(parse_ntriples(io.StringIO(sink.getvalue()))) == triples
+    assert round_trip(triples) == triples
 
 
 def test_literal_with_one_of_datatype_lang():
@@ -237,12 +233,6 @@ def test_odd_labels_are_encoded_alphanumeric():
     encoded = normalize_bnode_label("a.b-c_d")
     assert encoded.isalnum()
     assert encoded != "a.b-c_d"
-
-
-def test_namespacing_keeps_files_apart():
-    a = normalize_bnode_label("x", ns="f1")
-    b = normalize_bnode_label("1x", ns="f")
-    assert a != b
 
 
 @given(st.text(alphabet="abcXYZ019._-", min_size=1, max_size=12))
@@ -281,9 +271,7 @@ _subjects = st.one_of(_iris.map(Term.iri), st.text(alphabet="abc019", min_size=1
 @given(st.lists(st.builds(Triple, _subjects, _iris.map(Term.iri), _terms), max_size=20))
 @settings(max_examples=200)
 def test_round_trip_property(triples):
-    sink = io.StringIO()
-    serialize_ntriples(triples, sink)
-    assert list(parse_ntriples(io.StringIO(sink.getvalue()))) == triples
+    assert round_trip(triples) == triples
 
 
 # --- whole-line pattern against the term tokenizer -----------------------------
@@ -361,26 +349,25 @@ def _mutated_lines(draw):
 _fixture_lines = ESCAPES.read_text(encoding="utf-8").splitlines()
 
 
-def _outcome(parse, line, bnode_ns):
+def _outcome(parse, line):
     try:
-        return parse(line, 3, bnode_ns)
+        return parse(line, 3)
     except ParseError as err:
         return ("error", err.line, err.col, err.reason)
 
 
-@given(st.one_of(_grammar_lines(), _mutated_lines(), st.sampled_from(_fixture_lines)),
-       st.sampled_from(["", "f1"]))
+@given(st.one_of(_grammar_lines(), _mutated_lines(), st.sampled_from(_fixture_lines)))
 @settings(max_examples=1000)
-def test_line_pattern_agrees_with_tokenizer(line, bnode_ns):
-    expected = _outcome(_tokenize_line, line, bnode_ns)
-    got = _outcome(_pattern_path, line, bnode_ns)
+def test_line_pattern_agrees_with_tokenizer(line):
+    expected = _outcome(_tokenize_line, line)
+    got = _outcome(_pattern_path, line)
     assert got == expected
     if isinstance(expected, Triple):
         _assert_exact_types(expected)
         _assert_exact_types(got)
         # Every valid line takes the pattern, and what it yields writes back.
         assert _LINE.fullmatch(line) is not None
-        assert _tokenize_line(triple_line(expected), 1, "") == expected
+        assert _tokenize_line(triple_line(expected), 1) == expected
 
 
 def test_predicate_term_shared_within_one_parse_only():

@@ -27,9 +27,7 @@ PUBLIC = [
     "read_summary",
     "save_summary",
     "schedule_work",
-    "serialize_ntriples",
     "summarize",
-    "union",
 ]
 
 

@@ -20,9 +20,9 @@ from helpers import (
 )
 from mvsum.graph import build_graph
 from mvsum.merge import merge
-from mvsum.ntriples import Triple
+from mvsum.ntriples import BLANK, Term, Triple
 from mvsum.summary import Model, Summary, canonical_string, check_digest, eqc_id, summarize, union_side
-from mvsum.summary_io import format_summary, read_summary
+from mvsum.summary_io import SummaryFormatError, format_summary, read_summary
 
 MODELS = [Model.AC, Model.CC, Model.ACC]
 
@@ -178,6 +178,20 @@ def test_validate_rejects_bad_summaries():
     s.eqcs[cid] = (("urn:other",), ())
     with pytest.raises(ValueError, match=f"^EQC id {cid} does not match its schema digest$"):
         s.validate()
+    # Members that would not load back as written: the loader refuses a
+    # literal member, and reads `_:a.b` back as the normalized `_:x612e62`.
+    s = summarize(g, Model.AC)
+    cid = s.member_index[iri("a")]
+    s.payloads[cid].add(Term.literal("x"))
+    with pytest.raises(ValueError, match=f'^EQC {cid} has a literal member "x"$'):
+        s.validate()
+    with pytest.raises(SummaryFormatError, match="unexpected statement"):
+        read_summary(format_summary(s).splitlines())
+    s = summarize(g, Model.AC)
+    s.payloads[cid].add(Term(BLANK, "a.b"))
+    with pytest.raises(ValueError, match=rf"^EQC {cid} has a blank member _:a\.b whose label is not alphanumeric$"):
+        s.validate()
+    assert Term(BLANK, "x612e62") in read_summary(format_summary(s).splitlines()).payloads[cid]
 
 
 def test_validate_rejects_empty_payload():
