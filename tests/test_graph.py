@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RDF_TYPE_TERM, cls, graph_of, iri, naive_vertices, p, random_triples, union
+from helpers import RDF_TYPE_TERM, cls, graph_of, iri, naive_vertices, p, random_graph, random_triples, union
 from mvsum.graph import build_graph
 from mvsum.ntriples import RDF_TYPE, Term, Triple, parse_ntriples
 from mvsum.summary import Model, summarize
@@ -89,9 +89,35 @@ def test_union_spec_examples():
 
 
 @st.composite
+def graphs(draw):
+    seed = draw(st.integers(0, 10**9))
+    return random_graph(random.Random(seed))
+
+
+@st.composite
 def triple_lists(draw):
     seed = draw(st.integers(0, 10**9))
     return random_triples(random.Random(seed))
+
+
+# The union-graph oracle's own laws, which the merge tests rely on.
+
+@given(graphs(), graphs())
+@settings(max_examples=60, deadline=None)
+def test_union_commutative(g1, g2):
+    assert union(g1, g2) == union(g2, g1)
+
+
+@given(graphs(), graphs(), graphs())
+@settings(max_examples=60, deadline=None)
+def test_union_associative(g1, g2, g3):
+    assert union(union(g1, g2), g3) == union(g1, union(g2, g3))
+
+
+@given(graphs())
+@settings(max_examples=60, deadline=None)
+def test_union_idempotent(g):
+    assert union(g, g) == g
 
 
 @given(triple_lists(), triple_lists())

@@ -24,7 +24,7 @@ from helpers import (
 from mvsum.analytics import correlate_times, linfit
 from mvsum.graph import build_graph
 from mvsum.merge import CorruptSummaryError, MergeConfigError, merge
-from mvsum.ntriples import Term, Triple
+from mvsum.ntriples import Term, Triple, parse_ntriples
 from mvsum.summary import Model, eqc_id, summarize, union_side
 from mvsum.summary_io import format_summary
 
@@ -115,6 +115,18 @@ def test_conflicting_member_gets_its_union_graph_schema():
         # m's EQCs in the inputs held only m, so step 3 dropped them
         assert s1.member_index[iri("m")] not in merged.eqcs
         assert s2.member_index[iri("m")] not in merged.eqcs
+
+
+def test_shared_blank_label_is_one_member():
+    # `_:b` in two views is one vertex, so one member with the union schema.
+    g1 = build_graph(parse_ntriples(["_:b <urn:p> <urn:a> .\n"]))
+    g2 = build_graph(parse_ntriples(["_:b <urn:q> <urn:a> .\n"]))
+    merged, record = merge(summarize(g1, Model.AC), summarize(g2, Model.AC))
+    b = Term.blank("b")
+    assert merged.eqcs[merged.member_index[b]] == (("urn:p", "urn:q"), ())
+    assert sum(b in members for members in merged.payloads.values()) == 1
+    assert summaries_equal(merged, summarize(union(g1, g2), Model.AC))
+    assert record.stats.case3 == 1
 
 
 def test_member_in_same_eqc_in_both_stays_put():

@@ -235,6 +235,14 @@ def test_odd_labels_are_encoded_alphanumeric():
     assert encoded != "a.b-c_d"
 
 
+def test_blank_labels_are_global_across_files():
+    # No per-file namespace: one label read from two files is one term.
+    view1 = list(parse_ntriples(["_:b <urn:p> _:a.b .\n"]))
+    view2 = list(parse_ntriples(["_:a.b <urn:q> _:b .\n"]))
+    assert view1[0].subject == view2[0].object == Term.blank("b")
+    assert view1[0].object == view2[0].subject == Term.blank(normalize_bnode_label("a.b"))
+
+
 @given(st.text(alphabet="abcXYZ019._-", min_size=1, max_size=12))
 @settings(max_examples=200)
 def test_normalization_idempotent(label):
