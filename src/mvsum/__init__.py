@@ -1,5 +1,6 @@
 """Multi-view structural graph summaries: build, merge, schedule, measure."""
 
+from mvsum.errors import DataError, UsageError
 from mvsum.graph import Graph, build_graph
 from mvsum.merge import (
     CaseStats,
@@ -27,6 +28,7 @@ __all__ = [
     "CaseStats",
     "CorruptSummaryError",
     "DEFAULT_DIGEST",
+    "DataError",
     "Graph",
     "MergeConfigError",
     "MergeRecord",
@@ -38,6 +40,7 @@ __all__ = [
     "SummaryFormatError",
     "Term",
     "Triple",
+    "UsageError",
     "build_graph",
     "canonical_string",
     "eqc_id",

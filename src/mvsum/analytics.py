@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+from mvsum.errors import UsageError
 from mvsum.graph import Graph, build_graph
 from mvsum.merge import MergeRecord, merge
 from mvsum.ntriples import RDF_TYPE, Term, Triple
@@ -41,11 +42,11 @@ class GenParams:
     def __post_init__(self):
         for name in ("views", "vertices_per_view", "edges_per_view", "predicate_alphabet", "class_alphabet"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise UsageError(f"{name} must be positive")
         for name in ("overlap", "type_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+                raise UsageError(f"{name} must be in [0, 1]")
 
 
 def view_seed(params: GenParams, index: int) -> str:
@@ -109,7 +110,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if len(xs) < 2:
         raise ValueError("need at least two samples")
     if len(set(xs)) == 1 or len(set(ys)) == 1:
-        raise ValueError("correlation is undefined for zero-variance samples")
+        raise UsageError("correlation is undefined for zero-variance samples")
     return statistics.correlation(xs, ys)
 
 

@@ -5,7 +5,7 @@ Subcommands mirror the experiment workflow: `gen` writes synthetic views,
 files, `merge-all` folds a directory of summaries under a strategy, and
 `bench` produces pairwise merge records plus regression fits.
 
-Exit codes: 0 success, 1 input data error, 2 usage/configuration error.
+Exit codes: 0 success, 1 on a `DataError` or `OSError`, 2 on a `UsageError`.
 The default digest can be overridden with the MVSUM_DIGEST environment
 variable.
 """
@@ -20,18 +20,11 @@ import sys
 from pathlib import Path
 
 from mvsum import analytics, multimerge, summary_io
+from mvsum.errors import DataError, UsageError
 from mvsum.graph import build_graph
-from mvsum.merge import CorruptSummaryError, MergeConfigError, merge
-from mvsum.ntriples import RDF_TYPE, ParseError, parse_ntriples, triple_line
+from mvsum.merge import merge
+from mvsum.ntriples import RDF_TYPE, parse_ntriples, triple_line
 from mvsum.summary import DEFAULT_DIGEST, Model, check_digest, summarize
-
-
-class UsageError(Exception):
-    """Configuration problem detected after argument parsing (exit 2)."""
-
-
-def _default_digest() -> str:
-    return os.environ.get("MVSUM_DIGEST", DEFAULT_DIGEST)
 
 
 def _read_graph(path: Path, skip_malformed: bool):
@@ -42,7 +35,10 @@ def _read_graph(path: Path, skip_malformed: bool):
     # ends lines at a lone CR too, as N-Triples and text mode do.
     with open(path, "rb") as fh:
         lines = (part for line in fh for part in line.splitlines())
-        g = build_graph(parse_ntriples(lines, on_error=handler))
+        try:
+            g = build_graph(parse_ntriples(lines, on_error=handler))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     if skipped:
         print(f"{path}: skipped {len(skipped)} malformed line(s)", file=sys.stderr)
     return g
@@ -58,27 +54,17 @@ def _summary_files(directory: Path) -> list[Path]:
 
 
 def cmd_summarize(args) -> int:
+    check_digest(args.digest)
     g = _read_graph(Path(args.graph), args.skip_malformed)
     s = summarize(g, Model(args.model), digest=args.digest)
     summary_io.save_summary(s, args.output)
     return 0
 
 
-def _check_headers(what: str, named) -> None:
-    """UsageError naming the first input whose model or digest differs from the first input's."""
-    (first, s1), *rest = named
-    for name, s in rest:
-        if s.model != s1.model or s.digest != s1.digest:
-            raise UsageError(
-                f"{what}: {first} is model={s1.model.value} digest={s1.digest}, "
-                f"{name} is model={s.model.value} digest={s.digest}"
-            )
-
-
 def cmd_merge(args) -> int:
     s1 = summary_io.load_summary(args.left)
     s2 = summary_io.load_summary(args.right)
-    _check_headers("cannot merge", [(args.left, s1), (args.right, s2)])
+    multimerge._check_compatible("cannot merge", [(args.left, s1), (args.right, s2)])
     merged, record = merge(s1, s2)
     summary_io.save_summary(merged, args.output)
     if args.stats:
@@ -87,22 +73,13 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _strategy_from_args(args) -> multimerge.Strategy:
-    kind = args.strategy.replace("-", "_")
-    if kind == "random":
-        if args.seed is None:
-            raise UsageError("--strategy random requires --seed")
-        return multimerge.Strategy.random(args.seed)
-    if kind == "greedy_parallel":
-        return multimerge.Strategy.greedy_parallel(args.workers)
-    return multimerge.Strategy(kind)
-
-
 def cmd_merge_all(args) -> int:
+    kind = args.strategy.replace("-", "_")
+    strategy = multimerge.Strategy(kind, seed=args.seed if kind == "random" else None,
+                                   workers=args.workers if kind == "greedy_parallel" else None)
     files = _summary_files(Path(args.directory))
     summaries = [summary_io.load_summary(p) for p in files]
-    _check_headers("all summaries must share one model and digest", zip(files, summaries))
-    strategy = _strategy_from_args(args)
+    multimerge._check_compatible("all summaries must share one model and digest", zip(files, summaries))
     final, schedule = multimerge.merge_all(summaries, strategy, names=[p.name for p in files])
     summary_io.save_summary(final, args.output)
     if args.schedule:
@@ -111,19 +88,16 @@ def cmd_merge_all(args) -> int:
 
 
 def _gen_params(args) -> analytics.GenParams:
-    try:
-        return analytics.GenParams(
-            views=args.views,
-            vertices_per_view=args.vertices,
-            edges_per_view=args.edges,
-            predicate_alphabet=args.predicates,
-            class_alphabet=args.classes,
-            overlap=args.overlap,
-            type_prob=args.type_prob,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return analytics.GenParams(
+        views=args.views,
+        vertices_per_view=args.vertices,
+        edges_per_view=args.edges,
+        predicate_alphabet=args.predicates,
+        class_alphabet=args.classes,
+        overlap=args.overlap,
+        type_prob=args.type_prob,
+        seed=args.seed,
+    )
 
 
 def cmd_gen(args) -> int:
@@ -153,20 +127,22 @@ def cmd_gen(args) -> int:
 
 
 def _bench_inputs(args) -> list[tuple[str, object]]:
+    if bool(args.directory) == bool(args.gen):
+        raise UsageError("bench needs either a directory or --gen")
     model = Model(args.model)
-    digest = args.digest
+    digest = check_digest(args.digest)
     if args.directory:
         paths = _summary_files(Path(args.directory))
         summaries = []
         for path in paths:
-            with open(path, "rb") as fh:
+            with open(path, encoding="utf-8", errors="replace") as fh:
                 first = fh.readline()
             if summary_io.is_summary_header(first):
                 summaries.append(summary_io.load_summary(path))
             else:
                 g = _read_graph(path, args.skip_malformed)
                 summaries.append(summarize(g, model, digest=digest))
-        _check_headers("bench inputs must share one model and digest", zip(paths, summaries))
+        multimerge._check_compatible("bench inputs must share one model and digest", zip(paths, summaries))
         named = [(path.name, s) for path, s in zip(paths, summaries)]
     else:
         # Generated views are all summarized under one model and digest.
@@ -179,26 +155,24 @@ def _bench_inputs(args) -> list[tuple[str, object]]:
 
 def cmd_bench(args) -> int:
     named = _bench_inputs(args)
+    # Two inputs make one pair, merged both ways, so every fit would have one x.
+    if args.fits and (len(named) < 3 or len({s.edge_count() for _, s in named}) < 2):
+        raise UsageError("--fits needs at least three inputs, of at least two different sizes")
     rows = analytics.bench_pairwise(named, repeats=args.repeats)
     analytics.write_pair_records_csv(rows, args.output)
     if args.fits:
         model = named[0][1].model
         records = [row.record for row in rows]
-        fits = []
-        for function in analytics.FIT_FUNCTIONS:
-            for measure in analytics.EDGE_MEASURES:
-                fits.append((model, function, measure, analytics.correlate_times(records, function, measure)))
+        fits = [(model, function, measure, analytics.correlate_times(records, function, measure))
+                for function in analytics.FIT_FUNCTIONS for measure in analytics.EDGE_MEASURES]
         analytics.write_fits_csv(fits, args.fits)
     return 0
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = int(text) if text.isdecimal() else 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value
 
 
@@ -220,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="summarize an N-Triples graph")
     p.add_argument("graph", help="input graph (N-Triples)")
     p.add_argument("--model", choices=[m.value for m in Model], default=Model.ACC.value)
-    p.add_argument("--digest", default=_default_digest())
+    p.add_argument("--digest", default=os.environ.get("MVSUM_DIGEST", DEFAULT_DIGEST))
     p.add_argument("-o", "--output", required=True, help="summary file to write")
     p.add_argument("--skip-malformed", action="store_true", help="skip and count malformed lines instead of failing")
     p.set_defaults(func=cmd_summarize)
@@ -246,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory", nargs="?", help="directory of views or summaries (.nt); omit to use --gen")
     p.add_argument("--gen", action="store_true", help="generate synthetic views instead of reading a directory")
     p.add_argument("--model", choices=[m.value for m in Model], default=Model.ACC.value)
-    p.add_argument("--digest", default=_default_digest())
+    p.add_argument("--digest", default=os.environ.get("MVSUM_DIGEST", DEFAULT_DIGEST))
     p.add_argument("--repeats", type=_positive_int, default=3, help="merges per pair; wall time is the median")
     p.add_argument("--skip-malformed", action="store_true")
     p.add_argument("-o", "--output", required=True, help="pairwise records CSV")
@@ -265,24 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench" and bool(args.directory) == bool(args.gen):
-        print("error: bench needs either a directory or --gen", file=sys.stderr)
-        return 2
-    if args.command in ("summarize", "bench"):
-        try:
-            check_digest(args.digest)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
-    except (ParseError, summary_io.SummaryFormatError, CorruptSummaryError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UsageError, MergeConfigError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

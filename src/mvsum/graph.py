@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from mvsum._collector import paused
+from mvsum.errors import DataError
 from mvsum.ntriples import IRI, LITERAL, RDF_TYPE, Term, Triple
 
 
@@ -44,7 +45,7 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
     A triple (s, rdf:type, c) with c an IRI adds class c to s's label set; any
     other triple (s, p, o) adds p to s's outgoing labels. Subjects and
     non-literal objects are registered as vertices. A literal subject, or an
-    `rdf:type` object that is not an IRI, raises ValueError.
+    `rdf:type` object that is not an IRI, raises DataError.
     """
     vertices: set[Term] = set()
     vertex_labels: dict[Term, set[str]] = {}
@@ -57,7 +58,7 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
         vertices.add(s)
         if p.value == RDF_TYPE:
             if o.kind != IRI:
-                raise ValueError(f"rdf:type object must be an IRI, got {o.nt()}")
+                raise DataError(f"rdf:type object must be an IRI, got {o.nt()}")
             vertex_labels.setdefault(s, set()).add(one(o, o).value)
             continue
         out_labels.setdefault(s, set()).add(p.value)
@@ -69,7 +70,7 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
     for labels in (vertex_labels, out_labels):
         for v, side in labels.items():
             if v.kind == LITERAL:
-                raise ValueError(f"subject must be an IRI or blank node, got {v.nt()}")
+                raise DataError(f"subject must be an IRI or blank node, got {v.nt()}")
             side = tuple(sorted(side))
             labels[v] = interned(side, side)
     return Graph(vertices, vertex_labels, out_labels)

@@ -32,14 +32,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from mvsum.errors import DataError, UsageError
 from mvsum.summary import EqcId, Schema, Summary, eqc_id, union_side
 
 
-class MergeConfigError(ValueError):
+class MergeConfigError(UsageError):
     """Inputs cannot be merged as configured (model or digest mismatch)."""
 
 
-class CorruptSummaryError(ValueError):
+class CorruptSummaryError(DataError):
     """One EqcId carries two different schemas: collision or bad inputs."""
 
 

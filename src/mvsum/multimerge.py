@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from mvsum.errors import UsageError
 from mvsum.merge import MergeConfigError, MergeRecord, merge
 from mvsum.summary import Summary
 
@@ -39,11 +40,11 @@ class Strategy:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown strategy {self.kind!r}")
+            raise UsageError(f"unknown strategy {self.kind!r}")
         if self.kind == "random" and self.seed is None:
-            raise ValueError("random strategy requires an explicit seed")
+            raise UsageError("random strategy requires an explicit seed")
         if self.kind == "greedy_parallel" and (self.workers is None or self.workers < 1):
-            raise ValueError("greedy_parallel strategy requires workers >= 1")
+            raise UsageError("greedy_parallel strategy requires workers >= 1")
 
     @staticmethod
     def smallest_first() -> "Strategy":
@@ -162,6 +163,15 @@ def _run(items, strategy: Strategy, do_merge, out_names):
     return _run_greedy(items, workers, strategy.kind == "largest_first", do_merge, out_names)
 
 
+def _check_compatible(what: str, named) -> None:
+    """MergeConfigError naming the first (name, summary) whose model or digest differs from the first's."""
+    (first, s1), *rest = named
+    for name, s in rest:
+        if s.model != s1.model or s.digest != s1.digest:
+            raise MergeConfigError(f"{what}: {first} is model={s1.model.value} digest={s1.digest}, "
+                                   f"{name} is model={s.model.value} digest={s.digest}")
+
+
 def merge_all(
     summaries: Sequence[Summary],
     strategy: Strategy,
@@ -170,18 +180,15 @@ def merge_all(
     """Merge n summaries into one; returns the result and the schedule taken."""
     if not summaries:
         raise ValueError("merge_all needs at least one summary")
-    first = summaries[0]
-    for s in summaries[1:]:
-        if s.model != first.model or s.digest != first.digest:
-            raise MergeConfigError("all summaries must share one model and digest")
     if names is None:
         names = [f"in{i}" for i in range(len(summaries))]
     elif len(names) != len(summaries):
         raise ValueError("names must match summaries one-to-one")
+    _check_compatible("all summaries must share one model and digest", zip(names, summaries))
 
     schedule = MergeSchedule(strategy=strategy.describe())
     if len(summaries) == 1:
-        return first, schedule
+        return summaries[0], schedule
 
     started = time.perf_counter()
     items = [(s.edge_count(), name, s) for name, s in zip(names, summaries)]

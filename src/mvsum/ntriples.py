@@ -27,6 +27,8 @@ from __future__ import annotations
 import re
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from mvsum.errors import DataError
+
 IRI = "iri"
 BLANK = "blank"
 LITERAL = "literal"
@@ -35,7 +37,7 @@ RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 
 
-class ParseError(ValueError):
+class ParseError(DataError):
     """Malformed N-Triples input, with 1-based line/column position."""
 
     def __init__(self, message: str, line: int, col: int):
@@ -78,6 +80,8 @@ class Term(NamedTuple):
         if self.kind == IRI:
             return f"<{_checked_iri(self.value)}>"
         if self.kind == BLANK:
+            if not _BNODE_PLAIN.fullmatch(self.value):
+                raise ValueError(f"blank node label not alphanumeric: {self.value!r}")
             return f"_:{self.value}"
         out = f'"{_escape_literal(self.value)}"'
         if self.lang is not None:

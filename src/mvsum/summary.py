@@ -22,6 +22,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from mvsum._collector import paused
+from mvsum.errors import UsageError
 from mvsum.graph import Graph
 from mvsum.ntriples import BLANK, LITERAL, Term, normalize_bnode_label
 
@@ -51,9 +52,9 @@ def check_digest(name: str) -> str:
     try:
         probe = hashlib.new(name, b"").hexdigest()
     except (ValueError, TypeError) as exc:
-        raise ValueError(f"unsupported digest {name!r}") from exc
+        raise UsageError(f"unsupported digest {name!r}") from exc
     if len(probe) < 32:
-        raise ValueError(f"digest {name!r} is shorter than 128 bits")
+        raise UsageError(f"digest {name!r} is shorter than 128 bits")
     return name
 
 
@@ -137,15 +138,15 @@ class Summary:
             if not members:
                 raise ValueError(f"EQC {cid} has no members")
             for m in members:
-                if m in seen:
-                    raise ValueError(f"member {m.nt()} appears in {seen[m]} and {cid}")
-                seen[m] = cid
-                # The loader reads IRI and blank members only, and normalizes
-                # a blank label, so these two would not load back as written.
+                # The loader reads IRI and blank members only, and the writer
+                # refuses a blank label the loader would normalize.
                 if m.kind == LITERAL:
                     raise ValueError(f"EQC {cid} has a literal member {m.nt()}")
                 if m.kind == BLANK and normalize_bnode_label(m.value) != m.value:
-                    raise ValueError(f"EQC {cid} has a blank member {m.nt()} whose label is not alphanumeric")
+                    raise ValueError(f"EQC {cid} has a blank member _:{m.value} whose label is not alphanumeric")
+                if m in seen:
+                    raise ValueError(f"member {m.nt()} appears in {seen[m]} and {cid}")
+                seen[m] = cid
         for cid, (attributes, classes) in self.eqcs.items():
             if attributes and not self.model.wants_attributes:
                 raise ValueError(f"EQC {cid} has attributes under model {self.model.value}")

@@ -65,6 +65,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from mvsum._collector import paused
+from mvsum.errors import DataError, UsageError
 from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, _new, parse_ntriples, triple_line
 from mvsum.summary import Model, Summary, check_digest, eqc_id
 
@@ -102,7 +103,7 @@ _STATEMENT = re.compile(
 )
 
 
-class SummaryFormatError(ValueError):
+class SummaryFormatError(DataError):
     """A summary file that violates the format or its invariants."""
 
 
@@ -110,12 +111,7 @@ def header_line(summary: Summary) -> str:
     return f"# mvs-summary v1 model={summary.model.value} digest={summary.digest}"
 
 
-def is_summary_header(line: str | bytes) -> bool:
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError:
-            return False
+def is_summary_header(line: str) -> bool:
     return _HEADER.match(line.rstrip("\r\n")) is not None
 
 
@@ -258,21 +254,21 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     try:
         first = next(it)
     except StopIteration:
-        raise SummaryFormatError("empty input: missing summary header") from None
+        raise SummaryFormatError("line 1: empty input: missing summary header") from None
     if isinstance(first, bytes):
         try:
             first = first.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise SummaryFormatError(f"summary header is not valid UTF-8: {exc}") from None
+            raise SummaryFormatError(f"line 1: summary header is not valid UTF-8: {exc}") from None
     m = _HEADER.match(first.rstrip("\r\n"))
     if m is None:
-        raise SummaryFormatError(f"missing summary header, got: {first.rstrip()!r}")
+        raise SummaryFormatError(f"line 1: missing summary header, got: {first.rstrip()!r}")
     model = Model(m.group(1))
     digest = m.group(2)
     if verify:
         try:
             check_digest(digest)
-        except ValueError as exc:
+        except UsageError as exc:
             raise SummaryFormatError(f"line 1: {exc}") from None
 
     # Keyed by the EQC id, or by the payload id (the text after PAYLOAD_NS).
@@ -290,7 +286,7 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     eqc_line: dict[str, int] = {}
     members: dict[str, set[Term]] = {}
     member_line: dict[str, int] = {}
-    counts: dict[str, tuple[int, int]] = {}
+    counts: dict[str, tuple[str, int]] = {}
     match = _STATEMENT.fullmatch
     for lineno, raw in enumerate(it, start=2):
         try:
@@ -321,7 +317,8 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
             if not _COUNT.fullmatch(value):
                 t = Triple(Term(IRI, PAYLOAD_NS + sid), Term(IRI, P_COUNT), Term(LITERAL, value, XSD_INTEGER))
                 raise SummaryFormatError(f"line {lineno}: count is not a plain decimal: {triple_line(t)}")
-            count = int(value)
+            # Kept as canonical text: `int()` refuses more than a few thousand digits.
+            count = value.lstrip("0") or "0"
             if counts.setdefault(sid, (count, lineno))[0] != count:
                 raise SummaryFormatError(f"line {lineno}: payload {PAYLOAD_NS}{sid} has two counts: {counts[sid][0]} and {count}")
         elif shape == "payload":
@@ -358,7 +355,7 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
         if pid not in counts:
             raise SummaryFormatError(f"line {line}: payload of EQC {hexid} has no count")
         count, count_line = counts[pid]
-        if count != len(ms):
+        if count != str(len(ms)):
             raise SummaryFormatError(f"line {count_line}: EQC {hexid}: count {count} != {len(ms)} members")
         summary.payloads[hexid] = ms
         for m in ms:
@@ -380,7 +377,16 @@ def load_summary(path: str | Path, verify: bool = True) -> Summary:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return read_summary(fh, verify=verify)
-    except UnicodeDecodeError as exc:
-        raise SummaryFormatError(f"{path}: not valid UTF-8: {exc}") from None
+    except UnicodeDecodeError:
+        # Text mode decodes in chunks, so its error holds an offset into one.
+        # Find the first line, ended as text mode ends it, that does not decode.
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate((part for line in fh for part in line.splitlines()), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    col = len(raw[:exc.start].decode("utf-8")) + 1
+                    raise SummaryFormatError(f"{path}: line {lineno}, col {col}: not valid UTF-8: {exc.reason}") from None
+        raise SummaryFormatError(f"{path}: not valid UTF-8") from None
     except SummaryFormatError as exc:
         raise SummaryFormatError(f"{path}: {exc}") from None

@@ -57,7 +57,7 @@ def test_summarize_malformed_fail_fast(tmp_path, capsys):
     bad = tmp_path / "bad.nt"
     bad.write_text("<urn:a> <urn:p> <urn:b> .\nbroken line\n")
     assert run("summarize", bad, "-o", tmp_path / "s.nt") == 1
-    assert "line 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}: line 2, col 1: expected IRI or blank node subject\n"
 
 
 def test_summarize_into_a_missing_directory_names_the_path(tmp_path, capsys):
@@ -256,9 +256,11 @@ def test_merge_invalid_utf8_summary_is_data_error(tmp_path, capsys):
     assert run("summarize", DATA / "tiny_graph.nt", "-o", s) == 0
     bad = tmp_path / "bad.nt"
     bad.write_bytes(s.read_bytes().replace(b"urn:x:a", b"urn:x:\xff"))
+    line = next(n for n, text in enumerate(bad.read_bytes().splitlines(), 1) if b"\xff" in text)
     out = tmp_path / "m.nt"
     assert run("merge", s, bad, "-o", out) == 1
-    assert "not valid UTF-8" in capsys.readouterr().err
+    # `<urn:mvs:payload:ID> <urn:mvs:member> <urn:x:` is 75 characters.
+    assert f"{bad}: line {line}, col 76: not valid UTF-8: invalid start byte" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -495,6 +497,33 @@ def test_bench_needs_inputs_xor_gen(tmp_path):
     views = tmp_path / "views"
     assert run("gen", "-o", views, "--views", "2") == 0
     assert run("bench", views, "--gen", "-o", tmp_path / "r.csv") == 2
+
+
+def test_bench_graph_error_names_the_file(tmp_path, capsys):
+    views = tmp_path / "views"
+    assert run("gen", "-o", views, "--views", "3", "--seed", "6") == 0
+    lines = (views / "view1.nt").read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace("<urn:", "urn:", 1)
+    (views / "view1.nt").write_text("".join(lines))
+    capsys.readouterr()
+    assert run("bench", views, "-o", tmp_path / "r.csv") == 1
+    assert capsys.readouterr().err.startswith(f"error: {views / 'view1.nt'}: line 5, col 1: ")
+
+
+@pytest.mark.parametrize("graphs", [
+    ["<urn:a> <urn:p> <urn:b> .\n", "<urn:a> <urn:p> <urn:b> .\n<urn:b> <urn:q> <urn:c> .\n"],
+    ["", "", ""],
+], ids=["two-sizes-one-pair", "three-of-one-size"])
+def test_bench_fits_needs_inputs_of_two_sizes(tmp_path, capsys, graphs):
+    # Two inputs make one pair, merged both ways, and inputs of one size make
+    # merges of one size: either way every fit would have one x.
+    d = tmp_path / "graphs"
+    d.mkdir()
+    for i, text in enumerate(graphs):
+        (d / f"g{i}.nt").write_text(text)
+    assert run("bench", d, "-o", tmp_path / "r.csv", "--fits", tmp_path / "f.csv") == 2
+    assert capsys.readouterr().err == "error: --fits needs at least three inputs, of at least two different sizes\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_bench_too_few_inputs(tmp_path):

@@ -6,6 +6,7 @@ PUBLIC = [
     "CaseStats",
     "CorruptSummaryError",
     "DEFAULT_DIGEST",
+    "DataError",
     "Graph",
     "MergeConfigError",
     "MergeRecord",
@@ -17,6 +18,7 @@ PUBLIC = [
     "SummaryFormatError",
     "Term",
     "Triple",
+    "UsageError",
     "build_graph",
     "canonical_string",
     "eqc_id",

@@ -96,13 +96,35 @@ def test_parser_accepts_own_output(tmp_path):
 
 
 def test_missing_header_rejected():
-    with pytest.raises(SummaryFormatError):
+    with pytest.raises(SummaryFormatError, match="^line 1: missing summary header, got: '<urn:a>"):
         read_summary(["<urn:a> <urn:p> <urn:b> ."])
-    with pytest.raises(SummaryFormatError):
+    with pytest.raises(SummaryFormatError, match="^line 1: empty input: missing summary header$"):
         read_summary([])
     # A binary header that is not UTF-8 is a format error, not a decode error.
-    with pytest.raises(SummaryFormatError, match="not valid UTF-8"):
+    with pytest.raises(SummaryFormatError, match="^line 1: summary header is not valid UTF-8"):
         read_summary([b"# mvs-summary v1 model=ACC digest=sha256\xff\n"])
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_load_names_line_and_column_of_invalid_utf8(tmp_path, eol):
+    # Far past the first decode chunk, after a character of two bytes, and
+    # with each line end text mode knows.
+    s = _summary_with()
+    [members] = s.payloads.values()
+    members.update(Term.iri(f"urn:x:\u00e9{i}") for i in range(2000))
+    lines = format_summary(s).encode("utf-8").splitlines()
+    n = 1500
+    lines[n - 1] = lines[n - 1].replace("\u00e9".encode(), "\u00e9".encode() + b"\xff", 1)
+    col = len(lines[n - 1].split(b"\xff")[0].decode("utf-8")) + 1
+    path = tmp_path / "s.nt"
+    path.write_bytes(eol.encode().join(lines))
+    assert path.stat().st_size > 100_000
+    with pytest.raises(SummaryFormatError, match=f"^{re.escape(str(path))}: line {n}, col {col}: not valid UTF-8: invalid start byte$"):
+        load_summary(path)
+    # A bad header byte is on line 1.
+    path.write_bytes(b"# mvs-summary v1 model=ACC\xff digest=sha256\n")
+    with pytest.raises(SummaryFormatError, match=f"^{re.escape(str(path))}: line 1, col 27: not valid UTF-8"):
+        load_summary(path)
 
 
 def test_tampered_id_rejected():
@@ -122,6 +144,12 @@ def test_tampered_count_rejected():
     bad = format_summary(s).replace('"1"', '"7"')
     with pytest.raises(SummaryFormatError):
         read_summary(bad.splitlines())
+    # More digits than `int()` converts by default: a data error, and with
+    # leading zeros the count it spells.
+    bad = format_summary(s).replace('"1"', f'"{"9" * 5000}"')
+    with pytest.raises(SummaryFormatError, match=f"count {'9' * 5000} != 1 members$"):
+        read_summary(bad.splitlines())
+    assert reload(s) == read_summary(format_summary(s).replace('"1"', f'"{"0" * 5000}1"').splitlines())
 
 
 @pytest.mark.parametrize("count", ["x1", "0_1", "+1", " 1", "\u0661", ""])
@@ -137,7 +165,7 @@ def _summary_with(attribute="urn:p:p", klass="urn:c:C", member="urn:x:a", cid=No
     cid = cid or eqc_id(Model.ACC, schema)
     s = Summary(model=Model.ACC)
     s.eqcs[cid] = schema
-    s.payloads[cid] = {Term.iri(member)}
+    s.payloads[cid] = {member if isinstance(member, Term) else Term.iri(member)}
     return s
 
 
@@ -156,7 +184,9 @@ def test_writer_rejects_forbidden_iri_characters(bad):
 @pytest.mark.parametrize("member, error", [
     ("urn:x:z\ud800", UnicodeEncodeError),
     ("urn:x:z b", ValueError),
-], ids=["surrogate", "forbidden"])
+    # A line with `_:a b` would not load back.
+    (Term(BLANK, "a b"), ValueError),
+], ids=["surrogate", "forbidden", "blank-label"])
 def test_save_that_fails_leaves_no_file(tmp_path, monkeypatch, member, error):
     # One line per chunk, so the bad member, which sorts last, fails after
     # earlier chunks reached the temporary file.
