@@ -6,8 +6,8 @@ files, `merge-all` folds a directory of summaries under a strategy, and
 `bench` produces pairwise merge records plus regression fits.
 
 Exit codes: 0 success, 1 on a `DataError` or `OSError`, 2 on a `UsageError`.
-The default digest can be overridden with the MVSUM_DIGEST environment
-variable.
+Input files are read as UTF-8 with `errors="surrogateescape"`. MVSUM_DIGEST
+overrides the default digest.
 """
 
 from __future__ import annotations
@@ -30,13 +30,9 @@ from mvsum.summary import DEFAULT_DIGEST, Model, check_digest, summarize
 def _read_graph(path: Path, skip_malformed: bool):
     skipped = []
     handler = skipped.append if skip_malformed else None
-    # Binary lines: the parser decodes each one, so invalid UTF-8 is a
-    # ParseError with a position that --skip-malformed can skip. splitlines
-    # ends lines at a lone CR too, as N-Triples and text mode do.
-    with open(path, "rb") as fh:
-        lines = (part for line in fh for part in line.splitlines())
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
-            g = build_graph(parse_ntriples(lines, on_error=handler))
+            g = build_graph(parse_ntriples(fh, on_error=handler))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
     if skipped:
@@ -135,7 +131,7 @@ def _bench_inputs(args) -> list[tuple[str, object]]:
         paths = _summary_files(Path(args.directory))
         summaries = []
         for path in paths:
-            with open(path, encoding="utf-8", errors="replace") as fh:
+            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
                 first = fh.readline()
             if summary_io.is_summary_header(first):
                 summaries.append(summary_io.load_summary(path))

@@ -3,7 +3,9 @@
 This is the exchange format for both input graphs and summary files: one
 statement per line, UTF-8, `#` comment lines ignored. Only the N-Triples
 subset is supported (no Turtle prefixes); parsing is single-pass and keeps
-at most one line in memory, so files can be arbitrarily large.
+at most one line in memory, so files can be arbitrarily large. Input is
+decoded with `errors="surrogateescape"`, and one check, `_checked_text`,
+refuses a line that holds a surrogate before any pattern sees it.
 
 Each statement line is matched by one compiled whole-line pattern that
 covers the whole accepted grammar; only groups that hold a `\\` are
@@ -114,20 +116,30 @@ def normalize_bnode_label(label: str) -> str:
 
 
 # --- tokenizing --------------------------------------------------------------
-
-_WS = re.compile(r"[ \t]+")
-_IRIREF = re.compile(r'<((?:[^\x00-\x20<>"{}|^`\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*)>')
-_BNODE = re.compile(r"_:([A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)")
-_STRING = re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')
-_LANGTAG = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
-
-_UNESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
-_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-
-# Characters the writer refuses inside an IRI. An unescaped IRIREF body
+# One spelling per grammar piece, for every pattern here and `_STATEMENT`.
+# The writer refuses the characters IRIs exclude. An unescaped IRIREF body
 # cannot hold one; a UCHAR escape can, and is rejected at parse time so that
 # everything the parser accepts can be written back.
-_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
+_IRI_CHAR = f"[^{_IRI_EXCLUDED}]"
+_IRI_FORBIDDEN = re.compile(f"[{_IRI_EXCLUDED}]")
+_H = "[0-9A-Fa-f]"
+_UCHAR = rf"u{_H}{{4}}|U{_H}{{8}}"
+# Escape bodies are unrolled (`plain*(?:\\escape plain*)*`).
+_IRI_BODY = rf"{_IRI_CHAR}*(?:\\(?:{_UCHAR}){_IRI_CHAR}*)*"
+_STR_BODY = rf'[^"\\\n\r]*(?:\\(?:[tbnrf"\'\\]|{_UCHAR})[^"\\\n\r]*)*'
+_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+_LANG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+
+_WS = re.compile(r"[ \t]+")
+_IRIREF = re.compile(f"<({_IRI_BODY})>")
+_BNODE = re.compile(f"_:({_LABEL})")
+# Lenient on escapes, so that `_unescape` names a bad one at its column.
+_STRING = re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')
+_LANGTAG = re.compile(f"@({_LANG})")
+
+_UNESCAPE = re.compile(rf"\\(?:u({_H}{{4}})|U({_H}{{8}})|(.))", re.DOTALL)
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
 def _unescape(raw: str, line: int, col: int, iri: bool = False) -> str:
@@ -216,23 +228,17 @@ def _tokenize_line(text: str, line: int) -> Triple:
 
 
 # The whole statement grammar `_tokenize_line` accepts, as one pattern, with
-# the same groups and the same parts in the same order. Escape bodies are
-# unrolled (`[^\\]*(?:\\escape[^\\]*)*`) and admit only UCHAR and ECHAR
-# escapes; `_unescape` then raises, at the tokenizer's column, for a \U
-# beyond U+10FFFF or an escaped IRI character the writer refuses. A blank
-# node label or language tag cannot end where the next part begins, so
-# backtracking never finds a split the tokenizer would not. Groups: subject
-# IRI | subject label, predicate, object IRI | object label | literal body,
-# then datatype | language tag.
-_H = "[0-9A-Fa-f]"
-_UCHAR = rf"u{_H}{{4}}|U{_H}{{8}}"
-_IRI_BODY = rf'[^\x00-\x20<>"{{}}|^`\\]*(?:\\(?:{_UCHAR})[^\x00-\x20<>"{{}}|^`\\]*)*'
-_STR_BODY = rf'[^"\\\n\r]*(?:\\(?:[tbnrf"\'\\]|{_UCHAR})[^"\\\n\r]*)*'
-_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+# the same groups and the same parts in the same order. Its escape bodies
+# admit only UCHAR and ECHAR escapes; `_unescape` then raises, at the
+# tokenizer's column, for a \U beyond U+10FFFF or an escaped IRI character
+# the writer refuses. A blank node label or language tag cannot end where the
+# next part begins, so backtracking never finds a split the tokenizer would
+# not. Groups: subject IRI | subject label, predicate, object IRI | object
+# label | literal body, then datatype | language tag.
 _LINE = re.compile(
     rf"[ \t]*(?:<({_IRI_BODY})>|_:({_LABEL}))"
     rf"[ \t]*<({_IRI_BODY})>"
-    rf'[ \t]*(?:<({_IRI_BODY})>|_:({_LABEL})|"({_STR_BODY})"(?:\^\^<({_IRI_BODY})>|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?)'
+    rf'[ \t]*(?:<({_IRI_BODY})>|_:({_LABEL})|"({_STR_BODY})"(?:\^\^<({_IRI_BODY})>|@({_LANG}))?)'
     r"[ \t]*\.[ \t]*(?:#.*)?",
     re.DOTALL,
 )
@@ -283,6 +289,22 @@ def _parse_line(text: str, line: int, predicates: dict[str, Term]) -> Triple:
     return _new(Triple, (subj, pred, obj))
 
 
+def _checked_text(raw: str | bytes, line: int) -> str:
+    """`raw` as text, or a ParseError at its first surrogate; callers skip ASCII str."""
+    raw = raw.decode("utf-8", "surrogateescape") if isinstance(raw, bytes) else raw
+    try:
+        raw.encode("utf-8")
+        return raw
+    except UnicodeEncodeError as exc:
+        col = exc.start
+    try:  # the text before `col` is UTF-8, so the line's bytes fail here or not at all
+        raw[col:].rstrip("\r\n").encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError as exc:  # or a lone surrogate further on fails the encode
+        if isinstance(exc, UnicodeDecodeError) and exc.start == 0:
+            raise ParseError(f"invalid UTF-8: {exc.reason}", line, col + 1) from None
+    raise ParseError(f"lone surrogate U+{ord(raw[col]):04X}", line, col + 1)
+
+
 def parse_ntriples(
     source: Iterable[str | bytes],
     on_error: Callable[[ParseError], None] | None = None,
@@ -290,8 +312,9 @@ def parse_ntriples(
 ) -> Iterator[Triple]:
     """Yield triples from N-Triples text, one statement per line.
 
-    `source` is any iterable of lines (an open text or binary file works).
-    Blank lines and `#` comment lines are skipped. A malformed line raises
+    `source` is any iterable of lines, such as a file opened with
+    `errors="surrogateescape"`. Blank and `#` comment lines are skipped after
+    `_checked_text`, which also decodes bytes lines. A malformed line raises
     ParseError; passing `on_error` switches to skip-and-count mode, where the
     handler receives each error and parsing continues with the next line.
     `start` is the line number of the first line, for a caller that has
@@ -300,23 +323,13 @@ def parse_ntriples(
     """
     predicates: dict[str, Term] = {}
     for lineno, raw in enumerate(source, start=start):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                # The bytes before the bad one decode; count their characters.
-                col = len(raw[:exc.start].decode("utf-8")) + 1
-                err = ParseError(f"invalid UTF-8: {exc.reason}", lineno, col)
-                if on_error is None:
-                    raise err from None
-                on_error(err)
-                continue
-        text = raw.rstrip("\r\n")
-        stripped = text.lstrip(" \t")
-        if not stripped or stripped.startswith("#"):
-            continue
         try:
-            yield _parse_line(text, lineno, predicates)
+            if isinstance(raw, bytes) or not raw.isascii():
+                raw = _checked_text(raw, lineno)
+            text = raw.rstrip("\r\n")
+            stripped = text.lstrip(" \t")
+            if stripped and not stripped.startswith("#"):
+                yield _parse_line(text, lineno, predicates)
         except ParseError as err:
             if on_error is None:
                 raise

@@ -31,15 +31,16 @@ The reader matches each line, as the writer formats it, against one
 compiled pattern for these five shapes; a member IRI or a plain `_:` label
 is the only part that becomes a `Term`, and the rest is grouped by the EQC
 or payload id string. A line the pattern rejects (a comment, a blank line,
-other spacing, an escape, a non-plain blank label, CRLF, a `bytes` line, a
-foreign statement or garbage) goes, on its own, through `parse_ntriples`,
+other spacing, an escape, a non-plain blank label, CRLF, a foreign
+statement or garbage) goes, on its own, through `parse_ntriples`,
 and its triple is mapped onto the same shape, so one set of checks serves
 both paths. An error in one statement names its physical line, the header
 being line 1: so do an attribute under CC, a class under AC and a second,
 differing count of one payload. An error found after the last line names
 the EQC's `payload` statement or its payload's `count` statement, the first
 statement of an EQC without a payload, or the first `member` or `count`
-statement of a payload attached to no EQC.
+statement of a payload attached to no EQC. `load_summary` reads its file
+once; lines that are not ASCII pass `ntriples._checked_text` first.
 
 Within one `read_summary` call each id and each label is one string: a
 local dict maps every copy a line brings to the first one, so an EQC's id
@@ -66,7 +67,7 @@ from typing import Iterable, Iterator, TextIO
 
 from mvsum._collector import paused
 from mvsum.errors import DataError, UsageError
-from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, ParseError, Term, Triple, _checked_iri, _new, parse_ntriples, triple_line
+from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, _IRI_CHAR, ParseError, Term, Triple, _checked_iri, _checked_text, _new, parse_ntriples, triple_line
 from mvsum.summary import Model, Summary, check_digest, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
@@ -90,7 +91,7 @@ _COUNT = re.compile(r"[0-9]+")
 # `attribute`, `class` or `payload` after an EQC subject (group 1 set), `iri`
 # or `blank` (the member's Term kind) or `count` after a payload subject. An
 # IRI here holds no escape, so its text is its value.
-_PLAIN_IRI = r'[^\x00-\x20<>"{}|^`\\]*'
+_PLAIN_IRI = f"{_IRI_CHAR}*"
 _STATEMENT = re.compile(
     rf"<urn:mvs:(?:(eqc)|payload):({_PLAIN_IRI})> <urn:mvs:(?(1)(?:"
     rf"attribute> <(?P<attribute>{_PLAIN_IRI})>"
@@ -112,7 +113,7 @@ def header_line(summary: Summary) -> str:
 
 
 def is_summary_header(line: str) -> bool:
-    return _HEADER.match(line.rstrip("\r\n")) is not None
+    return _HEADER.match(line) is not None
 
 
 def _blocks(summary: Summary) -> Iterator[list[str]]:
@@ -212,7 +213,7 @@ def save_summary(summary: Summary, path: str | Path) -> None:
         raise
 
 
-def _generic_shape(raw: str | bytes, lineno: int) -> tuple[str, str, str] | None:
+def _generic_shape(raw: str, lineno: int) -> tuple[str, str, str] | None:
     """(shape, subject id, value) of a line `_STATEMENT` rejects, or None.
 
     The line goes through the generic parser; None means a blank or comment
@@ -251,16 +252,14 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     under the header's digest and must match byte-for-byte.
     """
     it = iter(source)
+    first = next(it, None)
+    if first is None:
+        raise SummaryFormatError("line 1: empty input: missing summary header")
     try:
-        first = next(it)
-    except StopIteration:
-        raise SummaryFormatError("line 1: empty input: missing summary header") from None
-    if isinstance(first, bytes):
-        try:
-            first = first.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SummaryFormatError(f"line 1: summary header is not valid UTF-8: {exc}") from None
-    m = _HEADER.match(first.rstrip("\r\n"))
+        first = _checked_text(first, 1)
+    except ParseError as exc:
+        raise SummaryFormatError(str(exc)) from exc
+    m = _HEADER.match(first)
     if m is None:
         raise SummaryFormatError(f"line 1: missing summary header, got: {first.rstrip()!r}")
     model = Model(m.group(1))
@@ -289,10 +288,12 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     counts: dict[str, tuple[str, int]] = {}
     match = _STATEMENT.fullmatch
     for lineno, raw in enumerate(it, start=2):
-        try:
-            m = match(raw)
-        except TypeError:  # a bytes line
-            m = None
+        if isinstance(raw, bytes) or not raw.isascii():
+            try:
+                raw = _checked_text(raw, lineno)
+            except ParseError as exc:
+                raise SummaryFormatError(f"bad statement: {exc}") from exc
+        m = match(raw)
         if m is not None:
             shape = m.lastgroup
             sid, value = m.group(2, shape)
@@ -373,20 +374,9 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
 
 
 def load_summary(path: str | Path, verify: bool = True) -> Summary:
-    """`read_summary` on a file; every format error names the file first."""
+    """`read_summary` on a file, read once; every format error names the file first."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return read_summary(fh, verify=verify)
-    except UnicodeDecodeError:
-        # Text mode decodes in chunks, so its error holds an offset into one.
-        # Find the first line, ended as text mode ends it, that does not decode.
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate((part for line in fh for part in line.splitlines()), start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    col = len(raw[:exc.start].decode("utf-8")) + 1
-                    raise SummaryFormatError(f"{path}: line {lineno}, col {col}: not valid UTF-8: {exc.reason}") from None
-        raise SummaryFormatError(f"{path}: not valid UTF-8") from None
     except SummaryFormatError as exc:
         raise SummaryFormatError(f"{path}: {exc}") from None

@@ -223,3 +223,27 @@ def canonical_bytes(s: Summary) -> bytes:
 def oracle_merged(g1: Graph, g2: Graph, model: Model, digest: str = "sha256") -> Summary:
     """The merge oracle: summarize the union graph directly."""
     return summarize(union(g1, g2), model, digest=digest)
+
+
+# A str line can hold a surrogate that no byte stands for: in an IRI, in a
+# literal, in a trailing comment and in a comment line, each at its column.
+BARE_SURROGATES = [
+    ("<urn:a\ud800> <urn:p> <urn:b> .", 7),
+    ('<urn:a> <urn:p> "x\ud800" .', 19),
+    ("<urn:a> <urn:p> <urn:b> . # \ud800", 29),
+    ("# \ud800", 3),
+]
+
+
+def first_undecodable_line(data: bytes) -> tuple[int, int, str] | None:
+    """(line, column, reason) of the first line strict UTF-8 decoding refuses.
+
+    Lines end at LF, CRLF and a lone CR, as `bytes.splitlines` ends them, and
+    the column counts the characters before the first bad byte, plus one.
+    """
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return lineno, len(raw[:exc.start].decode("utf-8")) + 1, exc.reason
+    return None

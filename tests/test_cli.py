@@ -260,7 +260,7 @@ def test_merge_invalid_utf8_summary_is_data_error(tmp_path, capsys):
     out = tmp_path / "m.nt"
     assert run("merge", s, bad, "-o", out) == 1
     # `<urn:mvs:payload:ID> <urn:mvs:member> <urn:x:` is 75 characters.
-    assert f"{bad}: line {line}, col 76: not valid UTF-8: invalid start byte" in capsys.readouterr().err
+    assert f"{bad}: bad statement: line {line}, col 76: invalid UTF-8: invalid start byte" in capsys.readouterr().err
     assert not out.exists()
 
 

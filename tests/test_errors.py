@@ -6,6 +6,9 @@ graph and summary files with flipped bytes; dropped, duplicated or swapped
 lines; edited ids and counts; and edited headers. No run may end in a
 traceback, an exit 1 must name the file and a line, and an exit 2 is
 allowed only where both summary headers parse and differ in model or digest.
+The agreement tests insert a byte that is not UTF-8, or cut a character, in
+a graph and a summary with LF, CRLF or CR line ends: the run must name the
+line, column and reason that strict decoding of each line gives.
 """
 
 import contextlib
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvsum
-from helpers import RDF_TYPE_TERM, graph_of, iri, p
+from helpers import RDF_TYPE_TERM, first_undecodable_line, graph_of, iri, p
 from mvsum import DataError, Model, UsageError, cli, merge_all, summarize
 from mvsum.analytics import GenParams, pearson
 from mvsum.graph import build_graph
@@ -199,3 +202,62 @@ def test_merge_mutated_summaries(work, data):
         s1, s2 = load_summary(left), load_summary(right)
         assert (s1.model, s1.digest) != (s2.model, s2.digest), err
         assert err.startswith(f"error: cannot merge: {left} is model="), err
+
+
+# Characters of two, three and four bytes in IRIs, a literal, a language-
+# tagged literal, a class and a comment, so that a summary holds them too.
+UTF8_GRAPH = f"""<urn:x:caf\u00e9> <urn:p:\u00fcber> <urn:x:\u65e5\u672c> .
+<urn:x:\u65e5\u672c> <{RDF_TYPE}> <urn:c:\u00c4\u00df> .
+_:b1 <urn:p:p> "na\u00efve \U0001F600"@en .
+# a comment: \u00e9t\u00e9
+<urn:x:a> <urn:p:\u00fcber> <urn:x:caf\u00e9> .
+<urn:x:\U0001F600> <urn:p:p> "\u20ac" .
+"""
+
+
+@st.composite
+def undecodable(draw, text: str) -> bytes:
+    """`text` with LF, CRLF or CR line ends and one byte inserted or one character cut."""
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = "".join(line + eol for line in text.splitlines()).encode("utf-8")
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(data)))
+        return data[:i] + bytes([draw(st.integers(0x80, 0xFF))]) + data[i:]
+    start = draw(st.sampled_from([i for i, b in enumerate(data) if b >= 0xC0]))
+    size = 2 if data[start] < 0xE0 else 3 if data[start] < 0xF0 else 4
+    a = draw(st.integers(start, start + size - 1))
+    b = draw(st.integers(a + 1, start + size - (a == start)))
+    return data[:a] + data[b:]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=undecodable(UTF8_GRAPH))
+def test_summarize_names_the_first_undecodable_byte(work, data):
+    path, out = work / "utf8.nt", work / "utf8_summary.nt"
+    path.write_bytes(data)
+    line, col, reason = first_undecodable_line(data)
+    assert _main("summarize", path, "-o", out) == (1, f"error: {path}: line {line}, col {col}: invalid UTF-8: {reason}\n")
+    # Skipping malformed lines skips exactly that one.
+    assert _main("summarize", path, "-o", out, "--skip-malformed") == (0, f"{path}: skipped 1 malformed line(s)\n")
+    without, expected = work / "utf8_without.nt", work / "utf8_without_summary.nt"
+    without.write_bytes(b"".join(text for n, text in enumerate(data.splitlines(keepends=True), 1) if n != line))
+    assert _main("summarize", without, "-o", expected) == (0, "")
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def utf8_summary(work):
+    (work / "utf8_graph.nt").write_text(UTF8_GRAPH, encoding="utf-8")
+    assert _main("summarize", work / "utf8_graph.nt", "-o", work / "utf8_s.nt") == (0, "")
+    return (work / "utf8_s.nt").read_text(encoding="utf-8")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_merge_names_the_first_undecodable_byte(work, utf8_summary, data):
+    right, out = work / "utf8_right.nt", work / "utf8_merged.nt"
+    mutated = data.draw(undecodable(utf8_summary))
+    right.write_bytes(mutated)
+    line, col, reason = first_undecodable_line(mutated)
+    where = f"line {line}, col {col}" if line == 1 else f"bad statement: line {line}, col {col}"
+    assert _main("merge", work / "utf8_s.nt", right, "-o", out) == (1, f"error: {right}: {where}: invalid UTF-8: {reason}\n")

@@ -1,10 +1,13 @@
 import io
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import BARE_SURROGATES
+from mvsum import ntriples
 from mvsum.ntriples import (
     _LINE,
     RDF_TYPE,
@@ -176,6 +179,38 @@ def test_invalid_utf8_reported_with_line():
     assert out == []
     # The column counts characters, not bytes.
     assert [(e.line, e.col) for e in errors] == [(1, 17), (2, 18)]
+
+
+# The check runs before the comment skip and before any pattern, so it names
+# the surrogate on both paths; `_NEVER` sends every statement to the tokenizer.
+_NEVER = re.compile(r"(?!)")
+
+
+@pytest.mark.parametrize("line, col", BARE_SURROGATES, ids=["iri", "literal", "trailing comment", "comment line"])
+@pytest.mark.parametrize("pattern", [_LINE, _NEVER], ids=["pattern", "tokenizer"])
+def test_bare_surrogate_is_parse_error(monkeypatch, pattern, line, col):
+    monkeypatch.setattr(ntriples, "_LINE", pattern)
+    for text in (line, line + "\n"):
+        with pytest.raises(ParseError) as exc:
+            list(parse_ntriples([text]))
+        assert (exc.value.line, exc.value.col, exc.value.reason) == (1, col, "lone surrogate U+D800")
+    errors = []
+    assert list(parse_ntriples(["<urn:a> <urn:p> <urn:b> .", line], on_error=errors.append)) == [parse_one("<urn:a> <urn:p> <urn:b> .")]
+    assert [(e.line, e.col) for e in errors] == [(2, col)]
+
+
+def test_surrogate_escaped_bytes_are_invalid_utf8():
+    # What a file opened with errors="surrogateescape" yields for a bad byte.
+    line = b'<urn:\xc3\xa9> <urn:p> "\xe6\x97" .\n'.decode("utf-8", "surrogateescape")
+    with pytest.raises(ParseError) as exc:
+        list(parse_ntriples([line]))
+    assert (exc.value.col, exc.value.reason) == (18, "invalid UTF-8: invalid continuation byte")
+    # At the end of the line, as when the bytes are split at their line ends.
+    with pytest.raises(ParseError, match="^line 1, col 9: invalid UTF-8: unexpected end of data$"):
+        list(parse_ntriples(["<urn:a> \udce6\udc97\r\n"]))
+    # Escaped bytes that would form a character are still a surrogate.
+    with pytest.raises(ParseError, match="^line 1, col 6: lone surrogate U\\+DCC3$"):
+        list(parse_ntriples(['<urn:\udcc3\udca9> <urn:p> <urn:b> .']))
 
 
 def test_parsing_is_streaming():

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph, reference_format
+from helpers import BARE_SURROGATES, RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph, reference_format
 from mvsum import analytics, summary_io
 from mvsum.graph import build_graph
 from mvsum.ntriples import BLANK, IRI, Term, parse_ntriples
@@ -101,7 +102,7 @@ def test_missing_header_rejected():
     with pytest.raises(SummaryFormatError, match="^line 1: empty input: missing summary header$"):
         read_summary([])
     # A binary header that is not UTF-8 is a format error, not a decode error.
-    with pytest.raises(SummaryFormatError, match="^line 1: summary header is not valid UTF-8"):
+    with pytest.raises(SummaryFormatError, match="^line 1, col 41: invalid UTF-8: invalid start byte$"):
         read_summary([b"# mvs-summary v1 model=ACC digest=sha256\xff\n"])
 
 
@@ -119,12 +120,37 @@ def test_load_names_line_and_column_of_invalid_utf8(tmp_path, eol):
     path = tmp_path / "s.nt"
     path.write_bytes(eol.encode().join(lines))
     assert path.stat().st_size > 100_000
-    with pytest.raises(SummaryFormatError, match=f"^{re.escape(str(path))}: line {n}, col {col}: not valid UTF-8: invalid start byte$"):
+    with pytest.raises(SummaryFormatError, match=f"^{re.escape(str(path))}: bad statement: line {n}, col {col}: invalid UTF-8: invalid start byte$"):
         load_summary(path)
     # A bad header byte is on line 1.
     path.write_bytes(b"# mvs-summary v1 model=ACC\xff digest=sha256\n")
-    with pytest.raises(SummaryFormatError, match=f"^{re.escape(str(path))}: line 1, col 27: not valid UTF-8"):
+    with pytest.raises(SummaryFormatError, match=f"^{re.escape(str(path))}: line 1, col 27: invalid UTF-8: invalid start byte$"):
         load_summary(path)
+
+
+def test_load_piped_summary_names_line_of_invalid_utf8(tmp_path):
+    # A pipe can be read only once, so the line must come from that one read.
+    s = _summary_with()
+    [members] = s.payloads.values()
+    members.update(Term.iri(f"urn:x:{i:04d}") for i in range(2999))
+    lines = format_summary(s).encode("utf-8").splitlines(keepends=True)
+    assert len(members) == 3000 and len(lines) > 3000
+    # `<urn:mvs:payload:ID> <urn:mvs:member> <urn:x:` is 75 characters.
+    assert lines[1999].startswith(b"<urn:mvs:payload:") and b"> <urn:x:" in lines[1999]
+    lines[1999] = lines[1999].replace(b"<urn:x:", b"<urn:x:\xff")
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.writelines(lines)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with pytest.raises(SummaryFormatError, match=f"^{re.escape(str(path))}: bad statement: line 2000, col 76: invalid UTF-8: invalid start byte$"):
+        load_summary(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_tampered_id_rejected():
@@ -374,6 +400,18 @@ def test_parse_error_names_physical_line():
     assert (exc.value.__cause__.line, exc.value.__cause__.col) == (3, 1)
     with pytest.raises(SummaryFormatError, match=r"^bad statement: line 4, col 1: invalid UTF-8"):
         read_summary([HEADER.encode(), b"# comment\n", EQC_LINE.encode(), b"\xff\n"])
+
+
+@pytest.mark.parametrize("line, col", BARE_SURROGATES + [
+    ("<urn:mvs:payload:e> <urn:mvs:member> <urn:x:\ud800> .\n", 45),
+], ids=["iri", "literal", "trailing comment", "comment line", "summary statement"])
+def test_bare_surrogate_is_refused(line, col):
+    # The canonical member line goes through `_STATEMENT`, the rest through
+    # the parser; the check runs before either.
+    with pytest.raises(SummaryFormatError, match=f"^bad statement: line 3, col {col}: lone surrogate U\\+D800$"):
+        read_summary([HEADER, EQC_LINE, line])
+    with pytest.raises(SummaryFormatError, match="^line 1, col 40: lone surrogate U\\+D800$"):
+        read_summary([HEADER.replace("\n", "\ud800\n"), EQC_LINE])
 
 
 @pytest.mark.parametrize("line, message", [
