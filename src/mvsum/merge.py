@@ -5,12 +5,13 @@ summaries' schemas and payloads, which is already correct for every member
 whose situation is trivial (case 1). Step 2 looks each member of the
 smaller input up in the larger input's member index, the one member-to-EQC
 map a merge builds, to find members under *different* EQCs (case 3), and
-moves each into the EQC of the combined schema, creating it if needed. That
-EQC is resolved once per pair of EQCs: many members share a pair, and few
-schemas exist. Step 3 deletes every EQC that lost all its members from both
-the schemas and the payloads. The paper's payload adaptation for case 2 is
-a new member count; a payload is its member set and the count is that set's
-size, so it needs no work.
+moves each into the EQC of the combined schema, creating it if needed. A
+memo local to the merge maps two schema sides to their union, so no union
+is computed twice: this pays when the sides of conflicting pairs repeat, as
+with a small label alphabet. Step 3 deletes every EQC that lost all its
+members from both the schemas and the payloads. The paper's payload
+adaptation for case 2 is a new member count; a payload is its member set and
+the count is that set's size, so it needs no work.
 
 The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
 second scan: step 1's union of an EQC both inputs hold gives the size of
@@ -74,27 +75,6 @@ class MergeRecord:
     stats: CaseStats | None
 
 
-def _target_eqc(s: Summary, c1: EqcId, c2: EqcId, ids: dict[Schema, EqcId]) -> EqcId:
-    """The EQC of c1's and c2's combined schema in s, created if absent.
-
-    `ids` maps each combined schema already resolved in s to its EqcId, so a
-    caller that resolves many pairs digests and checks each combined schema
-    once.
-    """
-    (attrs1, classes1), (attrs2, classes2) = s.eqcs[c1], s.eqcs[c2]
-    schema = (union_side(attrs1, attrs2), union_side(classes1, classes2))
-    cid = ids.get(schema)
-    if cid is None:
-        cid = ids[schema] = eqc_id(s.model, schema, s.digest)
-        existing = s.eqcs.get(cid)
-        if existing is None:
-            s.eqcs[cid] = schema
-            s.payloads[cid] = set()
-        elif existing != schema:
-            raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
-    return cid
-
-
 def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     """Merge two summaries; the result summarizes the union of their graphs.
 
@@ -137,12 +117,16 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     # the combined schema. Scanning the smaller input's payloads against the
     # larger input's member index finds the same conflicts at lower cost.
     # `row` holds the target of each pair of the scanned EQC with an EQC of
-    # the other input met so far, so the schema work is done once per pair,
-    # not per member; an EQC with no conflict gets no row.
+    # the other input met so far; an EQC with no conflict gets no row.
+    # `unions` maps a schema side to a dict from another side to their union,
+    # so a side union repeated across pairs is computed once per merge.
+    # `union_side` depends on the two tuples alone, so attribute and class
+    # sides share it. `ids` digests and checks each combined schema once.
     members_s1 = sum(map(len, s1.payloads.values()))
     scan, other = (s1, s2) if members_s1 <= sum(map(len, s2.payloads.values())) else (s2, s1)
     get = other.member_index.get
-    payloads, s2_eqcs = out.payloads, s2.eqcs
+    eqcs, payloads, s2_eqcs = out.eqcs, out.payloads, s2.eqcs
+    unions: dict[tuple[str, ...], dict[tuple[str, ...], tuple[str, ...]]] = {}
     ids: dict[Schema, EqcId] = {}
     case3 = 0
     for ca, members in scan.payloads.items():
@@ -153,9 +137,29 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
                 continue
             if row is None:
                 row = {}
+                attrs_a, classes_a = eqcs[ca]
+                attrs_with = unions.setdefault(attrs_a, {})
+                classes_with = unions.setdefault(classes_a, {})
             cid = row.get(cb)
             if cid is None:
-                cid = row[cb] = _target_eqc(out, ca, cb, ids)
+                attrs_b, classes_b = eqcs[cb]
+                attrs = attrs_with.get(attrs_b)
+                if attrs is None:
+                    attrs = attrs_with[attrs_b] = union_side(attrs_a, attrs_b)
+                classes = classes_with.get(classes_b)
+                if classes is None:
+                    classes = classes_with[classes_b] = union_side(classes_a, classes_b)
+                schema = (attrs, classes)
+                cid = ids.get(schema)
+                if cid is None:
+                    cid = ids[schema] = eqc_id(out.model, schema, out.digest)
+                    existing = eqcs.get(cid)
+                    if existing is None:
+                        eqcs[cid] = schema
+                        payloads[cid] = set()
+                    elif existing != schema:
+                        raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
+                row[cb] = cid
             payloads[ca].discard(m)
             payloads[cb].discard(m)
             payloads[cid].add(m)
@@ -163,6 +167,7 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
             case3 += 1
             if (ca if scan is s1 else cb) in s2_eqcs:
                 case2 -= 1
+    del unions  # its teardown is step 2's work, so it falls inside wall_ms
 
     # Step 3: drop drained EQCs. A count is the size of the member set, so
     # no payload needs adapting.

@@ -229,15 +229,25 @@ def test_record_edge_accounting():
     assert record.wall_ms >= 0.0
 
 
+def _pair_of(rng, **kw):
+    """Two graphs drawn in turn from one generator: vertex names overlap by index."""
+    return random_graph(rng, **kw), random_graph(rng, **kw)
+
+
 @st.composite
 def graph_pairs(draw):
     # overlapping vertex pools make all three cases reachable
-    seed = draw(st.integers(0, 10**9))
-    rng = random.Random(seed)
-    return random_graph(rng), random_graph(rng)
+    return _pair_of(random.Random(draw(st.integers(0, 10**9))))
+
+
+# A coarse pair: under ACC, 275 case-3 members move into 80 merged EQCs, so
+# pairs of schema sides recur, and merge's memo of side unions must key on
+# both sides of each pair.
+_COARSE_PAIR = _pair_of(random.Random(0), max_vertices=600, max_edges=1500)
 
 
 @given(graph_pairs(), st.sampled_from(MODELS))
+@example(_COARSE_PAIR, Model.ACC)
 @settings(max_examples=120, deadline=None)
 def test_merge_equals_summary_of_union(pair, model):
     g1, g2 = pair
@@ -253,6 +263,8 @@ def test_merge_equals_summary_of_union(pair, model):
     assert stats_ba.case1 + stats_ba.case2 + stats_ba.case3 == len(s2.member_index)
     assert stats.case3 == stats_ba.case3
     assert max(record.edges_s1, record.edges_s2) <= record.edges_union <= record.edges_sum
+    if pair is _COARSE_PAIR:
+        assert stats.case3 > len(merged.eqcs)
 
 
 @given(graph_pairs(), graph_pairs(), st.sampled_from(MODELS))
@@ -308,6 +320,7 @@ def _statement_lines(s):
 
 @given(graph_pairs(), st.sampled_from(MODELS))
 @example(_ONE_SIDED_TARGET, Model.AC)
+@example(_COARSE_PAIR, Model.ACC)
 @settings(max_examples=120, deadline=None)
 def test_merge_accounting_matches_reference(pair, model):
     # merge gathers its case counts and |E1 ∪ E2| while it merges; here they
@@ -315,7 +328,9 @@ def test_merge_accounting_matches_reference(pair, model):
     # serialized statement lines.
     s1, s2 = (summarize(g, model) for g in pair)
     for a, b in ((s1, s2), (s2, s1)):
-        record = merge(a, b)[1]
+        merged, record = merge(a, b)
+        if pair is _COARSE_PAIR:
+            assert record.stats.case3 > len(merged.eqcs)
         assert record.stats == classify_cases(a, b)
         assert record.edges_union == len(_statement_lines(a) | _statement_lines(b))
 
