@@ -115,13 +115,14 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def linfit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
-    """Least-squares line with r and the coefficient of determination."""
+    """Least-squares line with r and the coefficient of determination.
+
+    `r2` is r * r, which equals 1 - SS_res / SS_tot for a least-squares line
+    with an intercept.
+    """
     r = pearson(xs, ys)
     slope, intercept = statistics.linear_regression(xs, ys)
-    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    mean_y = math.fsum(ys) / len(ys)
-    ss_tot = math.fsum((y - mean_y) ** 2 for y in ys)
-    return RegressionFit(slope=slope, intercept=intercept, r=r, r2=1.0 - ss_res / ss_tot, n=len(xs))
+    return RegressionFit(slope=slope, intercept=intercept, r=r, r2=r * r, n=len(xs))
 
 
 @dataclass(frozen=True)

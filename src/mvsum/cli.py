@@ -6,8 +6,7 @@ files, `merge-all` folds a directory of summaries under a strategy, and
 `bench` produces pairwise merge records plus regression fits.
 
 Exit codes: 0 success, 1 on a `DataError` or `OSError`, 2 on a `UsageError`.
-Input files are read as UTF-8 with `errors="surrogateescape"`. MVSUM_DIGEST
-overrides the default digest.
+Input files are read as UTF-8 with `errors="surrogateescape"`.
 """
 
 from __future__ import annotations
@@ -15,14 +14,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from mvsum import analytics, multimerge, summary_io
 from mvsum.errors import DataError, UsageError
 from mvsum.graph import build_graph
-from mvsum.merge import merge
+from mvsum.merge import check_compatible, merge
 from mvsum.ntriples import RDF_TYPE, parse_ntriples, triple_line
 from mvsum.summary import DEFAULT_DIGEST, Model, check_digest, summarize
 
@@ -60,7 +58,7 @@ def cmd_summarize(args) -> int:
 def cmd_merge(args) -> int:
     s1 = summary_io.load_summary(args.left)
     s2 = summary_io.load_summary(args.right)
-    multimerge._check_compatible("cannot merge", [(args.left, s1), (args.right, s2)])
+    check_compatible("cannot merge", [(args.left, s1), (args.right, s2)])
     merged, record = merge(s1, s2)
     summary_io.save_summary(merged, args.output)
     if args.stats:
@@ -75,7 +73,7 @@ def cmd_merge_all(args) -> int:
                                    workers=args.workers if kind == "greedy_parallel" else None)
     files = _summary_files(Path(args.directory))
     summaries = [summary_io.load_summary(p) for p in files]
-    multimerge._check_compatible("all summaries must share one model and digest", zip(files, summaries))
+    check_compatible("all summaries must share one model and digest", zip(files, summaries))
     final, schedule = multimerge.merge_all(summaries, strategy, names=[p.name for p in files])
     summary_io.save_summary(final, args.output)
     if args.schedule:
@@ -83,8 +81,8 @@ def cmd_merge_all(args) -> int:
     return 0
 
 
-def _gen_params(args) -> analytics.GenParams:
-    return analytics.GenParams(
+def cmd_gen(args) -> int:
+    params = analytics.GenParams(
         views=args.views,
         vertices_per_view=args.vertices,
         edges_per_view=args.edges,
@@ -94,10 +92,6 @@ def _gen_params(args) -> analytics.GenParams:
         type_prob=args.type_prob,
         seed=args.seed,
     )
-
-
-def cmd_gen(args) -> int:
-    params = _gen_params(args)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {"params": dataclasses.asdict(params), "views": []}
@@ -123,27 +117,20 @@ def cmd_gen(args) -> int:
 
 
 def _bench_inputs(args) -> list[tuple[str, object]]:
-    if bool(args.directory) == bool(args.gen):
-        raise UsageError("bench needs either a directory or --gen")
     model = Model(args.model)
     digest = check_digest(args.digest)
-    if args.directory:
-        paths = _summary_files(Path(args.directory))
-        summaries = []
-        for path in paths:
-            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-                first = fh.readline()
-            if summary_io.is_summary_header(first):
-                summaries.append(summary_io.load_summary(path))
-            else:
-                g = _read_graph(path, args.skip_malformed)
-                summaries.append(summarize(g, model, digest=digest))
-        multimerge._check_compatible("bench inputs must share one model and digest", zip(paths, summaries))
-        named = [(path.name, s) for path, s in zip(paths, summaries)]
-    else:
-        # Generated views are all summarized under one model and digest.
-        params = _gen_params(args)
-        named = [(view_id, summarize(g, model, digest=digest)) for view_id, g in analytics.generate_views(params)]
+    paths = _summary_files(Path(args.directory))
+    summaries = []
+    for path in paths:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            first = fh.readline()
+        if summary_io.is_summary_header(first):
+            summaries.append(summary_io.load_summary(path))
+        else:
+            g = _read_graph(path, args.skip_malformed)
+            summaries.append(summarize(g, model, digest=digest))
+    check_compatible("bench inputs must share one model and digest", zip(paths, summaries))
+    named = [(path.name, s) for path, s in zip(paths, summaries)]
     if len(named) < 2:
         raise UsageError("bench needs at least two summaries")
     return named
@@ -172,17 +159,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--views", type=int, default=3, help="number of views")
-    p.add_argument("--vertices", type=int, default=100, help="vertices per view")
-    p.add_argument("--edges", type=int, default=300, help="edges per view (upper bound, drawn with replacement)")
-    p.add_argument("--predicates", type=int, default=8, help="predicate alphabet size")
-    p.add_argument("--classes", type=int, default=4, help="class alphabet size")
-    p.add_argument("--overlap", type=float, default=0.3, help="fraction of the vertex pool shared across views")
-    p.add_argument("--type-prob", type=float, default=0.5, help="probability that a vertex gets a type")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvsum", description="Multi-view structural graph summaries.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -190,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="summarize an N-Triples graph")
     p.add_argument("graph", help="input graph (N-Triples)")
     p.add_argument("--model", choices=[m.value for m in Model], default=Model.ACC.value)
-    p.add_argument("--digest", default=os.environ.get("MVSUM_DIGEST", DEFAULT_DIGEST))
+    p.add_argument("--digest", default=DEFAULT_DIGEST)
     p.add_argument("-o", "--output", required=True, help="summary file to write")
     p.add_argument("--skip-malformed", action="store_true", help="skip and count malformed lines instead of failing")
     p.set_defaults(func=cmd_summarize)
@@ -213,19 +189,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_merge_all)
 
     p = sub.add_parser("bench", help="pairwise merge benchmark and regression fits")
-    p.add_argument("directory", nargs="?", help="directory of views or summaries (.nt); omit to use --gen")
-    p.add_argument("--gen", action="store_true", help="generate synthetic views instead of reading a directory")
+    p.add_argument("directory", help="directory of views or summaries (.nt)")
     p.add_argument("--model", choices=[m.value for m in Model], default=Model.ACC.value)
-    p.add_argument("--digest", default=os.environ.get("MVSUM_DIGEST", DEFAULT_DIGEST))
+    p.add_argument("--digest", default=DEFAULT_DIGEST)
     p.add_argument("--repeats", type=_positive_int, default=3, help="merges per pair; wall time is the median")
     p.add_argument("--skip-malformed", action="store_true")
     p.add_argument("-o", "--output", required=True, help="pairwise records CSV")
     p.add_argument("--fits", help="regression fits CSV")
-    _add_gen_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="write synthetic multi-view N-Triples files")
-    _add_gen_flags(p)
+    p.add_argument("--views", type=int, default=3, help="number of views")
+    p.add_argument("--vertices", type=int, default=100, help="vertices per view")
+    p.add_argument("--edges", type=int, default=300, help="edges per view (upper bound, drawn with replacement)")
+    p.add_argument("--predicates", type=int, default=8, help="predicate alphabet size")
+    p.add_argument("--classes", type=int, default=4, help="class alphabet size")
+    p.add_argument("--overlap", type=float, default=0.3, help="fraction of the vertex pool shared across views")
+    p.add_argument("--type-prob", type=float, default=0.5, help="probability that a vertex gets a type")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 

@@ -75,16 +75,22 @@ class MergeRecord:
     stats: CaseStats | None
 
 
+def check_compatible(what: str, named) -> None:
+    """MergeConfigError naming the first (name, summary) whose model or digest differs from the first's."""
+    (first, s1), *rest = named
+    for name, s in rest:
+        if s.model != s1.model or s.digest != s1.digest:
+            raise MergeConfigError(f"{what}: {first} is model={s1.model.value} digest={s1.digest}, "
+                                   f"{name} is model={s.model.value} digest={s.digest}")
+
+
 def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     """Merge two summaries; the result summarizes the union of their graphs.
 
     Returns the merged summary plus a MergeRecord with sizes, wall time, and
     the S1-perspective case statistics. The inputs are not modified.
     """
-    if s1.model != s2.model:
-        raise MergeConfigError(f"model mismatch: {s1.model.value} vs {s2.model.value}")
-    if s1.digest != s2.digest:
-        raise MergeConfigError(f"digest mismatch: {s1.digest} vs {s2.digest}")
+    check_compatible("cannot merge", [("S1", s1), ("S2", s2)])
     started = time.perf_counter()
 
     # Step 1: union of schemas and payload member sets, keyed by EqcId. For

@@ -22,10 +22,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from mvsum.errors import UsageError
-from mvsum.merge import MergeConfigError, MergeRecord, merge
+from mvsum.merge import MergeRecord, check_compatible, merge
 from mvsum.summary import Summary
 
 _KINDS = ("smallest_first", "largest_first", "random", "greedy_parallel")
@@ -163,15 +163,6 @@ def _run(items, strategy: Strategy, do_merge, out_names):
     return _run_greedy(items, workers, strategy.kind == "largest_first", do_merge, out_names)
 
 
-def _check_compatible(what: str, named) -> None:
-    """MergeConfigError naming the first (name, summary) whose model or digest differs from the first's."""
-    (first, s1), *rest = named
-    for name, s in rest:
-        if s.model != s1.model or s.digest != s1.digest:
-            raise MergeConfigError(f"{what}: {first} is model={s1.model.value} digest={s1.digest}, "
-                                   f"{name} is model={s.model.value} digest={s.digest}")
-
-
 def merge_all(
     summaries: Sequence[Summary],
     strategy: Strategy,
@@ -184,7 +175,7 @@ def merge_all(
         names = [f"in{i}" for i in range(len(summaries))]
     elif len(names) != len(summaries):
         raise ValueError("names must match summaries one-to-one")
-    _check_compatible("all summaries must share one model and digest", zip(names, summaries))
+    check_compatible("all summaries must share one model and digest", zip(names, summaries))
 
     schedule = MergeSchedule(strategy=strategy.describe())
     if len(summaries) == 1:
@@ -203,38 +194,27 @@ def merge_all(
     return final, schedule
 
 
-def schedule_work(
-    sizes: Sequence[int],
-    strategy: Strategy,
-    output_size: Callable[[int, int], int] | None = None,
-) -> MergeSchedule:
+def schedule_work(sizes: Sequence[int], strategy: Strategy) -> MergeSchedule:
     """Simulate an n-way merge under the cost model cost(a, b) = a + b.
 
     No real merging happens: merging sizes a and b takes a + b time units
-    and yields a summary of size `output_size(a, b)` (default: the a + b
-    upper bound). For greedy_parallel, `total_wall_ms` is the makespan --
+    and yields a summary of a + b edges, the upper bound, which is also its
+    `edges_union`. For greedy_parallel, `total_wall_ms` is the makespan --
     a merge finishes at cost(pair) plus the time its later input was ready,
     and a worker blocks while fewer than two summaries are available. For
     the sequential strategies the makespan is simply the total work.
     """
     if not sizes:
         raise ValueError("schedule_work needs at least one size")
-    size_of = output_size if output_size is not None else (lambda a, b: a + b)
     schedule = MergeSchedule(strategy=strategy.describe())
     if len(sizes) == 1:
         return schedule
     items = [(size, f"in{i}", size) for i, size in enumerate(sizes)]
     out_names = (f"m{k}" for k in itertools.count(1))
 
-    def fake_record(a: int, b: int) -> MergeRecord:
-        return MergeRecord(
-            edges_s1=a, edges_s2=b, edges_sum=a + b, edges_union=size_of(a, b),
-            wall_ms=float(a + b), stats=None,
-        )
-
     def do_merge(a: int, b: int):
-        out = size_of(a, b)
-        return out, out, fake_record(a, b)
+        record = MergeRecord(edges_s1=a, edges_s2=b, edges_sum=a + b, edges_union=a + b, wall_ms=float(a + b), stats=None)
+        return a + b, a + b, record
 
     _, schedule.steps, makespan = _run(items, strategy, do_merge, out_names)
     schedule.total_wall_ms = float(makespan)

@@ -289,9 +289,8 @@ def _parse_line(text: str, line: int, predicates: dict[str, Term]) -> Triple:
     return _new(Triple, (subj, pred, obj))
 
 
-def _checked_text(raw: str | bytes, line: int) -> str:
-    """`raw` as text, or a ParseError at its first surrogate; callers skip ASCII str."""
-    raw = raw.decode("utf-8", "surrogateescape") if isinstance(raw, bytes) else raw
+def _checked_text(raw: str, line: int) -> str:
+    """`raw`, or a ParseError at its first surrogate; callers skip ASCII lines."""
     try:
         raw.encode("utf-8")
         return raw
@@ -306,7 +305,7 @@ def _checked_text(raw: str | bytes, line: int) -> str:
 
 
 def parse_ntriples(
-    source: Iterable[str | bytes],
+    source: Iterable[str],
     on_error: Callable[[ParseError], None] | None = None,
     start: int = 1,
 ) -> Iterator[Triple]:
@@ -314,7 +313,7 @@ def parse_ntriples(
 
     `source` is any iterable of lines, such as a file opened with
     `errors="surrogateescape"`. Blank and `#` comment lines are skipped after
-    `_checked_text`, which also decodes bytes lines. A malformed line raises
+    `_checked_text`. A malformed line raises
     ParseError; passing `on_error` switches to skip-and-count mode, where the
     handler receives each error and parsing continues with the next line.
     `start` is the line number of the first line, for a caller that has
@@ -324,7 +323,7 @@ def parse_ntriples(
     predicates: dict[str, Term] = {}
     for lineno, raw in enumerate(source, start=start):
         try:
-            if isinstance(raw, bytes) or not raw.isascii():
+            if not raw.isascii():
                 raw = _checked_text(raw, lineno)
             text = raw.rstrip("\r\n")
             stripped = text.lstrip(" \t")

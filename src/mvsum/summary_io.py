@@ -245,7 +245,7 @@ def _generic_shape(raw: str, lineno: int) -> tuple[str, str, str] | None:
 
 
 @paused()
-def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
+def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     """Rebuild a summary from its file lines.
 
     With `verify` (the default), every EQC id is recomputed from its schema
@@ -288,7 +288,7 @@ def read_summary(source: Iterable[str | bytes], verify: bool = True) -> Summary:
     counts: dict[str, tuple[str, int]] = {}
     match = _STATEMENT.fullmatch
     for lineno, raw in enumerate(it, start=2):
-        if isinstance(raw, bytes) or not raw.isascii():
+        if not raw.isascii():
             try:
                 raw = _checked_text(raw, lineno)
             except ParseError as exc:

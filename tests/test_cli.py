@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from mvsum.ntriples import RDF_TYPE
 from mvsum.summary_io import load_summary
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(*argv):
@@ -150,21 +152,6 @@ def test_summarize_line_ends(tmp_path, capsys):
     assert len(load_summary(out).member_index) == 4
 
 
-def test_summarize_digest_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("MVSUM_DIGEST", "sha512")
-    out = tmp_path / "s.nt"
-    assert subprocess_run_ok(["summarize", str(DATA / "tiny_graph.nt"), "-o", str(out)])
-    assert out.read_text().startswith("# mvs-summary v1 model=ACC digest=sha512\n")
-
-
-def subprocess_run_ok(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "mvsum.cli", *argv], capture_output=True, text=True, env=child_env()
-    )
-    assert proc.returncode == 0, proc.stderr
-    return True
-
-
 def test_summarize_unknown_digest(tmp_path):
     assert run("summarize", DATA / "tiny_graph.nt", "-o", tmp_path / "s.nt", "--digest", "nope") == 2
 
@@ -246,7 +233,9 @@ def test_summary_data_error_names_file(tmp_path, capsys, command, line, old, new
 
 @pytest.mark.parametrize("command", ["summarize", "bench"])
 def test_digest_flag_unknown_is_usage_error(tmp_path, capsys, command):
-    inputs = [DATA / "tiny_graph.nt"] if command == "summarize" else ["--gen"]
+    views = tmp_path / "views"
+    assert run("gen", "-o", views) == 0
+    inputs = [DATA / "tiny_graph.nt"] if command == "summarize" else [views]
     assert run(command, *inputs, "--digest", "nosuch", "-o", tmp_path / "out") == 2
     assert "unsupported digest 'nosuch'" in capsys.readouterr().err
 
@@ -414,10 +403,11 @@ def test_gen_invalid_fraction(tmp_path):
 
 
 def test_bench_generated_views(tmp_path):
+    views = tmp_path / "views"
+    assert run("gen", "-o", views, "--views", "3", "--seed", "2") == 0
     records = tmp_path / "records.csv"
     fits = tmp_path / "fits.csv"
-    assert run("bench", "--gen", "--views", "3", "--seed", "2", "--repeats", "1",
-               "-o", records, "--fits", fits) == 0
+    assert run("bench", views, "--repeats", "1", "-o", records, "--fits", fits) == 0
     with open(records, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6  # n(n-1)
@@ -431,7 +421,7 @@ def test_bench_generated_views(tmp_path):
 @pytest.mark.parametrize("repeats", ["0", "-1", "x"])
 def test_bench_repeats_must_be_positive(tmp_path, capsys, repeats):
     with pytest.raises(SystemExit) as exc:
-        run("bench", "--gen", "--repeats", repeats, "-o", tmp_path / "r.csv")
+        run("bench", tmp_path, "--repeats", repeats, "-o", tmp_path / "r.csv")
     assert exc.value.code == 2
     assert "argument --repeats" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
@@ -450,9 +440,10 @@ def test_merge_all_workers_must_be_positive(tmp_path, capsys, workers):
 
 
 def test_bench_zero_overlap_no_case3(tmp_path):
+    views = tmp_path / "views"
+    assert run("gen", "-o", views, "--views", "3", "--overlap", "0", "--seed", "8") == 0
     records = tmp_path / "records.csv"
-    assert run("bench", "--gen", "--views", "3", "--overlap", "0", "--seed", "8",
-               "--repeats", "1", "-o", records) == 0
+    assert run("bench", views, "--repeats", "1", "-o", records) == 0
     with open(records, newline="") as fh:
         assert all(row["case3"] == "0" for row in csv.DictReader(fh))
 
@@ -492,11 +483,12 @@ def test_bench_mixed_models_names_the_file(tmp_path, capsys):
     assert f"{d / 'g.nt'} is model=ACC digest=sha256, {d / 's.nt'} is model=AC digest=sha256" in err
 
 
-def test_bench_needs_inputs_xor_gen(tmp_path):
-    assert run("bench", "-o", tmp_path / "r.csv") == 2
-    views = tmp_path / "views"
-    assert run("gen", "-o", views, "--views", "2") == 0
-    assert run("bench", views, "--gen", "-o", tmp_path / "r.csv") == 2
+def test_bench_needs_a_directory(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("bench", "-o", tmp_path / "r.csv")
+    assert exc.value.code == 2
+    assert "the following arguments are required: directory" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_bench_graph_error_names_the_file(tmp_path, capsys):
@@ -544,3 +536,23 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_command_block(tmp_path, monkeypatch):
+    # The first `sh` block under "## Command line", run line by line as written.
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        if words[:2] == ["mkdir", "-p"] and len(words) == 3:
+            Path(words[2]).mkdir(parents=True, exist_ok=True)
+        elif words[0] == "mvsum":
+            assert main(words[1:]) == 0, line
+            commands += 1
+        else:
+            pytest.fail(f"README command line is neither `mkdir -p DIR` nor `mvsum ...`: {line}")
+    assert commands, "no `mvsum` line in the block"

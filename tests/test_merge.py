@@ -189,11 +189,13 @@ def test_case3_symmetric():
 def test_model_mismatch_rejected():
     s1 = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
     s2 = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.CC)
-    with pytest.raises(MergeConfigError):
+    with pytest.raises(MergeConfigError) as exc:
         merge(s1, s2)
+    assert str(exc.value) == "cannot merge: S1 is model=AC digest=sha256, S2 is model=CC digest=sha256"
     s3 = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC, digest="sha512")
-    with pytest.raises(MergeConfigError):
+    with pytest.raises(MergeConfigError) as exc:
         merge(s1, s3)
+    assert str(exc.value) == "cannot merge: S1 is model=AC digest=sha256, S2 is model=AC digest=sha512"
 
 
 def test_duplicate_id_with_different_schema_is_corruption():

@@ -153,13 +153,6 @@ def test_schedule_work_greedy_single_worker_equals_smallest_first():
     assert greedy.total_wall_ms == float(smallest.total_work)
 
 
-def test_schedule_work_output_size_callback():
-    # exact output sizes equal to max input, e.g. fully overlapping views
-    schedule = schedule_work([4, 4, 4], Strategy.smallest_first(), output_size=max)
-    assert [s.record.edges_union for s in schedule.steps] == [4, 4]
-    assert schedule.total_work == (4 + 4) + (4 + 4)
-
-
 def test_schedule_work_single_size():
     schedule = schedule_work([10], Strategy.smallest_first())
     assert schedule.steps == []
