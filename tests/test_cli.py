@@ -152,6 +152,17 @@ def test_summarize_line_ends(tmp_path, capsys):
     assert len(load_summary(out).member_index) == 4
 
 
+def test_summarize_ignores_digest_env(tmp_path):
+    # --digest is the only way to choose a digest; MVSUM_DIGEST is not read.
+    out = tmp_path / "s.nt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvsum.cli", "summarize", str(DATA / "tiny_graph.nt"), "-o", str(out)],
+        capture_output=True, text=True, env=child_env(MVSUM_DIGEST="sha512"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("# mvs-summary v1 model=ACC digest=sha256\n")
+
+
 def test_summarize_unknown_digest(tmp_path):
     assert run("summarize", DATA / "tiny_graph.nt", "-o", tmp_path / "s.nt", "--digest", "nope") == 2
 

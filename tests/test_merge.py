@@ -23,7 +23,7 @@ from helpers import (
 )
 from mvsum.analytics import correlate_times, linfit
 from mvsum.graph import build_graph
-from mvsum.merge import CorruptSummaryError, MergeConfigError, merge
+from mvsum.merge import CorruptSummaryError, MergeConfigError, check_compatible, merge
 from mvsum.ntriples import Term, Triple, parse_ntriples
 from mvsum.summary import Model, eqc_id, summarize, union_side
 from mvsum.summary_io import format_summary
@@ -196,6 +196,16 @@ def test_model_mismatch_rejected():
     with pytest.raises(MergeConfigError) as exc:
         merge(s1, s3)
     assert str(exc.value) == "cannot merge: S1 is model=AC digest=sha256, S2 is model=AC digest=sha512"
+
+
+def test_check_compatible_names_first_mismatch():
+    g = graph_of((iri("x"), p("p"), iri("a")))
+    ac, ac2, cc = summarize(g, Model.AC), summarize(g, Model.AC), summarize(g, Model.CC)
+    assert check_compatible("x", [("a", ac), ("b", ac2)]) is None
+    assert check_compatible("x", [("a", ac)]) is None
+    with pytest.raises(MergeConfigError) as exc:
+        check_compatible("cannot merge", [("a", ac), ("b", ac2), ("c", cc), ("d", cc)])
+    assert str(exc.value) == "cannot merge: a is model=AC digest=sha256, c is model=CC digest=sha256"
 
 
 def test_duplicate_id_with_different_schema_is_corruption():

@@ -153,6 +153,13 @@ def test_schedule_work_greedy_single_worker_equals_smallest_first():
     assert greedy.total_wall_ms == float(smallest.total_work)
 
 
+def test_schedule_work_output_is_input_sum():
+    # A simulated merge of sizes a and b yields a + b edges, also when the views are equal.
+    schedule = schedule_work([4, 4, 4], Strategy.smallest_first())
+    assert [(s.record.edges_sum, s.record.edges_union) for s in schedule.steps] == [(8, 8), (12, 12)]
+    assert schedule.total_work == (4 + 4) + (8 + 4) == 20
+
+
 def test_schedule_work_single_size():
     schedule = schedule_work([10], Strategy.smallest_first())
     assert schedule.steps == []
