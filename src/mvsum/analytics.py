@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 from mvsum.errors import UsageError
-from mvsum.graph import Graph, build_graph
 from mvsum.merge import MergeRecord, merge
 from mvsum.ntriples import RDF_TYPE, Term, Triple
 from mvsum.summary import Model, Summary
@@ -78,20 +77,6 @@ def view_triples(params: GenParams, index: int) -> list[Triple]:
         if rng.random() < params.type_prob:
             triples.append(Triple(v, rdf_type, rng.choice(classes)))
     return triples
-
-
-def generate_view(params: GenParams, index: int) -> Graph:
-    return build_graph(view_triples(params, index))
-
-
-def generate_views(params: GenParams) -> list[tuple[str, Graph]]:
-    """Seeded random views over a partially shared vertex pool, as (id, graph).
-
-    Deterministic in (params, seed): view i is a pure function of the
-    per-view seed, so regenerating with the same parameters reproduces every
-    view byte for byte.
-    """
-    return [(view_id(i), generate_view(params, i)) for i in range(params.views)]
 
 
 @dataclass(frozen=True)

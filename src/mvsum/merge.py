@@ -1,17 +1,20 @@
 """Pairwise summary merging.
 
-The merge has three steps. Step 1 takes the plain union of the two
-summaries' schemas and payloads, which is already correct for every member
-whose situation is trivial (case 1). Step 2 looks each member of the
-smaller input up in the larger input's member index, the one member-to-EQC
-map a merge builds, to find members under *different* EQCs (case 3), and
-moves each into the EQC of the combined schema, creating it if needed. A
-memo local to the merge maps two schema sides to their union, so no union
-is computed twice: this pays when the sides of conflicting pairs repeat, as
-with a small label alphabet. Step 3 deletes every EQC that lost all its
-members from both the schemas and the payloads. The paper's payload
-adaptation for case 2 is a new member count; a payload is its member set and
-the count is that set's size, so it needs no work.
+The merge has the paper's three steps, the third done inside the second.
+Step 1 takes the plain union of the two summaries' schemas and payloads,
+which is already correct for every member whose situation is trivial (case
+1). Step 2 looks each member of the smaller input up in the larger input's
+member index, the one member-to-EQC map a merge builds, to find members
+under *different* EQCs (case 3), and moves each into the EQC of the combined
+schema, creating it if needed. A memo local to the merge maps two schema
+sides to their union, so no union is computed twice: this pays when the
+sides of conflicting pairs repeat, as with a small label alphabet. The
+paper's step 3 deletes every EQC that lost all its members from both the
+schemas and the payloads; here step 2 deletes each such EQC as the move that
+drains it happens, with the same result, so the drained member sets are not
+all alive at once. The paper's payload adaptation for case 2 is a new member
+count; a payload is its member set and the count is that set's size, so it
+needs no work.
 
 The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
 second scan: step 1's union of an EQC both inputs hold gives the size of
@@ -62,9 +65,9 @@ class MergeRecord:
     All edge counts refer to the serialized-triple representation:
     `edges_sum` is |E1| + |E2| and `edges_union` is |E1 ∪ E2| (the size of
     the step-1 union), so max(|E1|, |E2|) <= edges_union <= edges_sum always
-    holds. `wall_ms` covers the three merge steps, which also gather the
-    case counts and the shared lines; the two `edge_count()` calls after
-    them are not in it.
+    holds. `wall_ms` covers steps 1 and 2, which also drop the drained
+    EQCs and gather the case counts and the shared lines; the two
+    `edge_count()` calls after them are not in it.
     """
 
     edges_s1: int
@@ -119,9 +122,10 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
             common += len(p1) == len(p2)
         out.payloads[cid] = members
 
-    # Step 2: detect case 3 and move each conflicting member into the EQC of
-    # the combined schema. Scanning the smaller input's payloads against the
-    # larger input's member index finds the same conflicts at lower cost.
+    # Step 2: detect case 3, move each conflicting member into the EQC of
+    # the combined schema, and drop each EQC a move drains. Scanning the
+    # smaller input's payloads against the larger input's member index
+    # finds the same conflicts at lower cost.
     # `row` holds the target of each pair of the scanned EQC with an EQC of
     # the other input met so far; an EQC with no conflict gets no row.
     # `unions` maps a schema side to a dict from another side to their union,
@@ -166,20 +170,23 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
                     elif existing != schema:
                         raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
                 row[cb] = cid
-            payloads[ca].discard(m)
-            payloads[cb].discard(m)
+            # The paper's step 3: an EQC goes as it drains, tested after the
+            # add, as `cid` may be `ca` or `cb`. An unmoved member keeps `ca`
+            # and `cb`, and a target all it gets, so no cached target is ever
+            # dropped; a dropped EQC that comes back is re-created above.
+            pa, pb = payloads[ca], payloads[cb]
+            pa.discard(m)
+            pb.discard(m)
             payloads[cid].add(m)
+            if not pa:
+                del eqcs[ca], payloads[ca]
+            if not pb:
+                del eqcs[cb], payloads[cb]
             # A conflict whose S1 EQC is also in S2 was counted in case 2 above.
             case3 += 1
             if (ca if scan is s1 else cb) in s2_eqcs:
                 case2 -= 1
     del unions  # its teardown is step 2's work, so it falls inside wall_ms
-
-    # Step 3: drop drained EQCs. A count is the size of the member set, so
-    # no payload needs adapting.
-    for cid in [cid for cid, members in payloads.items() if not members]:
-        del out.eqcs[cid]
-        del payloads[cid]
     wall_ms = (time.perf_counter() - started) * 1e3
 
     e1 = s1.edge_count()

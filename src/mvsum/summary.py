@@ -166,22 +166,23 @@ def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
     """Summarize a whole graph: every vertex lands in exactly one EQC."""
     check_digest(digest)
     # Group vertices by their schema first, so its digest is computed once
-    # per EQC, not per vertex. The graph's label tuples are already sorted,
-    # so they are the schema sides as they stand. A side the model omits is
-    # read from an empty map, so it is () for every vertex.
+    # per EQC, not per vertex; each group is a set from the start and becomes
+    # its EQC's payload as it is. The graph's label tuples are already
+    # sorted, so they are the schema sides as they stand. A side the model
+    # omits is read from an empty map, so it is () for every vertex.
     out_labels = g.out_labels if model.wants_attributes else {}
     vertex_labels = g.vertex_labels if model.wants_classes else {}
-    groups: dict[Schema, list[Term]] = {}
+    groups: dict[Schema, set[Term]] = {}
     for v in g.vertices:
         key = (out_labels.get(v, ()), vertex_labels.get(v, ()))
         bucket = groups.get(key)
         if bucket is None:
-            groups[key] = [v]
+            groups[key] = {v}
         else:
-            bucket.append(v)
+            bucket.add(v)
     s = Summary(model=model, digest=digest)
     for schema, members in groups.items():
         cid = eqc_id(model, schema, digest)
         s.eqcs[cid] = schema
-        s.payloads[cid] = set(members)
+        s.payloads[cid] = members
     return s

@@ -19,13 +19,17 @@ for the same subjects in the same order, each payload subject's lines
 no IRI holds `>`, so no subject is a prefix of another and lines group by
 subject; `<urn:mvs:eqc:` sorts before `<urn:mvs:payload:`; and a payload
 subject holds its EQC's id, so the payload subjects sort like the EQC
-subjects. Whole lines and whole subjects are compared, never bare ids or
-IRIs: `<urn:a/b> .` sorts before `<urn:a> .`, and the subject of id `ab!`
-before that of `ab`. The lines are joined into chunks of a few thousand,
-and `save_summary` writes each chunk as it comes, so the writer holds one
-chunk and one subject's lines, never the whole file. It writes to a
-temporary file beside the target and renames that onto the target at the
-end, so the target holds the old file or the new one, never a part.
+subjects. Whole lines and whole subjects are compared, never bare IRIs:
+`<urn:a/b> .` sorts before `<urn:a> .`, and the subject of id `ab!` before
+that of `ab`. Bare ids sort like their subjects unless one id is a prefix
+of another, and then some id is a prefix of the id after it in bare order;
+so the writer sorts the bare ids and, only when it finds such a neighbour,
+sorts them again as `ID>`, the subject's tail. The lines are joined into
+chunks of about a thousand, and `save_summary` writes each chunk as it
+comes, so the writer holds one chunk and one subject's lines, never the
+whole file. It writes to a temporary file beside the target and renames
+that onto the target at the end, so the target holds the old file or the
+new one, never a part.
 
 The reader matches each line, as the writer formats it, against one
 compiled pattern for these five shapes; a member IRI or a plain `_:` label
@@ -79,9 +83,9 @@ P_MEMBER = "urn:mvs:member"
 P_COUNT = "urn:mvs:count"
 
 _HEADER = re.compile(r"# mvs-summary v1 model=(AC|CC|ACC) digest=(\S+)\s*\Z")
-# Lines per chunk the writer yields: a chunk is a few hundred kilobytes, so
-# the writer's memory does not grow with the file.
-_CHUNK_LINES = 4096
+# Lines per chunk the writer yields: a chunk is about a hundred kilobytes,
+# so the writer's memory does not grow with the file.
+_CHUNK_LINES = 1024
 
 # `int()` alone would also take signs, spaces, underscores and non-ASCII digits.
 _COUNT = re.compile(r"[0-9]+")
@@ -125,7 +129,9 @@ def _blocks(summary: Summary) -> Iterator[list[str]]:
     # Every IRI is still checked: a Summary built through the API may hold
     # IRIs that were never parsed. The payload IRI holds the same id as the
     # checked EQC IRI.
-    cids = sorted(summary.eqcs, key=lambda cid: cid + ">")
+    cids = sorted(summary.eqcs)
+    if any(b.startswith(a) for a, b in zip(cids, cids[1:])):
+        cids.sort(key=lambda cid: cid + ">")
     for cid in cids:
         eqc = f"<{_checked_iri(EQC_NS + cid)}>"
         attributes, classes = summary.eqcs[cid]

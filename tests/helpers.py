@@ -1,12 +1,14 @@
-"""Shared test helpers: independent oracles and small-graph generators."""
+"""Shared test helpers: independent oracles, graph generators and a heap probe."""
 
 from __future__ import annotations
 
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import mvsum
+from mvsum.analytics import GenParams, view_id, view_triples
 from mvsum.graph import Graph, build_graph
 from mvsum.merge import CaseStats
 from mvsum.ntriples import RDF_TYPE, XSD_INTEGER, Term, Triple, _checked_iri
@@ -52,6 +54,21 @@ def child_env(**overrides: str) -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(overrides)
     return env
+
+
+def traced(f):
+    """(f(), peak, retained), in bytes above the heap `f` starts on.
+
+    `peak` is the most `f` held at once; `retained` is what it still holds
+    when it returns, its result alive.
+    """
+    tracemalloc.start()
+    try:
+        result = f()
+        retained, peak = tracemalloc.get_traced_memory()
+        return result, peak, retained
+    finally:
+        tracemalloc.stop()
 
 
 def graph_of(*triples: tuple) -> Graph:
@@ -191,6 +208,21 @@ def random_triples(rng: random.Random, max_vertices: int = 12, max_edges: int = 
 def random_graph(rng: random.Random, **kw) -> Graph:
     """The graph of `random_triples(rng, **kw)`."""
     return build_graph(random_triples(rng, **kw))
+
+
+def generate_view(params: GenParams, index: int) -> Graph:
+    """The graph of `analytics.view_triples(params, index)`."""
+    return build_graph(view_triples(params, index))
+
+
+def generate_views(params: GenParams) -> list[tuple[str, Graph]]:
+    """Seeded random views over a partially shared vertex pool, as (id, graph).
+
+    Deterministic in (params, seed): view i is a pure function of the
+    per-view seed, so regenerating with the same parameters reproduces every
+    view byte for byte.
+    """
+    return [(view_id(i), generate_view(params, i)) for i in range(params.views)]
 
 
 def reference_format(summary: Summary) -> str:

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import canonical_bytes, classify_cases, naive_partition, oracle_merged, partition_of, random_triples
-from mvsum.analytics import GenParams, correlate_times, generate_view, generate_views, linfit, pearson
+from helpers import canonical_bytes, classify_cases, generate_view, generate_views, naive_partition, oracle_merged, partition_of, random_triples
+from mvsum.analytics import GenParams, correlate_times, linfit, pearson
 from mvsum.cli import main as cli_main
 from mvsum.graph import build_graph
 from mvsum.merge import merge

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_bytes, oracle_merged
+from helpers import canonical_bytes, generate_views, oracle_merged
 from mvsum.analytics import (
     GenParams,
     RegressionFit,
     bench_pairwise,
     correlate_times,
-    generate_views,
     linfit,
     pearson,
     write_fits_csv,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_bytes, graph_of, iri, p
-from mvsum.analytics import GenParams, generate_views
+from helpers import canonical_bytes, generate_views, graph_of, iri, p
+from mvsum.analytics import GenParams
 from mvsum.merge import MergeConfigError
 from mvsum.multimerge import Strategy, merge_all, schedule_work, write_schedule_csv
 from mvsum.summary import Model, summarize

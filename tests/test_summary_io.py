@@ -5,14 +5,13 @@ import random
 import re
 import stat
 import threading
-import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BARE_SURROGATES, RDF_TYPE_TERM, cls, graph_of, iri, p, random_graph, reference_format
+from helpers import BARE_SURROGATES, RDF_TYPE_TERM, cls, generate_views, graph_of, iri, p, random_graph, reference_format, traced
 from mvsum import analytics, summary_io
 from mvsum.graph import build_graph
 from mvsum.ntriples import BLANK, IRI, Term, parse_ntriples
@@ -282,16 +281,6 @@ def test_save_writes_into_a_fifo(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def _save_peak(s, path):
-    """Peak bytes `save_summary` allocates above what exists when it starts."""
-    tracemalloc.start()
-    try:
-        save_summary(s, path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_save_memory_does_not_grow_with_the_file(tmp_path):
     # The writer holds one chunk and one payload's lines, not the whole file,
     # so each extra file byte costs it well under one byte of memory. A
@@ -301,24 +290,14 @@ def test_save_memory_does_not_grow_with_the_file(tmp_path):
         params = analytics.GenParams(views=1, vertices_per_view=vertices, edges_per_view=edges,
                                      predicate_alphabet=20, class_alphabet=8, overlap=0.5,
                                      type_prob=0.3, seed=5)
-        (_, g), = analytics.generate_views(params)
+        (_, g), = generate_views(params)
         s = summarize(g, Model.ACC)
         path = tmp_path / f"s{vertices}.nt"
-        points.append((s.edge_count(), _save_peak(s, path), path.stat().st_size))
+        _, peak, _ = traced(lambda: save_summary(s, path))
+        points.append((s.edge_count(), peak, path.stat().st_size))
     (e1, peak1, size1), (e2, peak2, size2) = points
     assert 8_000 < e1 < 12_000 and 35_000 < e2 < 45_000
     assert (peak2 - peak1) / (size2 - size1) < 0.5
-
-
-def _load_peak(path):
-    """(peak, retained) bytes of `load_summary(path)`, the result still held."""
-    tracemalloc.start()
-    try:
-        s = load_summary(path)
-        retained, peak = tracemalloc.get_traced_memory()
-        return peak, retained
-    finally:
-        tracemalloc.stop()
 
 
 def test_load_peak_stays_near_the_result(tmp_path):
@@ -330,10 +309,10 @@ def test_load_peak_stays_near_the_result(tmp_path):
     params = analytics.GenParams(views=1, vertices_per_view=10667, edges_per_view=32000,
                                  predicate_alphabet=320, class_alphabet=6, overlap=0.5,
                                  type_prob=0.4, seed=5)
-    (_, g), = analytics.generate_views(params)
+    (_, g), = generate_views(params)
     path = tmp_path / "s.nt"
     save_summary(summarize(g, Model.ACC), path)
-    peak, retained = _load_peak(path)
+    _, peak, retained = traced(lambda: load_summary(path))
     assert peak / retained < 2.0
 
 
