@@ -12,7 +12,6 @@ from mvsum.merge import (
 from mvsum.multimerge import MergeSchedule, Strategy, merge_all, schedule_work
 from mvsum.ntriples import ParseError, Term, Triple, parse_ntriples
 from mvsum.summary import (
-    DEFAULT_DIGEST,
     Model,
     Summary,
     canonical_string,
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CaseStats",
     "CorruptSummaryError",
-    "DEFAULT_DIGEST",
     "DataError",
     "Graph",
     "MergeConfigError",

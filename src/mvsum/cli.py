@@ -22,7 +22,7 @@ from mvsum.errors import DataError, UsageError
 from mvsum.graph import build_graph
 from mvsum.merge import check_compatible, merge
 from mvsum.ntriples import RDF_TYPE, parse_ntriples, triple_line
-from mvsum.summary import DEFAULT_DIGEST, Model, check_digest, summarize
+from mvsum.summary import Model, summarize
 
 
 def _read_graph(path: Path, skip_malformed: bool):
@@ -48,9 +48,8 @@ def _summary_files(directory: Path) -> list[Path]:
 
 
 def cmd_summarize(args) -> int:
-    check_digest(args.digest)
     g = _read_graph(Path(args.graph), args.skip_malformed)
-    s = summarize(g, Model(args.model), digest=args.digest)
+    s = summarize(g, Model(args.model))
     summary_io.save_summary(s, args.output)
     return 0
 
@@ -73,7 +72,7 @@ def cmd_merge_all(args) -> int:
                                    workers=args.workers if kind == "greedy_parallel" else None)
     files = _summary_files(Path(args.directory))
     summaries = [summary_io.load_summary(p) for p in files]
-    check_compatible("all summaries must share one model and digest", zip(files, summaries))
+    check_compatible("all summaries must share one model", zip(files, summaries))
     final, schedule = multimerge.merge_all(summaries, strategy, names=[p.name for p in files])
     summary_io.save_summary(final, args.output)
     if args.schedule:
@@ -118,7 +117,6 @@ def cmd_gen(args) -> int:
 
 def _bench_inputs(args) -> list[tuple[str, object]]:
     model = Model(args.model)
-    digest = check_digest(args.digest)
     paths = _summary_files(Path(args.directory))
     summaries = []
     for path in paths:
@@ -128,8 +126,8 @@ def _bench_inputs(args) -> list[tuple[str, object]]:
             summaries.append(summary_io.load_summary(path))
         else:
             g = _read_graph(path, args.skip_malformed)
-            summaries.append(summarize(g, model, digest=digest))
-    check_compatible("bench inputs must share one model and digest", zip(paths, summaries))
+            summaries.append(summarize(g, model))
+    check_compatible("bench inputs must share one model", zip(paths, summaries))
     named = [(path.name, s) for path, s in zip(paths, summaries)]
     if len(named) < 2:
         raise UsageError("bench needs at least two summaries")
@@ -166,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="summarize an N-Triples graph")
     p.add_argument("graph", help="input graph (N-Triples)")
     p.add_argument("--model", choices=[m.value for m in Model], default=Model.ACC.value)
-    p.add_argument("--digest", default=DEFAULT_DIGEST)
     p.add_argument("-o", "--output", required=True, help="summary file to write")
     p.add_argument("--skip-malformed", action="store_true", help="skip and count malformed lines instead of failing")
     p.set_defaults(func=cmd_summarize)
@@ -191,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="pairwise merge benchmark and regression fits")
     p.add_argument("directory", help="directory of views or summaries (.nt)")
     p.add_argument("--model", choices=[m.value for m in Model], default=Model.ACC.value)
-    p.add_argument("--digest", default=DEFAULT_DIGEST)
     p.add_argument("--repeats", type=_positive_int, default=3, help="merges per pair; wall time is the median")
     p.add_argument("--skip-malformed", action="store_true")
     p.add_argument("-o", "--output", required=True, help="pairwise records CSV")

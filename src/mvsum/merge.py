@@ -25,10 +25,10 @@ the same cases member by member.
 Merging S1 into S2 and S2 into S1 produces the same summary; only the case
 statistics, which are reported from S1's perspective, differ -- and the
 case-3 count is equal in both directions. The whole thing relies on the two
-inputs using the same model and digest, so that equal schemas have equal
-identifiers; a repeated identifier with a different schema means a digest
-collision or inconsistent inputs and is reported as corruption rather than
-silently repaired.
+inputs using the same model, so that equal schemas have equal identifiers
+(every id is a SHA-256 digest); a repeated identifier with a different schema
+means a hash collision or inconsistent inputs and is reported as corruption
+rather than silently repaired.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from mvsum.summary import EqcId, Schema, Summary, eqc_id, union_side
 
 
 class MergeConfigError(UsageError):
-    """Inputs cannot be merged as configured (model or digest mismatch)."""
+    """Inputs cannot be merged as configured (model mismatch)."""
 
 
 class CorruptSummaryError(DataError):
@@ -79,12 +79,11 @@ class MergeRecord:
 
 
 def check_compatible(what: str, named) -> None:
-    """MergeConfigError naming the first (name, summary) whose model or digest differs from the first's."""
+    """MergeConfigError naming the first (name, summary) whose model differs from the first's."""
     (first, s1), *rest = named
     for name, s in rest:
-        if s.model != s1.model or s.digest != s1.digest:
-            raise MergeConfigError(f"{what}: {first} is model={s1.model.value} digest={s1.digest}, "
-                                   f"{name} is model={s.model.value} digest={s.digest}")
+        if s.model != s1.model:
+            raise MergeConfigError(f"{what}: {first} is model={s1.model.value}, {name} is model={s.model.value}")
 
 
 def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
@@ -99,7 +98,7 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     # Step 1: union of schemas and payload member sets, keyed by EqcId. For
     # an EQC in both inputs, the size of the union also gives |p1 ∩ p2|:
     # case 2 and the shared serialized lines need nothing more.
-    out = Summary(model=s1.model, digest=s1.digest, eqcs=dict(s1.eqcs))
+    out = Summary(model=s1.model, eqcs=dict(s1.eqcs))
     for cid, schema in s2.eqcs.items():
         existing = out.eqcs.get(cid)
         if existing is None:
@@ -162,7 +161,7 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
                 schema = (attrs, classes)
                 cid = ids.get(schema)
                 if cid is None:
-                    cid = ids[schema] = eqc_id(out.model, schema, out.digest)
+                    cid = ids[schema] = eqc_id(out.model, schema)
                     existing = eqcs.get(cid)
                     if existing is None:
                         eqcs[cid] = schema

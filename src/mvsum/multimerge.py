@@ -175,7 +175,7 @@ def merge_all(
         names = [f"in{i}" for i in range(len(summaries))]
     elif len(names) != len(summaries):
         raise ValueError("names must match summaries one-to-one")
-    check_compatible("all summaries must share one model and digest", zip(names, summaries))
+    check_compatible("all summaries must share one model", zip(names, summaries))
 
     schedule = MergeSchedule(strategy=strategy.describe())
     if len(summaries) == 1:

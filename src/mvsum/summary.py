@@ -3,9 +3,10 @@
 A summary partitions the graph's vertices into equivalence classes (EQCs):
 two vertices are equivalent when they share the model's schema features --
 the set of outgoing edge labels (AC), the set of classes (CC), or both
-(ACC). Each EQC is addressed by a digest of its canonical schema string, so
-independently computed summaries assign equal ids to equal schemas, which is
-what makes merging summaries possible at all.
+(ACC). Each EQC is addressed by the SHA-256 digest of its canonical schema
+string, so independently computed summaries assign equal ids to equal
+schemas, which is what makes merging summaries possible at all. The hash is
+fixed, not a setting: two hashes would give equal schemas unequal ids.
 
 A schema is a plain `(attributes, classes)` pair; the summary, not the
 schema, carries the model, and a side the model omits is empty.
@@ -22,13 +23,10 @@ import hashlib
 from dataclasses import dataclass, field
 
 from mvsum._collector import paused
-from mvsum.errors import UsageError
 from mvsum.graph import Graph
-from mvsum.ntriples import BLANK, LITERAL, Term, normalize_bnode_label
+from mvsum.ntriples import Term
 
 EqcId = str
-
-DEFAULT_DIGEST = "sha256"
 
 
 class Model(str, enum.Enum):
@@ -45,17 +43,6 @@ class Model(str, enum.Enum):
     @property
     def wants_classes(self) -> bool:
         return self != "AC"
-
-
-def check_digest(name: str) -> str:
-    """Validate a hashlib digest name; must produce at least 128 bits."""
-    try:
-        probe = hashlib.new(name, b"").hexdigest()
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"unsupported digest {name!r}") from exc
-    if len(probe) < 32:
-        raise UsageError(f"digest {name!r} is shorter than 128 bits")
-    return name
 
 
 # (attributes, classes), each sorted by code point. The empty schema is
@@ -79,10 +66,9 @@ def canonical_string(model: Model, schema: Schema) -> str:
     return "".join(parts)
 
 
-def eqc_id(model: Model, schema: Schema, digest: str = DEFAULT_DIGEST) -> EqcId:
-    """First 128 bits of the digest of the canonical schema string, as hex."""
-    h = hashlib.new(digest, canonical_string(model, schema).encode("utf-8"))
-    return h.hexdigest()[:32]
+def eqc_id(model: Model, schema: Schema) -> EqcId:
+    """First 128 bits of the SHA-256 digest of the canonical schema string, as hex."""
+    return hashlib.sha256(canonical_string(model, schema).encode("utf-8")).hexdigest()[:32]
 
 
 def union_side(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
@@ -101,13 +87,13 @@ class Summary:
     is in two payloads, each member is an IRI or a blank node with an
     alphanumeric label, each schema side is strictly increasing by code
     point, a side the model omits is empty in every schema, and a finalized
-    summary has no empty EQC. No index is stored: `member_index` builds the
-    member-to-EQC map anew on each call. Summaries are treated as immutable
-    once returned; the merge engine mutates only summaries it is still building.
+    summary has no empty EQC (`validate` in `tests/helpers.py` checks them
+    all). No index is stored: `member_index` builds the member-to-EQC map
+    anew on each call. Summaries are treated as immutable once returned;
+    the merge engine mutates only summaries it is still building.
     """
 
     model: Model
-    digest: str = DEFAULT_DIGEST
     eqcs: dict[EqcId, Schema] = field(default_factory=dict)
     payloads: dict[EqcId, set[Term]] = field(default_factory=dict)
 
@@ -129,42 +115,10 @@ class Summary:
             n += len(members) + 1
         return n
 
-    def validate(self) -> None:
-        """Check the summary invariants; raises ValueError on violation."""
-        if set(self.eqcs) != set(self.payloads):
-            raise ValueError("eqcs and payloads must have identical key sets")
-        seen: dict[Term, EqcId] = {}
-        for cid, members in self.payloads.items():
-            if not members:
-                raise ValueError(f"EQC {cid} has no members")
-            for m in members:
-                # The loader reads IRI and blank members only, and the writer
-                # refuses a blank label the loader would normalize.
-                if m.kind == LITERAL:
-                    raise ValueError(f"EQC {cid} has a literal member {m.nt()}")
-                if m.kind == BLANK and normalize_bnode_label(m.value) != m.value:
-                    raise ValueError(f"EQC {cid} has a blank member _:{m.value} whose label is not alphanumeric")
-                if m in seen:
-                    raise ValueError(f"member {m.nt()} appears in {seen[m]} and {cid}")
-                seen[m] = cid
-        for cid, (attributes, classes) in self.eqcs.items():
-            if attributes and not self.model.wants_attributes:
-                raise ValueError(f"EQC {cid} has attributes under model {self.model.value}")
-            if classes and not self.model.wants_classes:
-                raise ValueError(f"EQC {cid} has classes under model {self.model.value}")
-            # The loader sorts each side before it digests it, so a side out
-            # of order, or with a repeat, would write a file that cannot load.
-            for name, side in (("attributes", attributes), ("classes", classes)):
-                if any(a >= b for a, b in zip(side, side[1:])):
-                    raise ValueError(f"EQC {cid} has {name} that are not strictly increasing")
-            if eqc_id(self.model, (attributes, classes), self.digest) != cid:
-                raise ValueError(f"EQC id {cid} does not match its schema digest")
-
 
 @paused()
-def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
+def summarize(g: Graph, model: Model) -> Summary:
     """Summarize a whole graph: every vertex lands in exactly one EQC."""
-    check_digest(digest)
     # Group vertices by their schema first, so its digest is computed once
     # per EQC, not per vertex; each group is a set from the start and becomes
     # its EQC's payload as it is. The graph's label tuples are already
@@ -180,9 +134,9 @@ def summarize(g: Graph, model: Model, digest: str = DEFAULT_DIGEST) -> Summary:
             groups[key] = {v}
         else:
             bucket.add(v)
-    s = Summary(model=model, digest=digest)
+    s = Summary(model=model)
     for schema, members in groups.items():
-        cid = eqc_id(model, schema, digest)
+        cid = eqc_id(model, schema)
         s.eqcs[cid] = schema
         s.payloads[cid] = members
     return s

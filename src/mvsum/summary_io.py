@@ -1,7 +1,10 @@
 """Summary files: N-Triples with a fixed `urn:mvs:` vocabulary.
 
-Line 1 is a comment header carrying the model and digest name so a reader
-can refuse unsafe merges; every other line is a plain N-Triples statement.
+Line 1 is a comment header carrying the model, so that a reader can refuse
+unsafe merges, and the digest name, always `sha256`. The reader refuses a
+file that names any other at line 1, verified or not: its ids would never
+equal those of the same schemas in another file. Every other line is a
+plain N-Triples statement.
 Statements are emitted sorted, so equal summaries serialize to equal bytes.
 
     # mvs-summary v1 model=ACC digest=sha256
@@ -70,9 +73,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from mvsum._collector import paused
-from mvsum.errors import DataError, UsageError
+from mvsum.errors import DataError
 from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, _IRI_CHAR, ParseError, Term, Triple, _checked_iri, _checked_text, _new, parse_ntriples, triple_line
-from mvsum.summary import Model, Summary, check_digest, eqc_id
+from mvsum.summary import Model, Summary, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
 PAYLOAD_NS = "urn:mvs:payload:"
@@ -82,6 +85,7 @@ P_PAYLOAD = "urn:mvs:payload"
 P_MEMBER = "urn:mvs:member"
 P_COUNT = "urn:mvs:count"
 
+_DIGEST = "sha256"
 _HEADER = re.compile(r"# mvs-summary v1 model=(AC|CC|ACC) digest=(\S+)\s*\Z")
 # Lines per chunk the writer yields: a chunk is about a hundred kilobytes,
 # so the writer's memory does not grow with the file.
@@ -113,7 +117,7 @@ class SummaryFormatError(DataError):
 
 
 def header_line(summary: Summary) -> str:
-    return f"# mvs-summary v1 model={summary.model.value} digest={summary.digest}"
+    return f"# mvs-summary v1 model={summary.model.value} digest={_DIGEST}"
 
 
 def is_summary_header(line: str) -> bool:
@@ -255,7 +259,8 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     """Rebuild a summary from its file lines.
 
     With `verify` (the default), every EQC id is recomputed from its schema
-    under the header's digest and must match byte-for-byte.
+    and must match byte-for-byte. A header naming a digest other than
+    SHA-256 is refused either way.
     """
     it = iter(source)
     first = next(it, None)
@@ -268,13 +273,9 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     m = _HEADER.match(first)
     if m is None:
         raise SummaryFormatError(f"line 1: missing summary header, got: {first.rstrip()!r}")
+    if m.group(2) != _DIGEST:
+        raise SummaryFormatError(f"line 1: unsupported digest {m.group(2)!r}")
     model = Model(m.group(1))
-    digest = m.group(2)
-    if verify:
-        try:
-            check_digest(digest)
-        except UsageError as exc:
-            raise SummaryFormatError(f"line 1: {exc}") from None
 
     # Keyed by the EQC id, or by the payload id (the text after PAYLOAD_NS).
     # `payload_of` and `counts` keep their statement's line, `eqc_line` and
@@ -344,12 +345,12 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
         line = min(eqc_line[hexid] for hexid in missing)
         raise SummaryFormatError(f"line {line}: EQCs without payloads: {sorted(missing)}")
 
-    summary = Summary(model=model, digest=digest)
+    summary = Summary(model=model)
     for hexid in sorted(eqc_line):
         schema = tuple(sorted(set(attrs.pop(hexid, ())))), tuple(sorted(set(classes.pop(hexid, ()))))
-        if verify and eqc_id(model, schema, digest) != hexid:
+        if verify and eqc_id(model, schema) != hexid:
             line = min(n for c, n in payload_of.values() if c == hexid)
-            raise SummaryFormatError(f"line {line}: EQC id {hexid} does not match its schema under digest {digest}")
+            raise SummaryFormatError(f"line {line}: EQC id {hexid} does not match its schema")
         summary.eqcs[hexid] = schema
 
     owner: dict[Term, str] = {}

@@ -11,8 +11,8 @@ import mvsum
 from mvsum.analytics import GenParams, view_id, view_triples
 from mvsum.graph import Graph, build_graph
 from mvsum.merge import CaseStats
-from mvsum.ntriples import RDF_TYPE, XSD_INTEGER, Term, Triple, _checked_iri
-from mvsum.summary import Model, Schema, Summary, summarize
+from mvsum.ntriples import BLANK, LITERAL, RDF_TYPE, XSD_INTEGER, Term, Triple, _checked_iri, normalize_bnode_label
+from mvsum.summary import Model, Schema, Summary, eqc_id, summarize
 from mvsum.summary_io import (
     EQC_NS,
     P_ATTRIBUTE,
@@ -252,9 +252,42 @@ def canonical_bytes(s: Summary) -> bytes:
     return format_summary(s).encode("utf-8")
 
 
-def oracle_merged(g1: Graph, g2: Graph, model: Model, digest: str = "sha256") -> Summary:
+def oracle_merged(g1: Graph, g2: Graph, model: Model) -> Summary:
     """The merge oracle: summarize the union graph directly."""
-    return summarize(union(g1, g2), model, digest=digest)
+    return summarize(union(g1, g2), model)
+
+
+def validate(summary: Summary) -> None:
+    """The invariant oracle: check every invariant `Summary` states; ValueError on a violation."""
+    if set(summary.eqcs) != set(summary.payloads):
+        raise ValueError("eqcs and payloads must have identical key sets")
+    seen: dict[Term, str] = {}
+    for cid, members in summary.payloads.items():
+        if not members:
+            raise ValueError(f"EQC {cid} has no members")
+        for m in members:
+            # The loader reads IRI and blank members only, and the writer
+            # refuses a blank label the loader would normalize.
+            if m.kind == LITERAL:
+                raise ValueError(f"EQC {cid} has a literal member {m.nt()}")
+            if m.kind == BLANK and normalize_bnode_label(m.value) != m.value:
+                raise ValueError(f"EQC {cid} has a blank member _:{m.value} whose label is not alphanumeric")
+            if m in seen:
+                raise ValueError(f"member {m.nt()} appears in {seen[m]} and {cid}")
+            seen[m] = cid
+    model = summary.model
+    for cid, (attributes, classes) in summary.eqcs.items():
+        if attributes and not model.wants_attributes:
+            raise ValueError(f"EQC {cid} has attributes under model {model.value}")
+        if classes and not model.wants_classes:
+            raise ValueError(f"EQC {cid} has classes under model {model.value}")
+        # The loader sorts each side before it digests it, so a side out
+        # of order, or with a repeat, would write a file that cannot load.
+        for name, side in (("attributes", attributes), ("classes", classes)):
+            if any(a >= b for a, b in zip(side, side[1:])):
+                raise ValueError(f"EQC {cid} has {name} that are not strictly increasing")
+        if eqc_id(model, (attributes, classes)) != cid:
+            raise ValueError(f"EQC id {cid} does not match its schema digest")
 
 
 # A str line can hold a surrogate that no byte stands for: in an IRI, in a

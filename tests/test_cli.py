@@ -153,7 +153,7 @@ def test_summarize_line_ends(tmp_path, capsys):
 
 
 def test_summarize_ignores_digest_env(tmp_path):
-    # --digest is the only way to choose a digest; MVSUM_DIGEST is not read.
+    # Every id is a SHA-256 digest; MVSUM_DIGEST is not read.
     out = tmp_path / "s.nt"
     proc = subprocess.run(
         [sys.executable, "-m", "mvsum.cli", "summarize", str(DATA / "tiny_graph.nt"), "-o", str(out)],
@@ -161,10 +161,6 @@ def test_summarize_ignores_digest_env(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("# mvs-summary v1 model=ACC digest=sha256\n")
-
-
-def test_summarize_unknown_digest(tmp_path):
-    assert run("summarize", DATA / "tiny_graph.nt", "-o", tmp_path / "s.nt", "--digest", "nope") == 2
 
 
 def test_merge_with_itself_is_identity(tmp_path):
@@ -242,15 +238,6 @@ def test_summary_data_error_names_file(tmp_path, capsys, command, line, old, new
     assert f"{bad}: line {line}: " in err
 
 
-@pytest.mark.parametrize("command", ["summarize", "bench"])
-def test_digest_flag_unknown_is_usage_error(tmp_path, capsys, command):
-    views = tmp_path / "views"
-    assert run("gen", "-o", views) == 0
-    inputs = [DATA / "tiny_graph.nt"] if command == "summarize" else [views]
-    assert run(command, *inputs, "--digest", "nosuch", "-o", tmp_path / "out") == 2
-    assert "unsupported digest 'nosuch'" in capsys.readouterr().err
-
-
 def test_merge_invalid_utf8_summary_is_data_error(tmp_path, capsys):
     s = tmp_path / "s.nt"
     assert run("summarize", DATA / "tiny_graph.nt", "-o", s) == 0
@@ -318,19 +305,21 @@ def test_merge_all_mixed_models_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert run("merge-all", d, "-o", tmp_path / "m.nt") == 2
     err = capsys.readouterr().err
-    assert "all summaries must share one model and digest" in err
-    # The first file that differs from the first file, with both headers.
-    assert f"{d / 'a.nt'} is model=AC digest=sha256, {d / 'c.nt'} is model=CC digest=sha256" in err
+    assert "all summaries must share one model" in err
+    # The first file that differs from the first file, with both models.
+    assert f"{d / 'a.nt'} is model=AC, {d / 'c.nt'} is model=CC" in err
     assert "d.nt" not in err
-    # A digest mismatch is named the same way.
+    # A header naming another digest is no mismatch to report but a data
+    # error in that file, at line 1.
     e = tmp_path / "digests"
     e.mkdir()
     assert run("summarize", DATA / "tiny_graph.nt", "-o", e / "a.nt") == 0
-    assert run("summarize", DATA / "tiny_graph.nt", "--digest", "sha512", "-o", e / "b.nt") == 0
+    text = (e / "a.nt").read_text()
+    (e / "b.nt").write_text(text.replace("digest=sha256", "digest=sha512", 1))
     capsys.readouterr()
-    assert run("merge-all", e, "-o", tmp_path / "m.nt") == 2
+    assert run("merge-all", e, "-o", tmp_path / "m.nt") == 1
     err = capsys.readouterr().err
-    assert f"{e / 'a.nt'} is model=ACC digest=sha256, {e / 'b.nt'} is model=ACC digest=sha512" in err
+    assert f"{e / 'b.nt'}: line 1: unsupported digest 'sha512'" in err
 
 
 def test_merge_all_random_needs_seed(tmp_path):
@@ -490,8 +479,8 @@ def test_bench_mixed_models_names_the_file(tmp_path, capsys):
     capsys.readouterr()
     assert run("bench", d, "-o", tmp_path / "r.csv") == 2
     err = capsys.readouterr().err
-    assert "bench inputs must share one model and digest" in err
-    assert f"{d / 'g.nt'} is model=ACC digest=sha256, {d / 's.nt'} is model=AC digest=sha256" in err
+    assert "bench inputs must share one model" in err
+    assert f"{d / 'g.nt'} is model=ACC, {d / 's.nt'} is model=AC" in err
 
 
 def test_bench_needs_a_directory(tmp_path, capsys):

@@ -87,12 +87,17 @@ def test_callers_own_parse_loop_keeps_its_setting(caller_gc):
     assert gc.isenabled() is caller_gc
 
 
-def test_summarize_restores_collector(caller_gc):
+def test_summarize_restores_collector(caller_gc, monkeypatch):
     g = build_graph(parse_ntriples(GRAPH))
     assert len(summarize(g, Model.ACC).eqcs) == 2
     assert gc.isenabled() is caller_gc
-    with pytest.raises(ValueError, match="unsupported digest"):
-        summarize(g, Model.ACC, digest="nosuch")
+
+    def failing_eqc_id(model, schema):
+        raise RuntimeError("eqc_id failed")
+
+    monkeypatch.setattr("mvsum.summary.eqc_id", failing_eqc_id)
+    with pytest.raises(RuntimeError, match="eqc_id failed"):
+        summarize(g, Model.ACC)
     assert gc.isenabled() is caller_gc
 
 

@@ -5,7 +5,7 @@ Every exception class mvsum defines is a `DataError` (exit 1) or a
 graph and summary files with flipped bytes; dropped, duplicated or swapped
 lines; edited ids and counts; and edited headers. No run may end in a
 traceback, an exit 1 must name the file and a line, and an exit 2 is
-allowed only where both summary headers parse and differ in model or digest.
+allowed only where both summary headers parse and differ in model.
 The agreement tests insert a byte that is not UTF-8, or cut a character, in
 a graph and a summary with LF, CRLF or CR line ends: the run must name the
 line, column and reason that strict decoding of each line gives.
@@ -30,7 +30,6 @@ from mvsum.graph import build_graph
 from mvsum.merge import CorruptSummaryError, MergeConfigError
 from mvsum.multimerge import Strategy
 from mvsum.ntriples import RDF_TYPE, ParseError, Term, Triple
-from mvsum.summary import check_digest
 from mvsum.summary_io import SummaryFormatError, load_summary
 
 
@@ -50,8 +49,6 @@ def test_every_error_class_is_a_data_or_a_usage_error():
 
 
 def test_library_checks_raise_by_kind():
-    with pytest.raises(UsageError, match="unsupported digest"):
-        check_digest("nosuch")
     with pytest.raises(UsageError, match="views must be positive"):
         GenParams(0, 1, 1, 1, 1, 0.5, 0.5, 0)
     with pytest.raises(UsageError, match="requires an explicit seed"):
@@ -63,7 +60,7 @@ def test_library_checks_raise_by_kind():
     with pytest.raises(DataError, match="subject must be an IRI or blank node"):
         build_graph([Triple(Term.literal("x"), p("p"), iri("a"))])
     g = graph_of((iri("a"), p("p"), iri("b")))
-    with pytest.raises(MergeConfigError, match="^all summaries must share one model and digest: in0 is model=AC digest=sha256, in1 is model=CC digest=sha256$"):
+    with pytest.raises(MergeConfigError, match="^all summaries must share one model: in0 is model=AC, in1 is model=CC$"):
         merge_all([summarize(g, Model.AC), summarize(g, Model.CC)], Strategy.smallest_first())
 
 
@@ -200,7 +197,7 @@ def test_merge_mutated_summaries(work, data):
     else:
         assert code == 2, err
         s1, s2 = load_summary(left), load_summary(right)
-        assert (s1.model, s1.digest) != (s2.model, s2.digest), err
+        assert s1.model != s2.model, err
         assert err.startswith(f"error: cannot merge: {left} is model="), err
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_bytes, generate_views, graph_of, iri, p
+from helpers import canonical_bytes, generate_views, graph_of, iri, p, validate
 from mvsum.analytics import GenParams
 from mvsum.merge import MergeConfigError
 from mvsum.multimerge import Strategy, merge_all, schedule_work, write_schedule_csv
@@ -93,7 +93,7 @@ def test_all_strategies_same_result():
     for strategy in (Strategy.smallest_first(), Strategy.largest_first(),
                      Strategy.random(99), Strategy.greedy_parallel(2)):
         final, _ = merge_all(summaries, strategy)
-        final.validate()
+        validate(final)
         finals[strategy.describe()] = canonical_bytes(final)
     assert len(set(finals.values())) == 1
 
@@ -219,4 +219,4 @@ def test_greedy_parallel_with_more_workers_than_pairs():
     summaries = [summarize(g, Model.CC) for _, g in views]
     final, schedule = merge_all(summaries, Strategy.greedy_parallel(16))
     assert len(schedule.steps) == 3
-    final.validate()
+    validate(final)

@@ -5,7 +5,6 @@ import mvsum
 PUBLIC = [
     "CaseStats",
     "CorruptSummaryError",
-    "DEFAULT_DIGEST",
     "DataError",
     "Graph",
     "MergeConfigError",

@@ -19,12 +19,13 @@ from helpers import (
     random_triples,
     schema_of,
     traced,
+    validate,
 )
 from mvsum.analytics import GenParams
 from mvsum.graph import build_graph
 from mvsum.merge import merge
 from mvsum.ntriples import BLANK, Term, Triple
-from mvsum.summary import Model, Summary, canonical_string, check_digest, eqc_id, summarize, union_side
+from mvsum.summary import Model, Summary, canonical_string, eqc_id, summarize, union_side
 from mvsum.summary_io import SummaryFormatError, format_summary, read_summary
 
 MODELS = [Model.AC, Model.CC, Model.ACC]
@@ -65,15 +66,15 @@ def _one_eqc_summary(model, schema):
 
 
 def test_schema_sides_match_model():
-    _one_eqc_summary(Model.ACC, (("urn:p",), ("urn:C",))).validate()
-    _one_eqc_summary(Model.AC, (("urn:p",), ())).validate()
-    _one_eqc_summary(Model.CC, ((), ("urn:C",))).validate()
+    validate(_one_eqc_summary(Model.ACC, (("urn:p",), ("urn:C",))))
+    validate(_one_eqc_summary(Model.AC, (("urn:p",), ())))
+    validate(_one_eqc_summary(Model.CC, ((), ("urn:C",))))
     s = _one_eqc_summary(Model.AC, (("urn:p",), ("urn:C",)))
     with pytest.raises(ValueError, match=f"^EQC {next(iter(s.eqcs))} has classes under model AC$"):
-        s.validate()
+        validate(s)
     s = _one_eqc_summary(Model.CC, (("urn:p",), ("urn:C",)))
     with pytest.raises(ValueError, match=f"^EQC {next(iter(s.eqcs))} has attributes under model CC$"):
-        s.validate()
+        validate(s)
 
 
 @pytest.mark.parametrize("model, schema, side", [
@@ -89,8 +90,8 @@ def test_validate_refuses_a_side_not_strictly_increasing(model, schema, side):
     # order check can refuse it; the sorted side is accepted.
     s = _one_eqc_summary(model, schema)
     with pytest.raises(ValueError, match=f"^EQC {next(iter(s.eqcs))} has {side} that are not strictly increasing$"):
-        s.validate()
-    _one_eqc_summary(model, tuple(tuple(sorted(set(part))) for part in schema)).validate()
+        validate(s)
+    validate(_one_eqc_summary(model, tuple(tuple(sorted(set(part))) for part in schema)))
 
 
 def test_eqc_id_matches_independent_digest():
@@ -117,20 +118,6 @@ def test_eqc_id_deterministic():
     assert eqc_id(Model.ACC, s) == eqc_id(Model.ACC, (("urn:p",), ("urn:C",)))
 
 
-def test_digest_configurable():
-    s = (("urn:p",), ())
-    assert eqc_id(Model.AC, s, "sha512") == hashlib.sha512(canonical_string(Model.AC, s).encode()).hexdigest()[:32]
-    assert eqc_id(Model.AC, s, "sha512") != eqc_id(Model.AC, s, "sha256")
-
-
-def test_check_digest():
-    assert check_digest("sha256") == "sha256"
-    with pytest.raises(ValueError):
-        check_digest("not-a-digest")
-    with pytest.raises(ValueError):
-        check_digest("shake_128")
-
-
 def test_summarize_empty_graph():
     s = summarize(build_graph([]), Model.ACC)
     assert s.eqcs == {} and s.payloads == {} and s.member_index == {}
@@ -153,7 +140,7 @@ def test_summarize_single_edge_ac():
     s = summarize(g, Model.AC)
     by_schema = {schema: s.payloads[cid] for cid, schema in s.eqcs.items()}
     assert by_schema == {((p("p").value,), ()): {iri("x")}, ((), ()): {iri("a")}}
-    s.validate()
+    validate(s)
 
 
 def test_summarize_acc_example():
@@ -185,26 +172,26 @@ def test_validate_rejects_bad_summaries():
     s = summarize(g, Model.AC)
     s.payloads["0" * 32] = {iri("zz")}
     with pytest.raises(ValueError, match="^eqcs and payloads must have identical key sets$"):
-        s.validate()
+        validate(s)
     # An EQC whose id is not the digest of its schema.
     s = summarize(g, Model.AC)
     cid = next(iter(s.eqcs))
     s.eqcs[cid] = (("urn:other",), ())
     with pytest.raises(ValueError, match=f"^EQC id {cid} does not match its schema digest$"):
-        s.validate()
+        validate(s)
     # Members that would not load back as written: the loader refuses a
     # literal member, and would read `_:a.b` back as `_:x612e62`.
     s = summarize(g, Model.AC)
     cid = s.member_index[iri("a")]
     s.payloads[cid].add(Term.literal("x"))
     with pytest.raises(ValueError, match=f'^EQC {cid} has a literal member "x"$'):
-        s.validate()
+        validate(s)
     with pytest.raises(SummaryFormatError, match="unexpected statement"):
         read_summary(format_summary(s).splitlines())
     s = summarize(g, Model.AC)
     s.payloads[cid].add(Term(BLANK, "a.b"))
     with pytest.raises(ValueError, match=rf"^EQC {cid} has a blank member _:a\.b whose label is not alphanumeric$"):
-        s.validate()
+        validate(s)
     # The writer refuses the label rather than write a file that loads back
     # with `_:x612e62` in its place.
     with pytest.raises(ValueError, match=r"^blank node label not alphanumeric: 'a\.b'$"):
@@ -216,14 +203,14 @@ def test_validate_rejects_empty_payload():
     cid = s.member_index[iri("x")]
     s.payloads[cid].clear()
     with pytest.raises(ValueError, match="no members"):
-        s.validate()
+        validate(s)
 
 
 def test_validate_rejects_member_in_two_eqcs():
     s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
     s.payloads[s.member_index[iri("a")]].add(iri("x"))
     with pytest.raises(ValueError, match="appears in"):
-        s.validate()
+        validate(s)
 
 
 def test_member_index_names_the_eqc_of_each_vertex_schema():
@@ -233,7 +220,7 @@ def test_member_index_names_the_eqc_of_each_vertex_schema():
         assert set(s.member_index) == g.vertices
         for v in g.vertices:
             cid = s.member_index[v]
-            assert cid == eqc_id(model, schema_of(v, g, model), s.digest)
+            assert cid == eqc_id(model, schema_of(v, g, model))
             assert v in s.payloads[cid]
     s = summarize(g, Model.AC)
     assert s.eqcs[s.member_index[iri("v")]] == ((p("p").value, p("q").value), ())
@@ -261,7 +248,7 @@ def test_member_index_is_a_fresh_inverse(triples1, triples2, model):
         index.clear()
         index[iri("new")] = "0" * 32
         assert s.payloads == payloads and s.member_index == inverse(s)
-        s.validate()
+        validate(s)
 
 
 @given(triple_lists(), st.sampled_from(MODELS))
@@ -269,7 +256,7 @@ def test_member_index_is_a_fresh_inverse(triples1, triples2, model):
 def test_partition_properties(triples, model):
     g = build_graph(triples)
     s = summarize(g, model)
-    s.validate()
+    validate(s)
     # partition: pairwise disjoint (validate checks) and covers all vertices
     assert set().union(*s.payloads.values()) == naive_vertices(triples)
     # psi-soundness: same EQC iff same schema

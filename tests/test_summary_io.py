@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BARE_SURROGATES, RDF_TYPE_TERM, cls, generate_views, graph_of, iri, p, random_graph, reference_format, traced
+from helpers import BARE_SURROGATES, RDF_TYPE_TERM, cls, generate_views, graph_of, iri, p, random_graph, reference_format, traced, validate
 from mvsum import analytics, summary_io
 from mvsum.graph import build_graph
 from mvsum.ntriples import BLANK, IRI, Term, parse_ntriples
@@ -30,13 +30,14 @@ def reload(s):
     return read_summary(format_summary(s).splitlines())
 
 
-def test_header_round_trip():
-    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.ACC, digest="sha512")
+@pytest.mark.parametrize("model", list(Model))
+def test_header_round_trip(model):
+    s = summarize(graph_of((iri("x"), p("p"), iri("a"))), model)
     text = format_summary(s)
-    assert text.startswith("# mvs-summary v1 model=ACC digest=sha512\n")
+    assert text.startswith(f"# mvs-summary v1 model={model.value} digest=sha256\n")
     assert is_summary_header(text.splitlines()[0])
     loaded = reload(s)
-    assert loaded.model is Model.ACC and loaded.digest == "sha512"
+    assert loaded.model is model and loaded.eqcs == s.eqcs and loaded.payloads == s.payloads
 
 
 def test_golden_text_for_known_summary():
@@ -75,7 +76,7 @@ def test_reload_preserves_everything():
         assert loaded.member_index == s.member_index
         assert loaded.payloads == s.payloads
         assert set(loaded.eqcs) == set(s.eqcs)  # EqcIds byte-identical
-        loaded.validate()
+        validate(loaded)
         assert format_summary(loaded) == format_summary(s)
 
 
@@ -412,8 +413,8 @@ def test_statement_errors_name_their_line(line, message):
 @pytest.mark.parametrize("model, predicate, message", [
     ("AC", "class", "line 3: EQC e has classes under model AC"),
     ("CC", "attribute", "line 3: EQC e has attributes under model CC"),
-    ("ACC", "class", "line 2: EQC id e does not match its schema under digest sha256"),
-    ("ACC", "attribute", "line 2: EQC id e does not match its schema under digest sha256"),
+    ("ACC", "class", "line 2: EQC id e does not match its schema"),
+    ("ACC", "attribute", "line 2: EQC id e does not match its schema"),
 ])
 def test_a_side_the_model_omits_names_its_line(model, predicate, message, spacing):
     # The canonical line takes the statement pattern and the spaced one the
@@ -468,7 +469,7 @@ def _eqc_lines(cid, attribute, members, count=None, payload=None):
     ([line for line in _eqc_lines(_E, "urn:p", ["urn:x"]) if "urn:mvs:count" not in line],
      f"line 3: payload of EQC {_E} has no count"),
     (_eqc_lines(_E, "urn:q", ["urn:x"]),
-     f"line 3: EQC id {_E} does not match its schema under digest sha256"),
+     f"line 3: EQC id {_E} does not match its schema"),
     (_eqc_lines(_E, "urn:p", ["urn:x"]) + _eqc_lines(_F, "urn:q", ["urn:y", "urn:x"]),
      f"line 7: member <urn:x> of EQC {_F} already appears in EQC {_E}"),
     (_eqc_lines(_E, "urn:p", ["urn:x"], payload="P1") + _eqc_lines(_E, "urn:p", ["urn:y"], payload="P2")[1:],
@@ -489,14 +490,18 @@ def test_checks_after_the_last_line_name_a_line(body, message):
     assert str(exc.value) == message
 
 
-def test_unknown_header_digest_is_format_error():
+@pytest.mark.parametrize("verify", [True, False])
+@pytest.mark.parametrize("digest", ["sha512", "md5", "nosuch"])
+def test_header_naming_another_digest_is_format_error(digest, verify):
+    # Every id is a SHA-256 digest. A file whose header names another digest
+    # may hold ids that would never meet those of the same schemas, so it is
+    # refused even when no id is recomputed.
     s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
-    text = format_summary(s).replace("digest=sha256", "digest=nosuch")
+    text = format_summary(s).replace("digest=sha256", f"digest={digest}")
+    assert is_summary_header(text.splitlines()[0])
     with pytest.raises(SummaryFormatError) as exc:
-        read_summary(text.splitlines())
-    assert str(exc.value) == "line 1: unsupported digest 'nosuch'"
-    # Without verification the digest is never used.
-    assert read_summary(text.splitlines(), verify=False).digest == "nosuch"
+        read_summary(text.splitlines(), verify=verify)
+    assert str(exc.value) == f"line 1: unsupported digest '{digest}'"
 
 
 # --- the statement pattern and the per-line fallback --------------------------
@@ -679,7 +684,7 @@ def _api_summaries(draw):
 @settings(max_examples=300, deadline=None)
 def test_every_valid_summary_reads_back_equal(s):
     try:
-        s.validate()
+        validate(s)
     except ValueError:
         return
     assert reload(s) == s
