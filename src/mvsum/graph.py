@@ -7,13 +7,12 @@ outgoing label of its subject, not an edge, so the two label alphabets stay
 disjoint by construction. An IRI or blank object becomes a vertex; a
 literal object does not, and a literal subject is refused.
 
-A built graph is immutable: each vertex's labels are a tuple sorted by code
-point, the very schema side that `summarize` groups on. Within one
-`build_graph` call each value has one object: the Term held in `vertices`
-is the key it has in `vertex_labels` and `out_labels`, each class IRI is
-one string, and equal label tuples are one tuple. Local dicts map each
-Term and each tuple to its first copy and are dropped on return; nothing
-is cached across calls.
+A vertex is its N-Triples term text, `<iri>` or `_:label`, the string a
+summary holds as a member. A built graph is immutable: each vertex's labels
+are a tuple sorted by code point, the very schema side that `summarize`
+groups on. Within one `build_graph` call each vertex text, each class IRI
+and each label tuple is one object, shared by `vertices` and both label
+maps. Local dicts map each to its first copy and are dropped on return.
 
 `build_graph` runs with the cyclic collector paused (see `mvsum._collector`),
 and so does the parser generator it drives, since the parser's work runs
@@ -28,14 +27,14 @@ from typing import Iterable
 
 from mvsum._collector import paused
 from mvsum.errors import DataError
-from mvsum.ntriples import IRI, LITERAL, RDF_TYPE, Term, Triple
+from mvsum.ntriples import IRI, LITERAL, RDF_TYPE, Triple
 
 
 @dataclass
 class Graph:
-    vertices: set[Term] = field(default_factory=set)
-    vertex_labels: dict[Term, tuple[str, ...]] = field(default_factory=dict)
-    out_labels: dict[Term, tuple[str, ...]] = field(default_factory=dict)
+    vertices: set[str] = field(default_factory=set)
+    vertex_labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    out_labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 @paused()
@@ -47,30 +46,31 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
     non-literal objects are registered as vertices. A literal subject, or an
     `rdf:type` object that is not an IRI, raises DataError.
     """
-    vertices: set[Term] = set()
-    vertex_labels: dict[Term, set[str]] = {}
-    out_labels: dict[Term, set[str]] = {}
-    # Maps each vertex and class Term to its first copy, so that `vertices`
-    # and both label maps share one Term per vertex and one string per class.
+    vertices: set[str] = set()
+    vertex_labels: dict[str, set[str]] = {}
+    out_labels: dict[str, set[str]] = {}
+    # Maps each vertex text and class IRI to its first copy, so that
+    # `vertices` and both label maps share one string per vertex and per class.
     one = {}.setdefault
     for s, p, o in triples:
+        if s.kind == LITERAL:
+            raise DataError(f"subject must be an IRI or blank node, got {s.nt()}")
+        s = f"<{s.value}>" if s.kind == IRI else f"_:{s.value}"
         s = one(s, s)
         vertices.add(s)
         if p.value == RDF_TYPE:
             if o.kind != IRI:
                 raise DataError(f"rdf:type object must be an IRI, got {o.nt()}")
-            vertex_labels.setdefault(s, set()).add(one(o, o).value)
+            vertex_labels.setdefault(s, set()).add(one(o.value, o.value))
             continue
         out_labels.setdefault(s, set()).add(p.value)
         if o.kind != LITERAL:
+            o = f"<{o.value}>" if o.kind == IRI else f"_:{o.value}"
             vertices.add(one(o, o))
-    # Every subject is a key of a label map, so this pass also sees each
-    # subject once. Equal label sets become one tuple.
+    # Equal label sets become one tuple.
     interned = {}.setdefault
     for labels in (vertex_labels, out_labels):
         for v, side in labels.items():
-            if v.kind == LITERAL:
-                raise DataError(f"subject must be an IRI or blank node, got {v.nt()}")
             side = tuple(sorted(side))
             labels[v] = interned(side, side)
     return Graph(vertices, vertex_labels, out_labels)

@@ -130,7 +130,8 @@ def _run_greedy(items, workers: int, largest: bool, do_merge, out_names):
     ready = [(sign * size, seq, name, item) for seq, (size, name, item) in enumerate(items)]
     heapq.heapify(ready)
     running: list[tuple[float, int, int, str, object]] = []  # (finish, key, seq, name, item)
-    free_at = [0.0] * workers  # a heap of the times the workers become free
+    # When each worker is next free, a heap; no more than n // 2 merges can run at once.
+    free_at = [0.0] * min(workers, len(items) // 2)
     seq = itertools.count(len(items))
     steps: list[Step] = []
     while len(steps) < len(items) - 1:

@@ -9,7 +9,8 @@ schemas, which is what makes merging summaries possible at all. The hash is
 fixed, not a setting: two hashes would give equal schemas unequal ids.
 
 A schema is a plain `(attributes, classes)` pair; the summary, not the
-schema, carries the model, and a side the model omits is empty.
+schema, carries the model, and a side the model omits is empty. A member
+is its vertex's N-Triples text, so a summary holds only strings.
 
 `summarize` runs with the cyclic collector paused (see `mvsum._collector`):
 its groups, schemas and member sets hold no cycles, so a collection there
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 
 from mvsum._collector import paused
 from mvsum.graph import Graph
-from mvsum.ntriples import Term
 
 EqcId = str
 
@@ -84,7 +84,7 @@ class Summary:
 
     An EQC's payload is its member set; its file form also states the
     member count. Every EqcId is in both `eqcs` and `payloads`, no member
-    is in two payloads, each member is an IRI or a blank node with an
+    is in two payloads, each member is `<iri>` or `_:label` with an
     alphanumeric label, each schema side is strictly increasing by code
     point, a side the model omits is empty in every schema, and a finalized
     summary has no empty EQC (`validate` in `tests/helpers.py` checks them
@@ -95,16 +95,12 @@ class Summary:
 
     model: Model
     eqcs: dict[EqcId, Schema] = field(default_factory=dict)
-    payloads: dict[EqcId, set[Term]] = field(default_factory=dict)
+    payloads: dict[EqcId, set[str]] = field(default_factory=dict)
 
     @property
-    def member_index(self) -> dict[Term, EqcId]:
+    def member_index(self) -> dict[str, EqcId]:
         """Each member's EQC, the inverse of `payloads`: a new dict per call."""
-        # `dict.fromkeys` reuses the hashes the sets store; rehashing cost 2x on coarse EQCs.
-        index: dict[Term, EqcId] = {}
-        for cid, members in self.payloads.items():
-            index.update(dict.fromkeys(members, cid))
-        return index
+        return {m: cid for cid, members in self.payloads.items() for m in members}
 
     def edge_count(self) -> int:
         """Number of statements in the serialized-triple representation."""
@@ -126,7 +122,7 @@ def summarize(g: Graph, model: Model) -> Summary:
     # omits is read from an empty map, so it is () for every vertex.
     out_labels = g.out_labels if model.wants_attributes else {}
     vertex_labels = g.vertex_labels if model.wants_classes else {}
-    groups: dict[Schema, set[Term]] = {}
+    groups: dict[Schema, set[str]] = {}
     for v in g.vertices:
         key = (out_labels.get(v, ()), vertex_labels.get(v, ()))
         bucket = groups.get(key)

@@ -35,8 +35,8 @@ that onto the target at the end, so the target holds the old file or the
 new one, never a part.
 
 The reader matches each line, as the writer formats it, against one
-compiled pattern for these five shapes; a member IRI or a plain `_:` label
-is the only part that becomes a `Term`, and the rest is grouped by the EQC
+compiled pattern for these five shapes. Its member is `_MEMBER`, the
+writer's rule, kept as the text it is; the rest is grouped by the EQC
 or payload id string. A line the pattern rejects (a comment, a blank line,
 other spacing, an escape, a non-plain blank label, CRLF, a foreign
 statement or garbage) goes, on its own, through `parse_ntriples`,
@@ -58,8 +58,8 @@ tuple when its EQC is built, so statements may come in any order and any
 number of times. Nothing is kept across calls.
 
 `read_summary`, `format_summary` and `save_summary` run with the cyclic
-collector paused (see `mvsum._collector`): their Terms, id strings, lines,
-sets and dicts hold no cycles, so a collection there would free nothing.
+collector paused (see `mvsum._collector`): their strings, lines, sets and
+dicts hold no cycles, so a collection there would free nothing.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from typing import Iterable, Iterator, TextIO
 
 from mvsum._collector import paused
 from mvsum.errors import DataError
-from mvsum.ntriples import BLANK, IRI, LITERAL, XSD_INTEGER, _IRI_CHAR, ParseError, Term, Triple, _checked_iri, _checked_text, _new, parse_ntriples, triple_line
+from mvsum.ntriples import IRI, LITERAL, XSD_INTEGER, _IRI_CHAR, ParseError, Term, Triple, _checked_iri, _checked_text, parse_ntriples, triple_line
 from mvsum.summary import Model, Summary, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
@@ -96,17 +96,18 @@ _COUNT = re.compile(r"[0-9]+")
 
 # The five statement shapes exactly as `_blocks` writes them. Group
 # 2 is the subject's id, and the last group to match names the shape:
-# `attribute`, `class` or `payload` after an EQC subject (group 1 set), `iri`
-# or `blank` (the member's Term kind) or `count` after a payload subject. An
-# IRI here holds no escape, so its text is its value.
+# `attribute`, `class` or `payload` after an EQC subject (group 1 set),
+# `member` or `count` after a payload subject. An IRI here holds no escape,
+# so its text is its value, and a member's text is the member.
 _PLAIN_IRI = f"{_IRI_CHAR}*"
+_MEMBER = re.compile(rf"<{_PLAIN_IRI}>|_:[A-Za-z0-9]+")
 _STATEMENT = re.compile(
     rf"<urn:mvs:(?:(eqc)|payload):({_PLAIN_IRI})> <urn:mvs:(?(1)(?:"
     rf"attribute> <(?P<attribute>{_PLAIN_IRI})>"
     rf"|class> <(?P<class>{_PLAIN_IRI})>"
     rf"|payload> <urn:mvs:payload:(?P<payload>{_PLAIN_IRI})>"
     rf")|(?:"
-    rf"member> (?:<(?P<{IRI}>{_PLAIN_IRI})>|_:(?P<{BLANK}>[A-Za-z0-9]+))"
+    rf"member> (?P<member>{_MEMBER.pattern})"
     rf'|count> "(?P<count>[0-9]+)"\^\^<{re.escape(XSD_INTEGER)}>'
     r")) \.\n?"
 )
@@ -130,9 +131,9 @@ def _blocks(summary: Summary) -> Iterator[list[str]]:
     First every EQC subject, then every payload subject in the same order;
     the module docstring says why this is the order of one global sort.
     """
-    # Every IRI is still checked: a Summary built through the API may hold
-    # IRIs that were never parsed. The payload IRI holds the same id as the
-    # checked EQC IRI.
+    # Every IRI and member is still checked: a Summary built through the API
+    # may hold text that was never parsed. The payload IRI holds the same id
+    # as the checked EQC IRI.
     cids = sorted(summary.eqcs)
     if any(b.startswith(a) for a, b in zip(cids, cids[1:])):
         cids.sort(key=lambda cid: cid + ">")
@@ -147,7 +148,10 @@ def _blocks(summary: Summary) -> Iterator[list[str]]:
     for cid in cids:
         pay = f"<{PAYLOAD_NS}{cid}>"
         members = summary.payloads[cid]
-        block = [f"{pay} <{P_MEMBER}> {m.nt()} .\n" for m in members]
+        for m in members:
+            if not _MEMBER.fullmatch(m):
+                raise ValueError(f"member is not <iri> or _:[A-Za-z0-9]+: {m!r}")
+        block = [f"{pay} <{P_MEMBER}> {m} .\n" for m in members]
         block.append(f'{pay} <{P_COUNT}> "{len(members):d}"^^<{XSD_INTEGER}> .\n')
         block.sort()
         yield block
@@ -248,7 +252,7 @@ def _generic_shape(raw: str, lineno: int) -> tuple[str, str, str] | None:
     elif s.kind == IRI and s.value.startswith(PAYLOAD_NS):
         sid = s.value[len(PAYLOAD_NS):]
         if p.value == P_MEMBER and o.kind != LITERAL:
-            return o.kind, sid, o.value
+            return "member", sid, o.nt()
         if p.value == P_COUNT and o.kind == LITERAL and o.datatype == XSD_INTEGER:
             return "count", sid, o.value
     raise SummaryFormatError(f"line {lineno}: unexpected statement: {triple_line(triple)}")
@@ -280,17 +284,16 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     # Keyed by the EQC id, or by the payload id (the text after PAYLOAD_NS).
     # `payload_of` and `counts` keep their statement's line, `eqc_line` and
     # `member_line` the line an id is first seen on, for the later checks.
-    # `one` maps each id and label string to its first copy, so all of these
-    # dicts and the schemas hold one object per value, and a line's own
-    # copies are freed with the line. A schema side is a list, deduplicated
-    # when its tuple is built below.
+    # `one` maps each id and label string to its first copy (see the module
+    # docstring). A schema side is a list, deduplicated when its tuple is
+    # built below.
     want_attrs, want_classes = model.wants_attributes, model.wants_classes
     one: dict[str, str] = {}
     attrs: dict[str, list[str]] = {}
     classes: dict[str, list[str]] = {}
     payload_of: dict[str, tuple[str, int]] = {}
     eqc_line: dict[str, int] = {}
-    members: dict[str, set[Term]] = {}
+    members: dict[str, set[str]] = {}
     member_line: dict[str, int] = {}
     counts: dict[str, tuple[str, int]] = {}
     match = _STATEMENT.fullmatch
@@ -315,12 +318,12 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
                 raise SummaryFormatError(f"line {lineno}: EQC {sid} has attributes under model {model.value}")
             eqc_line.setdefault(sid, lineno)
             attrs.setdefault(sid, []).append(one.setdefault(value, value))
-        elif shape == IRI or shape == BLANK:
+        elif shape == "member":
             ms = members.get(sid)
             if ms is None:
                 ms = members[sid] = set()
                 member_line[sid] = lineno
-            ms.add(_new(Term, (shape, value, None, None)))
+            ms.add(value)
         elif shape == "count":
             if not _COUNT.fullmatch(value):
                 t = Triple(Term(IRI, PAYLOAD_NS + sid), Term(IRI, P_COUNT), Term(LITERAL, value, XSD_INTEGER))
@@ -353,7 +356,7 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
             raise SummaryFormatError(f"line {line}: EQC id {hexid} does not match its schema")
         summary.eqcs[hexid] = schema
 
-    owner: dict[Term, str] = {}
+    owner: dict[str, str] = {}
     for pid, (hexid, line) in payload_of.items():
         if hexid in summary.payloads:
             raise SummaryFormatError(f"line {line}: EQC {hexid} has a second payload {PAYLOAD_NS}{pid}")
@@ -369,7 +372,7 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
         for m in ms:
             other = owner.setdefault(m, hexid)
             if other != hexid:
-                raise SummaryFormatError(f"line {line}: member {m.nt()} of EQC {hexid} already appears in EQC {other}")
+                raise SummaryFormatError(f"line {line}: member {m} of EQC {hexid} already appears in EQC {other}")
 
     stray = (members.keys() | counts.keys()) - payload_of.keys()
     if stray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import random
 import tracemalloc
@@ -11,7 +13,7 @@ import mvsum
 from mvsum.analytics import GenParams, view_id, view_triples
 from mvsum.graph import Graph, build_graph
 from mvsum.merge import CaseStats
-from mvsum.ntriples import BLANK, LITERAL, RDF_TYPE, XSD_INTEGER, Term, Triple, _checked_iri, normalize_bnode_label
+from mvsum.ntriples import RDF_TYPE, XSD_INTEGER, Term, Triple, _checked_iri
 from mvsum.summary import Model, Schema, Summary, eqc_id, summarize
 from mvsum.summary_io import (
     EQC_NS,
@@ -21,6 +23,7 @@ from mvsum.summary_io import (
     P_MEMBER,
     P_PAYLOAD,
     PAYLOAD_NS,
+    _MEMBER,
     format_summary,
     header_line,
 )
@@ -81,19 +84,20 @@ def graph_of(*triples: tuple) -> Graph:
 # Recomputes the vertices and each vertex's features straight from the raw
 # triples (not from a built graph), then groups vertices by pairwise feature
 # comparison. Deliberately naive; used to check build_graph and summarize.
+# A vertex is named by its N-Triples text, as the graph and summaries name it.
 
-def naive_vertices(triples) -> set[Term]:
+def naive_vertices(triples) -> set[str]:
     vertices = set()
     for s, pr, o in triples:
-        vertices.add(s)
+        vertices.add(s.nt())
         if pr != RDF_TYPE_TERM and o.kind != "literal":
-            vertices.add(o)
+            vertices.add(o.nt())
     return vertices
 
 
-def naive_features(triples, v: Term, model: Model):
-    attrs = frozenset(pr.value for (s, pr, _) in triples if s == v and pr != RDF_TYPE_TERM)
-    classes = frozenset(o.value for (s, pr, o) in triples if s == v and pr == RDF_TYPE_TERM)
+def naive_features(triples, v: str, model: Model):
+    attrs = frozenset(pr.value for (s, pr, _) in triples if s.nt() == v and pr != RDF_TYPE_TERM)
+    classes = frozenset(o.value for (s, pr, o) in triples if s.nt() == v and pr == RDF_TYPE_TERM)
     if model is Model.AC:
         return ("AC", attrs)
     if model is Model.CC:
@@ -102,7 +106,7 @@ def naive_features(triples, v: Term, model: Model):
 
 
 def naive_partition(triples, model: Model) -> set[frozenset]:
-    groups: list[tuple[object, set[Term]]] = []
+    groups: list[tuple[object, set[str]]] = []
     for v in naive_vertices(triples):
         features = naive_features(triples, v, model)
         for existing, members in groups:
@@ -135,16 +139,16 @@ def union(g1: Graph, g2: Graph) -> Graph:
     return g
 
 
-def schema_of(v: Term, g: Graph, model: Model) -> Schema:
+def schema_of(v: str, g: Graph, model: Model) -> Schema:
     """The schema of one vertex under a model, read from the built graph."""
     if v not in g.vertices:
-        raise KeyError(f"unknown vertex {v.nt()}")
+        raise KeyError(f"unknown vertex {v}")
     attrs = tuple(sorted(g.out_labels.get(v, ()))) if model.wants_attributes else ()
     classes = tuple(sorted(g.vertex_labels.get(v, ()))) if model.wants_classes else ()
     return attrs, classes
 
 
-def inverse(s: Summary) -> dict[Term, str]:
+def inverse(s: Summary) -> dict[str, str]:
     """Each member's EQC, one member at a time: the reference for `Summary.member_index`."""
     index = {}
     for cid, members in s.payloads.items():
@@ -174,6 +178,27 @@ def classify_cases(s1: Summary, s2: Summary) -> CaseStats:
         else:
             case3 += 1
     return CaseStats(case1, case2, case3, len(index1))
+
+
+def least_merge_work(sizes) -> int:
+    """The least total work of any binary merge tree over `sizes`, by trying every tree.
+
+    Under cost(a, b) = a + b a merge costs the size it yields, and a tree's
+    work does not depend on the order its merges run in, so trying every
+    pair at every step tries every tree. Exponential: meant for n <= 6.
+    """
+    @functools.cache
+    def least(pool: tuple[int, ...]) -> int:
+        if len(pool) < 2:
+            return 0
+        costs = []
+        for i, j in itertools.combinations(range(len(pool)), 2):
+            merged = pool[i] + pool[j]
+            rest = [size for k, size in enumerate(pool) if k != i and k != j]
+            costs.append(merged + least(tuple(sorted(rest + [merged]))))
+        return min(costs)
+
+    return least(tuple(sorted(sizes)))
 
 
 # --- seeded random graphs ------------------------------------------------------
@@ -229,7 +254,7 @@ def reference_format(summary: Summary) -> str:
     """The one-sort writer: build every statement line, sort them all once.
 
     The reference for `format_summary`, which builds the same order subject
-    by subject. Checks every IRI as the writer does.
+    by subject. Checks every IRI as the writer does; writes members as they are.
     """
     lines = []
     for cid, (attributes, classes) in summary.eqcs.items():
@@ -242,7 +267,7 @@ def reference_format(summary: Summary) -> str:
         lines.append(f"{eqc} <{P_PAYLOAD}> {pay} .")
         members = summary.payloads[cid]
         for m in members:
-            lines.append(f"{pay} <{P_MEMBER}> {m.nt()} .")
+            lines.append(f"{pay} <{P_MEMBER}> {m} .")
         lines.append(f'{pay} <{P_COUNT}> "{len(members):d}"^^<{XSD_INTEGER}> .')
     lines.sort()
     return "\n".join([header_line(summary), *lines, ""])
@@ -261,19 +286,16 @@ def validate(summary: Summary) -> None:
     """The invariant oracle: check every invariant `Summary` states; ValueError on a violation."""
     if set(summary.eqcs) != set(summary.payloads):
         raise ValueError("eqcs and payloads must have identical key sets")
-    seen: dict[Term, str] = {}
+    seen: dict[str, str] = {}
     for cid, members in summary.payloads.items():
         if not members:
             raise ValueError(f"EQC {cid} has no members")
         for m in members:
-            # The loader reads IRI and blank members only, and the writer
-            # refuses a blank label the loader would normalize.
-            if m.kind == LITERAL:
-                raise ValueError(f"EQC {cid} has a literal member {m.nt()}")
-            if m.kind == BLANK and normalize_bnode_label(m.value) != m.value:
-                raise ValueError(f"EQC {cid} has a blank member _:{m.value} whose label is not alphanumeric")
+            # The member rule the writer and the loader share.
+            if not _MEMBER.fullmatch(m):
+                raise ValueError(f"EQC {cid} has a member that is not <iri> or _:[A-Za-z0-9]+: {m!r}")
             if m in seen:
-                raise ValueError(f"member {m.nt()} appears in {seen[m]} and {cid}")
+                raise ValueError(f"member {m} appears in {seen[m]} and {cid}")
             seen[m] = cid
     model = summary.model
     for cid, (attributes, classes) in summary.eqcs.items():

@@ -427,6 +427,26 @@ def test_bench_repeats_must_be_positive(tmp_path, capsys, repeats):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_merge_all_takes_any_worker_count(tmp_path):
+    # Four inputs: at most two merges run at once, so 2**62 workers build the
+    # tree of two, and no slot is allocated per worker asked for.
+    d = tmp_path / "dir"
+    d.mkdir()
+    for i in range(4):
+        g = tmp_path / f"g{i}.nt"
+        g.write_text("".join(f"<urn:x{k}> <urn:p{i}> <urn:a> .\n" for k in range(i + 1)))
+        assert run("summarize", g, "-o", d / f"s{i}.nt") == 0
+    trees = []
+    for workers in ("2", str(2**62)):
+        out, sched = tmp_path / f"m{workers}.nt", tmp_path / f"s{workers}.csv"
+        assert run("merge-all", d, "--strategy", "greedy-parallel", "--workers", workers,
+                   "-o", out, "--schedule", sched) == 0
+        with open(sched, newline="") as fh:
+            trees.append([(row["left_id"], row["right_id"]) for row in csv.DictReader(fh)])
+    assert trees[0] == trees[1] and len(trees[0]) == 3
+    assert (tmp_path / "m2.nt").read_bytes() == (tmp_path / f"m{2**62}.nt").read_bytes()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3", "x"])
 def test_merge_all_workers_must_be_positive(tmp_path, capsys, workers):
     d = tmp_path / "dir"

@@ -14,7 +14,7 @@ import pytest
 from mvsum import multimerge, summary_io
 from mvsum.graph import build_graph
 from mvsum.merge import merge
-from mvsum.ntriples import ParseError, Term, parse_ntriples
+from mvsum.ntriples import ParseError, parse_ntriples
 from mvsum.summary import Model, Summary, eqc_id, summarize
 from mvsum.summary_io import SummaryFormatError, format_summary, load_summary, read_summary, save_summary
 
@@ -46,10 +46,10 @@ def _summary():
 
 
 def _bad_summary():
-    # An IRI the writer refuses, in a summary built through the API.
+    # A member IRI the writer refuses, in a summary built through the API.
     schema = (("urn:p",), ())
     cid = eqc_id(Model.AC, schema)
-    return Summary(Model.AC, eqcs={cid: schema}, payloads={cid: {Term.iri("urn:a b")}})
+    return Summary(Model.AC, eqcs={cid: schema}, payloads={cid: {"<urn:a b>"}})
 
 
 def _file_lines():
@@ -129,10 +129,10 @@ def test_summary_writer_restores_collector(caller_gc, tmp_path, monkeypatch):
     assert gc.isenabled() is caller_gc
     save_summary(_summary(), tmp_path / "s.nt")
     assert gc.isenabled() is caller_gc
-    with pytest.raises(ValueError, match="not allowed in IRI"):
+    with pytest.raises(ValueError, match="^member is not <iri>"):
         format_summary(_bad_summary())
     assert gc.isenabled() is caller_gc
-    with pytest.raises(ValueError, match="not allowed in IRI"):
+    with pytest.raises(ValueError, match="^member is not <iri>"):
         save_summary(_bad_summary(), tmp_path / "bad.nt")
     assert gc.isenabled() is caller_gc
 

@@ -12,23 +12,23 @@ from mvsum.summary import Model, summarize
 
 def test_type_triple_becomes_vertex_label():
     g = graph_of((iri("a"), RDF_TYPE_TERM, cls("C")))
-    assert g.vertices == {iri("a")}
-    assert g.vertex_labels == {iri("a"): (cls("C").value,)}
+    assert g.vertices == {"<urn:x:a>"}
+    assert g.vertex_labels == {"<urn:x:a>": (cls("C").value,)}
     assert g.out_labels == {}
 
 
 def test_plain_triple_becomes_out_label():
     g = graph_of((iri("a"), p("p"), iri("b")))
-    assert g.vertices == {iri("a"), iri("b")}
-    assert g.out_labels == {iri("a"): (p("p").value,)}
+    assert g.vertices == {"<urn:x:a>", "<urn:x:b>"}
+    assert g.out_labels == {"<urn:x:a>": (p("p").value,)}
     assert g.vertex_labels == {}
 
 
 def test_literal_object_is_not_a_vertex():
     lit = Term.literal("lit")
     g = graph_of((iri("a"), p("p"), lit))
-    assert g.vertices == {iri("a")}
-    assert g.out_labels == {iri("a"): (p("p").value,)}
+    assert g.vertices == {"<urn:x:a>"}
+    assert g.out_labels == {"<urn:x:a>": (p("p").value,)}
 
 
 def test_type_with_literal_object_rejected():
@@ -48,9 +48,10 @@ def test_type_with_blank_object_rejected():
         graph_of((iri("a"), RDF_TYPE_TERM, Term.blank("c")))
 
 
-def test_each_vertex_is_one_term():
-    # Each parsed statement brings its own Terms. `a` and `_:c` are objects
-    # before they are subjects, and `urn:c:C` is the class of three vertices.
+def test_each_vertex_is_one_string():
+    # Each parsed statement brings its own Terms, and each vertex's text is
+    # made anew from them. `a` and `_:c` are objects before they are
+    # subjects, and `urn:c:C` is the class of three vertices.
     lines = [
         "<urn:x:b> <urn:p:p> <urn:x:a> .",
         "<urn:x:a> <urn:p:q> _:c .",
@@ -60,17 +61,21 @@ def test_each_vertex_is_one_term():
         f"<urn:x:b> <{RDF_TYPE}> <urn:c:C> .",
     ]
     g = build_graph(parse_ntriples(lines))
+    assert g.vertices == {"<urn:x:a>", "<urn:x:b>", "_:c"}
+    assert all(type(v) is str for v in g.vertices)
     held = {id(v) for v in g.vertices}
     assert len(held) == 3
     for labels in (g.out_labels, g.vertex_labels):
-        assert len(labels) == 3 and all(id(v) in held for v in labels)
+        assert len(labels) == 3 and {id(v) for v in labels} == held
     assert len({id(c) for classes in g.vertex_labels.values() for c in classes}) == 1
     # Equal label sets are one tuple: `b` and `_:c` have {p}, all three {C}.
-    b, c = iri("b"), Term.blank("c")
+    b, c = "<urn:x:b>", "_:c"
     assert g.out_labels[b] == (p("p").value,) and g.out_labels[b] is g.out_labels[c]
     assert len({id(classes) for classes in g.vertex_labels.values()}) == 1
-    # The graph's tuples are the schema sides, not sorted copies of them.
+    # The graph's tuples are the schema sides, and its strings the members,
+    # not copies of them.
     s = summarize(g, Model.ACC)
+    assert {id(m) for members in s.payloads.values() for m in members} == held
     index = s.member_index
     for v in g.vertices:
         attributes, classes = s.eqcs[index[v]]
@@ -84,8 +89,8 @@ def test_union_spec_examples():
     assert union(g, g) == g
     g2 = graph_of((iri("x"), p("q"), iri("b")))
     merged = union(g, g2)
-    assert merged.vertices == {iri("x"), iri("a"), iri("b")}
-    assert merged.out_labels == {iri("x"): (p("p").value, p("q").value)}
+    assert merged.vertices == {iri("x").nt(), iri("a").nt(), iri("b").nt()}
+    assert merged.out_labels == {iri("x").nt(): (p("p").value, p("q").value)}
 
 
 @st.composite
@@ -131,8 +136,8 @@ def test_build_distributes_over_union(t1, t2):
 def test_graph_invariants(triples):
     g = build_graph(triples)
     assert g.vertices == naive_vertices(triples)
-    edges = [(s, pred.value) for s, pred, _ in triples if pred != RDF_TYPE_TERM]
-    types = [(s, o.value) for s, pred, o in triples if pred == RDF_TYPE_TERM]
+    edges = [(s.nt(), pred.value) for s, pred, _ in triples if pred != RDF_TYPE_TERM]
+    types = [(s.nt(), o.value) for s, pred, o in triples if pred == RDF_TYPE_TERM]
     assert g.out_labels == {v: tuple(sorted({pred for s, pred in edges if s == v})) for v, _ in edges}
     assert g.vertex_labels == {v: tuple(sorted({c for s, c in types if s == v})) for v, _ in types}
     for labels in (*g.out_labels.values(), *g.vertex_labels.values()):

@@ -68,8 +68,8 @@ def test_case3_example_with_drained_eqcs():
     validate(merged)
     assert set(merged.eqcs.values()) == {((p("p").value, p("q").value), ()), ((), ())}
     combined = eqc_id(Model.AC, ((p("p").value, p("q").value), ()))
-    assert merged.payloads[combined] == {iri("x")}
-    assert merged.payloads[eqc_id(Model.AC, ((), ()))] == {iri("a"), iri("b")}
+    assert merged.payloads[combined] == {iri("x").nt()}
+    assert merged.payloads[eqc_id(Model.AC, ((), ()))] == {iri("a").nt(), iri("b").nt()}
     # EQC{p} and EQC{q} were drained and removed
     assert eqc_id(Model.AC, ((p("p").value,), ())) not in merged.eqcs
     assert eqc_id(Model.AC, ((p("q").value,), ())) not in merged.eqcs
@@ -87,7 +87,7 @@ def test_payload_count_updated_one_plus_two():
     assert len(s1.payloads[green]) == 1
     assert len(s2.payloads[green]) == 2
     merged, record = merge(s1, s2)
-    assert merged.payloads[green] == {iri("w"), iri("y"), iri("z")}
+    assert merged.payloads[green] == {iri("w").nt(), iri("y").nt(), iri("z").nt()}
     assert f'<urn:mvs:payload:{green}> <urn:mvs:count> "3"^^' in format_summary(merged)
     assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
     assert record.stats.case2 >= 1  # w is only in G1 but green exists in both
@@ -99,7 +99,7 @@ def test_members_unique_after_combine():
     merged, _ = merge(summarize(g1, Model.AC), summarize(g2, Model.AC))
     members = [m for ms in merged.payloads.values() for m in ms]
     assert len(members) == len(set(members))
-    assert set(merged.member_index) == {iri("x"), iri("a"), iri("b")}
+    assert set(merged.member_index) == {iri("x").nt(), iri("a").nt(), iri("b").nt()}
 
 
 def test_conflicting_member_gets_its_union_graph_schema():
@@ -111,13 +111,13 @@ def test_conflicting_member_gets_its_union_graph_schema():
         s1, s2 = summarize(g1, model), summarize(g2, model)
         merged, record = merge(s1, s2)
         assert record.stats.case3 == 1
-        target = merged.member_index[iri("m")]
+        target = merged.member_index[iri("m").nt()]
         assert target not in s1.eqcs and target not in s2.eqcs
-        assert merged.eqcs[target] == schema_of(iri("m"), union(g1, g2), model)
-        assert merged.payloads[target] == {iri("m")}
+        assert merged.eqcs[target] == schema_of(iri("m").nt(), union(g1, g2), model)
+        assert merged.payloads[target] == {iri("m").nt()}
         # m's EQCs in the inputs held only m, so step 3 dropped them
-        assert s1.member_index[iri("m")] not in merged.eqcs
-        assert s2.member_index[iri("m")] not in merged.eqcs
+        assert s1.member_index[iri("m").nt()] not in merged.eqcs
+        assert s2.member_index[iri("m").nt()] not in merged.eqcs
 
 
 def test_shared_blank_label_is_one_member():
@@ -125,7 +125,7 @@ def test_shared_blank_label_is_one_member():
     g1 = build_graph(parse_ntriples(["_:b <urn:p> <urn:a> .\n"]))
     g2 = build_graph(parse_ntriples(["_:b <urn:q> <urn:a> .\n"]))
     merged, record = merge(summarize(g1, Model.AC), summarize(g2, Model.AC))
-    b = Term.blank("b")
+    b = Term.blank("b").nt()
     assert merged.eqcs[merged.member_index[b]] == (("urn:p", "urn:q"), ())
     assert sum(b in members for members in merged.payloads.values()) == 1
     assert summaries_equal(merged, summarize(union(g1, g2), Model.AC))
@@ -138,13 +138,13 @@ def test_member_in_same_eqc_in_both_stays_put():
     g1 = graph_of((iri("m"), p("p"), iri("a")))
     g2 = graph_of((iri("m"), p("p"), iri("b")))
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
-    cid = s1.member_index[iri("m")]
-    assert s2.member_index[iri("m")] == cid
+    cid = s1.member_index[iri("m").nt()]
+    assert s2.member_index[iri("m").nt()] == cid
     merged, record = merge(s1, s2)
     assert record.stats.case3 == 0
     assert set(merged.eqcs) == set(s1.eqcs) | set(s2.eqcs)
-    assert merged.member_index[iri("m")] == cid
-    assert merged.payloads[cid] == {iri("m")}
+    assert merged.member_index[iri("m").nt()] == cid
+    assert merged.payloads[cid] == {iri("m").nt()}
     validate(merged)
 
 
@@ -157,8 +157,8 @@ def test_partly_drained_eqc_is_kept():
     merged, record = merge(s1, s2)
     assert record.stats.case3 == 1
     green = eqc_id(Model.AC, ((p("p").value,), ()))
-    assert merged.payloads[green] == {iri("y")}
-    assert merged.member_index[iri("y")] == green
+    assert merged.payloads[green] == {iri("y").nt()}
+    assert merged.member_index[iri("y").nt()] == green
     # EQC{q} held only x, so it was drained and dropped
     assert eqc_id(Model.AC, ((p("q").value,), ())) not in merged.eqcs
     validate(merged)
@@ -177,7 +177,7 @@ def test_drained_eqc_comes_back_as_a_target(pq_first):
     s1.payloads = dict(sorted(s1.payloads.items(), key=lambda item: (item[0] == pq) != pq_first))
     merged, record = merge(s1, s2)
     assert record.stats.case3 == 2
-    assert merged.payloads[pq] == {iri("y")}
+    assert merged.payloads[pq] == {iri("y").nt()}
     validate(merged)
     assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
 
@@ -242,7 +242,7 @@ def test_duplicate_id_with_different_schema_is_corruption():
     cid = [c for c, (attributes, _) in s2.eqcs.items() if attributes][0]
     # simulate a hash collision: same id, different schema in s1
     s1.eqcs[cid] = (("urn:other",), ())
-    s1.payloads[cid] = {iri("q")}
+    s1.payloads[cid] = {iri("q").nt()}
     with pytest.raises(CorruptSummaryError):
         merge(s1, s2)
     # The same collision on the combined schema of a conflicting member: x is
@@ -252,7 +252,7 @@ def test_duplicate_id_with_different_schema_is_corruption():
     s2 = summarize(graph_of((iri("x"), p("q"), iri("b"))), Model.AC)
     cid = eqc_id(Model.AC, ((p("p").value, p("q").value), ()))
     s1.eqcs[cid] = (("urn:other",), ())
-    s1.payloads[cid] = {iri("q")}
+    s1.payloads[cid] = {iri("q").nt()}
     with pytest.raises(CorruptSummaryError, match=f"^EqcId {cid} maps to two different schemas$"):
         merge(s1, s2)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_bytes, generate_views, graph_of, iri, p, validate
+from helpers import canonical_bytes, generate_views, graph_of, iri, least_merge_work, p, validate
 from mvsum.analytics import GenParams
 from mvsum.merge import MergeConfigError
 from mvsum.multimerge import Strategy, merge_all, schedule_work, write_schedule_csv
@@ -214,9 +214,57 @@ def test_schedule_csv(tmp_path):
     assert int(rows[0]["case1"]) >= 0
 
 
+@given(st.lists(st.integers(1, 100), min_size=1, max_size=6), st.integers(0, 2**32), st.integers(1, 7))
+@example([1, 1, 1, 1], 0, 2)  # two parallel leaf merges, then one of 2 + 2
+@example([5, 5, 5, 5, 5, 100], 0, 1)
+@settings(max_examples=300, deadline=None)
+def test_smallest_first_does_the_least_work_of_any_tree(sizes, seed, workers):
+    # Under cost(a, b) = a + b smallest-first is Huffman's algorithm, so no
+    # binary merge tree does less work; the brute force tries every tree.
+    least = least_merge_work(sizes)
+    assert schedule_work(sizes, Strategy.smallest_first()).total_work == least
+    for strategy in (Strategy.largest_first(), Strategy.random(seed), Strategy.greedy_parallel(workers)):
+        assert schedule_work(sizes, strategy).total_work >= least
+
+
+def test_least_merge_work_hand_sums():
+    assert least_merge_work([7]) == 0
+    assert least_merge_work([1, 2, 4, 8]) == 25  # the smallest-first hand sum above
+    # Three equal pairs: (1+1) + (1+1) + (2+2) = 8, whichever tree.
+    assert least_merge_work([1, 1, 1, 1]) == 8
+
+
+def _tree(schedule):
+    return [(s.left, s.right, s.output) for s in schedule.steps]
+
+
+# A worker count no list could hold a slot for. Values between 10**8 and
+# 10**10 are never used here: a simulation with one slot per worker would
+# really allocate them.
+_HUGE = 2**62
+
+
+@given(st.lists(st.integers(1, 50), min_size=2, max_size=12), st.integers(1, 3))
+@example([1, 2, 3], 1)
+@settings(max_examples=200, deadline=None)
+def test_greedy_parallel_past_half_the_inputs_builds_the_same_tree(sizes, extra):
+    # At most n // 2 merges run at once, so more workers change nothing.
+    half = schedule_work(sizes, Strategy.greedy_parallel(len(sizes) // 2))
+    for workers in (len(sizes) // 2 + extra, len(sizes) + extra, _HUGE):
+        schedule = schedule_work(sizes, Strategy.greedy_parallel(workers))
+        assert _tree(schedule) == _tree(half)
+        assert schedule.total_wall_ms == half.total_wall_ms
+        assert schedule.strategy == f"greedy_parallel(workers={workers})"
+
+
 def test_greedy_parallel_with_more_workers_than_pairs():
     views = generate_views(GenParams(4, 20, 30, 4, 2, 0.2, 0.3, 9))
     summaries = [summarize(g, Model.CC) for _, g in views]
-    final, schedule = merge_all(summaries, Strategy.greedy_parallel(16))
-    assert len(schedule.steps) == 3
-    validate(final)
+    half_final, half = merge_all(summaries, Strategy.greedy_parallel(2))
+    for workers in (16, _HUGE):
+        final, schedule = merge_all(summaries, Strategy.greedy_parallel(workers))
+        assert len(schedule.steps) == 3
+        assert _tree(schedule) == _tree(half)
+        assert canonical_bytes(final) == canonical_bytes(half_final)
+        assert schedule.strategy == f"greedy_parallel(workers={workers})"
+        validate(final)

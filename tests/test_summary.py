@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from helpers import (
 from mvsum.analytics import GenParams
 from mvsum.graph import build_graph
 from mvsum.merge import merge
-from mvsum.ntriples import BLANK, Term, Triple
+from mvsum.ntriples import Triple
 from mvsum.summary import Model, Summary, canonical_string, eqc_id, summarize, union_side
 from mvsum.summary_io import SummaryFormatError, format_summary, read_summary
 
@@ -33,23 +34,23 @@ MODELS = [Model.AC, Model.CC, Model.ACC]
 
 def test_schema_of_ac():
     g = graph_of((iri("v"), p("p"), iri("a")), (iri("v"), p("q"), iri("b")))
-    assert schema_of(iri("v"), g, Model.AC) == ((p("p").value, p("q").value), ())
+    assert schema_of(iri("v").nt(), g, Model.AC) == ((p("p").value, p("q").value), ())
 
 
 def test_schema_of_cc_untyped_vertex_is_empty_schema():
     g = graph_of((iri("v"), p("p"), iri("a")))
-    assert schema_of(iri("v"), g, Model.CC) == ((), ())
+    assert schema_of(iri("v").nt(), g, Model.CC) == ((), ())
 
 
 def test_schema_of_acc():
     g = graph_of((iri("v"), p("p"), iri("a")), (iri("v"), RDF_TYPE_TERM, cls("C")))
-    assert schema_of(iri("v"), g, Model.ACC) == ((p("p").value,), (cls("C").value,))
+    assert schema_of(iri("v").nt(), g, Model.ACC) == ((p("p").value,), (cls("C").value,))
 
 
 def test_schema_of_unknown_vertex():
     g = graph_of((iri("v"), p("p"), iri("a")))
     with pytest.raises(KeyError):
-        schema_of(iri("nope"), g, Model.AC)
+        schema_of(iri("nope").nt(), g, Model.AC)
 
 
 def test_canonical_string_formats():
@@ -62,7 +63,7 @@ def _one_eqc_summary(model, schema):
     # Built through the API, with the id of the schema it holds, so only the
     # side/model check can refuse it.
     cid = eqc_id(model, schema)
-    return Summary(model, eqcs={cid: schema}, payloads={cid: {iri("v")}})
+    return Summary(model, eqcs={cid: schema}, payloads={cid: {iri("v").nt()}})
 
 
 def test_schema_sides_match_model():
@@ -139,7 +140,7 @@ def test_summarize_single_edge_ac():
     g = graph_of((iri("x"), p("p"), iri("a")))
     s = summarize(g, Model.AC)
     by_schema = {schema: s.payloads[cid] for cid, schema in s.eqcs.items()}
-    assert by_schema == {((p("p").value,), ()): {iri("x")}, ((), ()): {iri("a")}}
+    assert by_schema == {((p("p").value,), ()): {"<urn:x:x>"}, ((), ()): {"<urn:x:a>"}}
     validate(s)
 
 
@@ -153,9 +154,9 @@ def test_summarize_acc_example():
     assert partition_of(s) == naive_partition(triples, Model.ACC)
     by_schema = {schema: s.payloads[cid] for cid, schema in s.eqcs.items()}
     assert by_schema == {
-        ((p("p").value,), (cls("C").value,)): {iri("x")},
-        ((p("p").value,), ()): {iri("y")},
-        ((), ()): {iri("a"), iri("b")},
+        ((p("p").value,), (cls("C").value,)): {"<urn:x:x>"},
+        ((p("p").value,), ()): {"<urn:x:y>"},
+        ((), ()): {"<urn:x:a>", "<urn:x:b>"},
     }
 
 
@@ -170,7 +171,7 @@ def test_validate_rejects_bad_summaries():
     g = graph_of((iri("x"), p("p"), iri("a")))
     # A payload whose EQC has no schema.
     s = summarize(g, Model.AC)
-    s.payloads["0" * 32] = {iri("zz")}
+    s.payloads["0" * 32] = {iri("zz").nt()}
     with pytest.raises(ValueError, match="^eqcs and payloads must have identical key sets$"):
         validate(s)
     # An EQC whose id is not the digest of its schema.
@@ -180,27 +181,25 @@ def test_validate_rejects_bad_summaries():
     with pytest.raises(ValueError, match=f"^EQC id {cid} does not match its schema digest$"):
         validate(s)
     # Members that would not load back as written: the loader refuses a
-    # literal member, and would read `_:a.b` back as `_:x612e62`.
-    s = summarize(g, Model.AC)
-    cid = s.member_index[iri("a")]
-    s.payloads[cid].add(Term.literal("x"))
-    with pytest.raises(ValueError, match=f'^EQC {cid} has a literal member "x"$'):
-        validate(s)
+    # literal member, and would read `_:a.b` back as `_:x612e62`. The writer
+    # refuses both rather than write such a file.
+    cid = summarize(g, Model.AC).member_index["<urn:x:a>"]
+    for bad in ['"x"', "_:a.b"]:
+        s = summarize(g, Model.AC)
+        s.payloads[cid].add(bad)
+        with pytest.raises(ValueError, match=rf"^EQC {cid} has a member that is not <iri> or _:\[A-Za-z0-9\]\+: {re.escape(repr(bad))}$"):
+            validate(s)
+        with pytest.raises(ValueError, match=rf"^member is not <iri> or _:\[A-Za-z0-9\]\+: {re.escape(repr(bad))}$"):
+            format_summary(s)
+    # What the writer would have written for the literal member, the loader refuses.
+    text = format_summary(summarize(g, Model.AC)).replace("<urn:x:a> .", '"x" .')
     with pytest.raises(SummaryFormatError, match="unexpected statement"):
-        read_summary(format_summary(s).splitlines())
-    s = summarize(g, Model.AC)
-    s.payloads[cid].add(Term(BLANK, "a.b"))
-    with pytest.raises(ValueError, match=rf"^EQC {cid} has a blank member _:a\.b whose label is not alphanumeric$"):
-        validate(s)
-    # The writer refuses the label rather than write a file that loads back
-    # with `_:x612e62` in its place.
-    with pytest.raises(ValueError, match=r"^blank node label not alphanumeric: 'a\.b'$"):
-        format_summary(s)
+        read_summary(text.splitlines())
 
 
 def test_validate_rejects_empty_payload():
     s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
-    cid = s.member_index[iri("x")]
+    cid = s.member_index["<urn:x:x>"]
     s.payloads[cid].clear()
     with pytest.raises(ValueError, match="no members"):
         validate(s)
@@ -208,7 +207,7 @@ def test_validate_rejects_empty_payload():
 
 def test_validate_rejects_member_in_two_eqcs():
     s = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
-    s.payloads[s.member_index[iri("a")]].add(iri("x"))
+    s.payloads[s.member_index["<urn:x:a>"]].add("<urn:x:x>")
     with pytest.raises(ValueError, match="appears in"):
         validate(s)
 
@@ -223,8 +222,8 @@ def test_member_index_names_the_eqc_of_each_vertex_schema():
             assert cid == eqc_id(model, schema_of(v, g, model))
             assert v in s.payloads[cid]
     s = summarize(g, Model.AC)
-    assert s.eqcs[s.member_index[iri("v")]] == ((p("p").value, p("q").value), ())
-    assert s.eqcs[s.member_index[iri("a")]] == ((), ())
+    assert s.eqcs[s.member_index["<urn:x:v>"]] == ((p("p").value, p("q").value), ())
+    assert s.eqcs[s.member_index["<urn:x:a>"]] == ((), ())
 
 
 @st.composite
@@ -246,7 +245,7 @@ def test_member_index_is_a_fresh_inverse(triples1, triples2, model):
         # The returned dict is the caller's: changing it leaves s as it was.
         payloads = {cid: set(members) for cid, members in s.payloads.items()}
         index.clear()
-        index[iri("new")] = "0" * 32
+        index["<urn:x:new>"] = "0" * 32
         assert s.payloads == payloads and s.member_index == inverse(s)
         validate(s)
 

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BARE_SURROGATES, RDF_TYPE_TERM, cls, generate_views, graph_of, iri, p, random_graph, reference_format, traced, validate
+from helpers import BARE_SURROGATES, RDF_TYPE_TERM, cls, generate_views, graph_of, iri, oracle_merged, p, random_graph, reference_format, traced, validate
 from mvsum import analytics, summary_io
 from mvsum.graph import build_graph
-from mvsum.ntriples import BLANK, IRI, Term, parse_ntriples
+from mvsum.merge import merge
+from mvsum.ntriples import Term, parse_ntriples
 from mvsum.summary import Model, Summary, eqc_id, summarize
 from mvsum.summary_io import (
     SummaryFormatError,
@@ -80,6 +81,31 @@ def test_reload_preserves_everything():
         assert format_summary(loaded) == format_summary(s)
 
 
+def test_an_iri_spelled_like_a_blank_label_stays_its_own_member(tmp_path):
+    # The IRI `_:b` and the blank node `_:b` are two vertices, `<_:b>` and
+    # `_:b`: the brackets keep their texts apart through every stage.
+    g1 = graph_of((Term.iri("_:b"), p("p"), iri("a")), (Term.blank("b"), p("q"), iri("a")))
+    g2 = graph_of((Term.blank("b"), p("p"), iri("a")))
+    s1 = summarize(g1, Model.AC)
+    assert s1.member_index == {
+        "<_:b>": eqc_id(Model.AC, (("urn:p:p",), ())),
+        "_:b": eqc_id(Model.AC, (("urn:p:q",), ())),
+        "<urn:x:a>": eqc_id(Model.AC, ((), ())),
+    }
+    path = tmp_path / "s1.nt"
+    save_summary(s1, path)
+    loaded = load_summary(path)
+    assert loaded == s1
+    merged, record = merge(loaded, summarize(g2, Model.AC))
+    index = merged.member_index
+    assert len(index) == 3
+    assert merged.eqcs[index["<_:b>"]] == (("urn:p:p",), ())
+    assert merged.eqcs[index["_:b"]] == (("urn:p:p", "urn:p:q"), ())
+    # `<_:b>` meets the EQC of `_:b` in S2 (case 2); `_:b` conflicts (case 3).
+    assert (record.stats.case1, record.stats.case2, record.stats.case3) == (1, 1, 1)
+    assert format_summary(merged) == format_summary(oracle_merged(g1, g2, Model.AC))
+
+
 def test_edge_count_matches_serialized_statements():
     rng = random.Random(3)
     s = summarize(random_graph(rng, max_vertices=30, max_edges=70), Model.ACC)
@@ -112,7 +138,7 @@ def test_load_names_line_and_column_of_invalid_utf8(tmp_path, eol):
     # with each line end text mode knows.
     s = _summary_with()
     [members] = s.payloads.values()
-    members.update(Term.iri(f"urn:x:\u00e9{i}") for i in range(2000))
+    members.update(f"<urn:x:\u00e9{i}>" for i in range(2000))
     lines = format_summary(s).encode("utf-8").splitlines()
     n = 1500
     lines[n - 1] = lines[n - 1].replace("\u00e9".encode(), "\u00e9".encode() + b"\xff", 1)
@@ -132,7 +158,7 @@ def test_load_piped_summary_names_line_of_invalid_utf8(tmp_path):
     # A pipe can be read only once, so the line must come from that one read.
     s = _summary_with()
     [members] = s.payloads.values()
-    members.update(Term.iri(f"urn:x:{i:04d}") for i in range(2999))
+    members.update(f"<urn:x:{i:04d}>" for i in range(2999))
     lines = format_summary(s).encode("utf-8").splitlines(keepends=True)
     assert len(members) == 3000 and len(lines) > 3000
     # `<urn:mvs:payload:ID> <urn:mvs:member> <urn:x:` is 75 characters.
@@ -186,33 +212,49 @@ def test_count_must_be_plain_digits(count):
         read_summary(bad.splitlines())
 
 
-def _summary_with(attribute="urn:p:p", klass="urn:c:C", member="urn:x:a", cid=None):
+def _summary_with(attribute="urn:p:p", klass="urn:c:C", member="<urn:x:a>", cid=None):
     schema = ((attribute,), (klass,))
     cid = cid or eqc_id(Model.ACC, schema)
     s = Summary(model=Model.ACC)
     s.eqcs[cid] = schema
-    s.payloads[cid] = {member if isinstance(member, Term) else Term.iri(member)}
+    s.payloads[cid] = {member}
     return s
 
 
 @pytest.mark.parametrize("bad", [
     {"attribute": "urn:p:a b"},
     {"klass": "urn:c:<C>"},
-    {"member": "urn:x:a\\b"},
+    {"member": "<urn:x:a\\b>"},
     {"cid": "not hex"},
+    # A member is `<iri>` or `_:` and an alphanumeric label, and nothing else.
+    {"member": "urn:a"},
+    {"member": "<urn:a b>"},
+    {"member": "<urn:a"},
+    {"member": "<urn:a>x"},
+    {"member": "_:a-b"},
+    {"member": '"lit"'},
 ])
 def test_writer_rejects_forbidden_iri_characters(bad):
     format_summary(_summary_with())  # the same summary without the bad IRI writes
-    with pytest.raises(ValueError, match="not allowed in IRI"):
+    if "member" in bad:
+        error = rf"^member is not <iri> or _:\[A-Za-z0-9\]\+: {re.escape(repr(bad['member']))}$"
+    else:
+        error = "not allowed in IRI"
+    with pytest.raises(ValueError, match=error):
         format_summary(_summary_with(**bad))
 
 
 @pytest.mark.parametrize("member, error", [
-    ("urn:x:z\ud800", UnicodeEncodeError),
-    ("urn:x:z b", ValueError),
+    ("<urn:x:z\ud800>", UnicodeEncodeError),
+    ("<urn:x:z b>", ValueError),
     # A line with `_:a b` would not load back.
-    (Term(BLANK, "a b"), ValueError),
-], ids=["surrogate", "forbidden", "blank-label"])
+    ("_:a b", ValueError),
+    ("urn:a", ValueError),
+    ("<urn:a", ValueError),
+    ("<urn:a>x", ValueError),
+    ("_:a-b", ValueError),
+    ('"lit"', ValueError),
+], ids=["surrogate", "forbidden", "blank-label", "bare-iri", "unclosed", "trailing", "blank-dash", "literal"])
 def test_save_that_fails_leaves_no_file(tmp_path, monkeypatch, member, error):
     # One line per chunk, so the bad member, which sorts last, fails after
     # earlier chunks reached the temporary file.
@@ -438,7 +480,7 @@ def test_a_second_count_must_agree():
     assert str(exc.value) == "line 5: payload urn:mvs:payload:e has two counts: 1 and 2"
     # A repeated statement with an equal count is legal N-Triples.
     s = read_summary([HEADER, EQC_LINE, count % "1", member, count % "1", count % "01"], verify=False)
-    assert s.payloads == {"e": {Term.iri("urn:x")}}
+    assert s.payloads == {"e": {"<urn:x>"}}
 
 
 # Checks made after the last line name the line of the EQC's `payload`
@@ -525,8 +567,8 @@ def test_canonical_files_never_take_the_fallback(tmp_path, monkeypatch):
 
     monkeypatch.setattr(summary_io, "_generic_shape", fallback)
     summaries = _sample_summaries()
-    kinds = {m.kind for s in summaries for m in s.member_index}
-    assert kinds == {IRI, BLANK}
+    kinds = {m[0] for s in summaries for m in s.member_index}
+    assert kinds == {"<", "_"}
     path = tmp_path / "s.nt"
     for s in summaries:
         assert read_summary(format_summary(s).splitlines()) == s
@@ -637,7 +679,7 @@ def test_statement_pattern_agrees_with_generic_parse(lines, verify):
 
 _IDS = ["abc", "abc1", "ab", "ab!", "ab=", "ab/", "abd", "a", ""]
 _IRIS = ["urn:a", "urn:a/b", "urn:a!", "urn:a=", "urn:a;", "urn:ab", "urn:a0", "urn:é"]
-_MEMBERS = [Term.iri(i) for i in _IRIS] + [Term.blank(b) for b in ("b", "b1", "B", "b0")]
+_MEMBERS = [f"<{i}>" for i in _IRIS] + [f"_:{b}" for b in ("b", "b1", "B", "b0")]
 
 
 @st.composite
@@ -654,7 +696,7 @@ def _adversarial_summaries(draw):
 @given(_adversarial_summaries())
 @example(Summary(model=Model.AC))
 @example(Summary(model=Model.ACC, eqcs={"abc": (("urn:a", "urn:a/b"), ()), "abc1": ((), ()), "ab": ((), ())},
-                 payloads={"abc": {Term.iri("urn:a"), Term.iri("urn:a!")}, "abc1": {Term.blank("b")}, "ab": set()}))
+                 payloads={"abc": {"<urn:a>", "<urn:a!>"}, "abc1": {"_:b"}, "ab": set()}))
 @settings(max_examples=500, deadline=None)
 def test_writer_order_is_one_global_sort(s):
     assert format_summary(s) == reference_format(s)
