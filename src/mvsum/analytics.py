@@ -176,14 +176,14 @@ def write_pair_records_csv(rows: Sequence[PairResult], path: str | Path) -> None
         w = csv.writer(fh)
         w.writerow([
             "pair_id", "left", "right", "edges_left", "edges_right",
-            "edges_sum", "edges_union", "wall_ms", "case1", "case2", "case3",
+            "edges_sum", "edges_union", "edges_out", "wall_ms", "case1", "case2", "case3",
         ])
         for i, row in enumerate(rows):
             r = row.record
             stats = r.stats
             w.writerow([
                 i, row.left, row.right, r.edges_s1, r.edges_s2,
-                r.edges_sum, r.edges_union, f"{r.wall_ms:.3f}",
+                r.edges_sum, r.edges_union, r.edges_out, f"{r.wall_ms:.3f}",
                 stats.case1, stats.case2, stats.case3,
             ])
 

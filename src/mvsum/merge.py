@@ -1,24 +1,23 @@
 """Pairwise summary merging.
 
-The merge has the paper's three steps, the third done inside the second.
-Step 1 takes the plain union of the two summaries' schemas and payloads,
-which is already correct for every member whose situation is trivial (case
-1). Step 2 looks each member of the smaller input up in the larger input's
-member index, the one member-to-EQC map a merge builds, to find members
-under *different* EQCs (case 3), and moves each into the EQC of the combined
+The merge has the paper's three steps. Step 1 takes the plain union of the
+two summaries' schemas and payloads, which is already correct for every
+member whose situation is trivial (case 1); payloads cannot change, so it
+shares them, and only an EQC both inputs hold gets a new one. Step 2 looks
+each member of the smaller input up in the larger input's member index, the
+one member-to-EQC map a merge builds, to find members under *different*
+EQCs (case 3), and records each one's move into the EQC of the combined
 schema, creating it if needed. A memo local to the merge maps two schema
 sides to their union, so no union is computed twice: this pays when the
-sides of conflicting pairs repeat, as with a small label alphabet. The
-paper's step 3 deletes every EQC that lost all its members from both the
-schemas and the payloads; here step 2 deletes each such EQC as the move that
-drains it happens, with the same result, so the drained member sets are not
-all alive at once. The paper's payload adaptation for case 2 is a new member
-count; a payload is its member set and the count is that set's size, so it
-needs no work.
+sides of conflicting pairs repeat, as with a small label alphabet. Step 3,
+after the scan, rebuilds only the payloads members left or entered and
+deletes each EQC left empty, so a merged summary shares every input payload
+it does not change. The paper's payload adaptation for case 2 is a new
+member count; a payload's count is its size, so it needs no work.
 
 The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
 second scan: step 1's union of an EQC both inputs hold gives the size of
-their intersection, and step 2 counts the case-3 members and which of them
+their intersection, and step 3 counts the case-3 members and which of them
 step 1 counted as case 2. A reference oracle in `tests/helpers.py` counts
 the same cases member by member.
 
@@ -37,7 +36,7 @@ import time
 from dataclasses import dataclass
 
 from mvsum.errors import DataError, UsageError
-from mvsum.summary import EqcId, Schema, Summary, eqc_id, union_side
+from mvsum.summary import EqcId, Schema, Summary, as_payload, eqc_id, union_side
 
 
 class MergeConfigError(UsageError):
@@ -65,15 +64,16 @@ class MergeRecord:
     All edge counts refer to the serialized-triple representation:
     `edges_sum` is |E1| + |E2| and `edges_union` is |E1 ∪ E2| (the size of
     the step-1 union), so max(|E1|, |E2|) <= edges_union <= edges_sum always
-    holds. `wall_ms` covers steps 1 and 2, which also drop the drained
-    EQCs and gather the case counts and the shared lines; the two
-    `edge_count()` calls after them are not in it.
+    holds; `edges_out`, the result's, can exceed `edges_union`. `wall_ms`
+    covers the three steps, which also gather the case counts and the
+    shared lines; the `edge_count()` calls after them are not in it.
     """
 
     edges_s1: int
     edges_s2: int
     edges_sum: int
     edges_union: int
+    edges_out: int
     wall_ms: float
     stats: CaseStats | None
 
@@ -95,49 +95,46 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     check_compatible("cannot merge", [("S1", s1), ("S2", s2)])
     started = time.perf_counter()
 
-    # Step 1: union of schemas and payload member sets, keyed by EqcId. For
-    # an EQC in both inputs, the size of the union also gives |p1 ∩ p2|:
-    # case 2 and the shared serialized lines need nothing more.
-    out = Summary(model=s1.model, eqcs=dict(s1.eqcs))
-    for cid, schema in s2.eqcs.items():
-        existing = out.eqcs.get(cid)
-        if existing is None:
-            out.eqcs[cid] = schema
-        elif existing != schema:
-            raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
+    # Step 1: union of schemas and payloads, keyed by EqcId, sharing each
+    # input payload. For an EQC in both, the union's size also gives
+    # |p1 ∩ p2|, and a union equal to one side keeps that side's payload.
+    out = Summary(model=s1.model, eqcs=dict(s1.eqcs), payloads=dict(s1.payloads))
+    eqcs, payloads, s1_payloads, s2_eqcs = out.eqcs, out.payloads, s1.payloads, s2.eqcs
     case2 = common = 0
-    for cid, (attributes, classes) in out.eqcs.items():
-        p1 = s1.payloads.get(cid)
-        p2 = s2.payloads.get(cid)
-        if p1 is None:
-            members = set(p2)
-        elif p2 is None:
-            members = set(p1)
-        else:
-            members = p1 | p2
-            both = len(p1) + len(p2) - len(members)
-            case2 += len(p1) - both
-            common += len(attributes) + len(classes) + 1 + both
-            common += len(p1) == len(p2)
-        out.payloads[cid] = members
+    for cid, schema in s2_eqcs.items():
+        p2 = s2.payloads[cid]
+        existing = eqcs.get(cid)
+        if existing is None:
+            eqcs[cid] = schema
+            payloads[cid] = p2
+            continue
+        if existing != schema:
+            raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
+        p1 = s1_payloads[cid]
+        members = frozenset(p1).union(p2)
+        both = len(p1) + len(p2) - len(members)
+        case2 += len(p1) - both
+        common += len(schema[0]) + len(schema[1]) + 1 + both
+        common += len(p1) == len(p2)
+        payloads[cid] = p1 if both == len(p2) else p2 if both == len(p1) else members
 
-    # Step 2: detect case 3, move each conflicting member into the EQC of
-    # the combined schema, and drop each EQC a move drains. Scanning the
-    # smaller input's payloads against the larger input's member index
-    # finds the same conflicts at lower cost.
-    # `row` holds the target of each pair of the scanned EQC with an EQC of
-    # the other input met so far; an EQC with no conflict gets no row.
-    # `unions` maps a schema side to a dict from another side to their union,
-    # so a side union repeated across pairs is computed once per merge.
-    # `union_side` depends on the two tuples alone, so attribute and class
-    # sides share it. `ids` digests and checks each combined schema once.
-    members_s1 = sum(map(len, s1.payloads.values()))
+    # Step 2: detect case 3 and append each conflicting member to the move
+    # list of the EQC of the combined schema, created with the payload `()`;
+    # `touched` gets the EQCs members leave. Scanning the smaller input's
+    # payloads against the larger input's member index finds the same
+    # conflicts at lower cost. `row` holds the move list of each pair of the
+    # scanned EQC with an EQC of the other input met so far. `unions` maps a
+    # schema side to a dict from another side to their union, so a side
+    # union repeated across pairs is computed once per merge; attribute and
+    # class sides share it. `ids` maps each combined schema, digested and
+    # checked once, to its move list.
+    members_s1 = sum(map(len, s1_payloads.values()))
     scan, other = (s1, s2) if members_s1 <= sum(map(len, s2.payloads.values())) else (s2, s1)
     get = other.member_index.get
-    eqcs, payloads, s2_eqcs = out.eqcs, out.payloads, s2.eqcs
     unions: dict[tuple[str, ...], dict[tuple[str, ...], tuple[str, ...]]] = {}
-    ids: dict[Schema, EqcId] = {}
-    case3 = 0
+    ids: dict[Schema, list[str]] = {}
+    moves: dict[EqcId, list[str]] = {}
+    touched: set[EqcId] = set()
     for ca, members in scan.payloads.items():
         row = None
         for m in members:
@@ -149,8 +146,8 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
                 attrs_a, classes_a = eqcs[ca]
                 attrs_with = unions.setdefault(attrs_a, {})
                 classes_with = unions.setdefault(classes_a, {})
-            cid = row.get(cb)
-            if cid is None:
+            target = row.get(cb)
+            if target is None:
                 attrs_b, classes_b = eqcs[cb]
                 attrs = attrs_with.get(attrs_b)
                 if attrs is None:
@@ -159,33 +156,45 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
                 if classes is None:
                     classes = classes_with[classes_b] = union_side(classes_a, classes_b)
                 schema = (attrs, classes)
-                cid = ids.get(schema)
-                if cid is None:
-                    cid = ids[schema] = eqc_id(out.model, schema)
+                target = ids.get(schema)
+                if target is None:
+                    cid = eqc_id(out.model, schema)
                     existing = eqcs.get(cid)
                     if existing is None:
                         eqcs[cid] = schema
-                        payloads[cid] = set()
+                        payloads[cid] = ()
                     elif existing != schema:
                         raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
-                row[cb] = cid
-            # The paper's step 3: an EQC goes as it drains, tested after the
-            # add, as `cid` may be `ca` or `cb`. An unmoved member keeps `ca`
-            # and `cb`, and a target all it gets, so no cached target is ever
-            # dropped; a dropped EQC that comes back is re-created above.
-            pa, pb = payloads[ca], payloads[cb]
-            pa.discard(m)
-            pb.discard(m)
-            payloads[cid].add(m)
-            if not pa:
-                del eqcs[ca], payloads[ca]
-            if not pb:
-                del eqcs[cb], payloads[cb]
-            # A conflict whose S1 EQC is also in S2 was counted in case 2 above.
-            case3 += 1
-            if (ca if scan is s1 else cb) in s2_eqcs:
-                case2 -= 1
-    del unions  # its teardown is step 2's work, so it falls inside wall_ms
+                    target = ids[schema] = moves[cid] = []
+                row[cb] = target
+                touched.add(cb)
+            target.append(m)
+        if row is not None:
+            touched.add(ca)
+    del get, unions, ids  # step 2's index and memos go before step 3 builds
+
+    # Step 3: a touched EQC keeps its members that did not move (a touched
+    # 1-tuple lost its one) plus its move list, or goes if that is empty.
+    # Step 1 counted each case-3 member in case 2 unless S2 lacks its S1
+    # EQC, whose payload step 1 then shared as it was.
+    moved = set().union(*moves.values())
+    case3 = counted = len(moved)
+    for cid in touched:
+        members = payloads[cid]
+        kept = members.difference(moved) if len(members) > 1 else ()
+        if cid not in s2_eqcs:
+            counted -= len(members) - len(kept)
+        add = moves.pop(cid, None)
+        if add:
+            kept = kept.union(add) if kept else add
+        if kept:
+            payloads[cid] = as_payload(kept)
+        else:
+            del eqcs[cid], payloads[cid]
+    case2 -= counted
+    for cid, add in moves.items():
+        members = payloads[cid]
+        payloads[cid] = as_payload(frozenset(members).union(add) if members else add)
     wall_ms = (time.perf_counter() - started) * 1e3
 
     e1 = s1.edge_count()
@@ -195,6 +204,7 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
         edges_s2=e2,
         edges_sum=e1 + e2,
         edges_union=e1 + e2 - common,
+        edges_out=out.edge_count(),
         wall_ms=wall_ms,
         stats=CaseStats(members_s1 - case2 - case3, case2, case3, members_s1),
     )

@@ -188,7 +188,7 @@ def merge_all(
 
     def do_merge(a: Summary, b: Summary):
         merged, record = merge(a, b)
-        return merged, merged.edge_count(), record
+        return merged, record.edges_out, record
 
     final, schedule.steps, _ = _run(items, strategy, do_merge, out_names)
     schedule.total_wall_ms = (time.perf_counter() - started) * 1e3
@@ -214,7 +214,7 @@ def schedule_work(sizes: Sequence[int], strategy: Strategy) -> MergeSchedule:
     out_names = (f"m{k}" for k in itertools.count(1))
 
     def do_merge(a: int, b: int):
-        record = MergeRecord(edges_s1=a, edges_s2=b, edges_sum=a + b, edges_union=a + b, wall_ms=float(a + b), stats=None)
+        record = MergeRecord(edges_s1=a, edges_s2=b, edges_sum=a + b, edges_union=a + b, edges_out=a + b, wall_ms=float(a + b), stats=None)
         return a + b, a + b, record
 
     _, schedule.steps, makespan = _run(items, strategy, do_merge, out_names)
@@ -226,7 +226,7 @@ def write_schedule_csv(schedule: MergeSchedule, path: str | Path) -> None:
     """Schedule rows as CSV: one line per merge step."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["step", "left_id", "right_id", "edges_left", "edges_right", "wall_ms", "case1", "case2", "case3"])
+        w.writerow(["step", "left_id", "right_id", "edges_left", "edges_right", "edges_out", "wall_ms", "case1", "case2", "case3"])
         for i, step in enumerate(schedule.steps):
             r = step.record
             stats = r.stats
@@ -236,6 +236,7 @@ def write_schedule_csv(schedule: MergeSchedule, path: str | Path) -> None:
                 step.right,
                 r.edges_s1,
                 r.edges_s2,
+                r.edges_out,
                 f"{r.wall_ms:.3f}",
                 stats.case1 if stats else "",
                 stats.case2 if stats else "",

@@ -10,10 +10,13 @@ fixed, not a setting: two hashes would give equal schemas unequal ids.
 
 A schema is a plain `(attributes, classes)` pair; the summary, not the
 schema, carries the model, and a side the model omits is empty. A member
-is its vertex's N-Triples text, so a summary holds only strings.
+is its vertex's N-Triples text, so a summary holds only strings. A
+payload, an EQC's members, is immutable and sized to what it holds
+(`as_payload`): a 1-tuple for one member, else a frozenset, so a merge can
+share every input payload it leaves unchanged.
 
 `summarize` runs with the cyclic collector paused (see `mvsum._collector`):
-its groups, schemas and member sets hold no cycles, so a collection there
+its groups, schemas and payloads hold no cycles, so a collection there
 would free nothing.
 """
 
@@ -27,6 +30,7 @@ from mvsum._collector import paused
 from mvsum.graph import Graph
 
 EqcId = str
+Payload = tuple[str] | frozenset[str]
 
 
 class Model(str, enum.Enum):
@@ -78,24 +82,31 @@ def union_side(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted(set(a).union(b)))
 
 
+def as_payload(members: list[str] | Payload) -> Payload:
+    """`members` as a payload, repeats collapsed: `(m,)` for one, else a frozenset."""
+    if len(members) != 1:
+        members = frozenset(members)
+    return tuple(members) if len(members) == 1 else members
+
+
 @dataclass
 class Summary:
-    """A structural summary: EQC schemas and one payload (member set) per EQC.
+    """A structural summary: EQC schemas and one payload per EQC.
 
-    An EQC's payload is its member set; its file form also states the
-    member count. Every EqcId is in both `eqcs` and `payloads`, no member
-    is in two payloads, each member is `<iri>` or `_:label` with an
+    An EQC's payload is its members, shaped by `as_payload`; its file form
+    also states the count. Every EqcId is in both `eqcs` and `payloads`, no
+    member is in two payloads, each member is `<iri>` or `_:label` with an
     alphanumeric label, each schema side is strictly increasing by code
     point, a side the model omits is empty in every schema, and a finalized
     summary has no empty EQC (`validate` in `tests/helpers.py` checks them
     all). No index is stored: `member_index` builds the member-to-EQC map
     anew on each call. Summaries are treated as immutable once returned;
-    the merge engine mutates only summaries it is still building.
+    the merge engine fills only the dicts of a summary it is building.
     """
 
     model: Model
     eqcs: dict[EqcId, Schema] = field(default_factory=dict)
-    payloads: dict[EqcId, set[str]] = field(default_factory=dict)
+    payloads: dict[EqcId, Payload] = field(default_factory=dict)
 
     @property
     def member_index(self) -> dict[str, EqcId]:
@@ -116,23 +127,24 @@ class Summary:
 def summarize(g: Graph, model: Model) -> Summary:
     """Summarize a whole graph: every vertex lands in exactly one EQC."""
     # Group vertices by their schema first, so its digest is computed once
-    # per EQC, not per vertex; each group is a set from the start and becomes
-    # its EQC's payload as it is. The graph's label tuples are already
-    # sorted, so they are the schema sides as they stand. A side the model
-    # omits is read from an empty map, so it is () for every vertex.
+    # per EQC, not per vertex; each group list is popped as it becomes its
+    # payload. The graph's label tuples are already sorted, so they are the
+    # schema sides as they stand. A side the model omits is read from an
+    # empty map, so it is () for every vertex.
     out_labels = g.out_labels if model.wants_attributes else {}
     vertex_labels = g.vertex_labels if model.wants_classes else {}
-    groups: dict[Schema, set[str]] = {}
+    groups: dict[Schema, list[str]] = {}
     for v in g.vertices:
         key = (out_labels.get(v, ()), vertex_labels.get(v, ()))
         bucket = groups.get(key)
         if bucket is None:
-            groups[key] = {v}
+            groups[key] = [v]
         else:
-            bucket.add(v)
+            bucket.append(v)
     s = Summary(model=model)
-    for schema, members in groups.items():
+    while groups:
+        schema, members = groups.popitem()
         cid = eqc_id(model, schema)
         s.eqcs[cid] = schema
-        s.payloads[cid] = members
+        s.payloads[cid] = as_payload(members)
     return s

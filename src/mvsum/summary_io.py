@@ -54,12 +54,13 @@ local dict maps every copy a line brings to the first one, so an EQC's id
 is the same object in `eqcs`, in `payloads` and in the loader's own dicts,
 and a predicate named on thousands of attribute lines is one string. Each
 schema side is collected in a list, then deduplicated, sorted and made a
-tuple when its EQC is built, so statements may come in any order and any
-number of times. Nothing is kept across calls.
+tuple when its EQC is built, and each payload's members in a list, made its
+payload (`summary.as_payload`) where the count is checked; so statements
+may come in any order and any number of times. Nothing is kept across calls.
 
 `read_summary`, `format_summary` and `save_summary` run with the cyclic
-collector paused (see `mvsum._collector`): their strings, lines, sets and
-dicts hold no cycles, so a collection there would free nothing.
+collector paused (see `mvsum._collector`): their strings, lines, lists,
+payloads and dicts hold no cycles, so a collection there would free nothing.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from typing import Iterable, Iterator, TextIO
 from mvsum._collector import paused
 from mvsum.errors import DataError
 from mvsum.ntriples import IRI, LITERAL, XSD_INTEGER, _IRI_CHAR, ParseError, Term, Triple, _checked_iri, _checked_text, parse_ntriples, triple_line
-from mvsum.summary import Model, Summary, eqc_id
+from mvsum.summary import Model, Summary, as_payload, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
 PAYLOAD_NS = "urn:mvs:payload:"
@@ -293,7 +294,7 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     classes: dict[str, list[str]] = {}
     payload_of: dict[str, tuple[str, int]] = {}
     eqc_line: dict[str, int] = {}
-    members: dict[str, set[str]] = {}
+    members: dict[str, list[str]] = {}
     member_line: dict[str, int] = {}
     counts: dict[str, tuple[str, int]] = {}
     match = _STATEMENT.fullmatch
@@ -321,9 +322,9 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
         elif shape == "member":
             ms = members.get(sid)
             if ms is None:
-                ms = members[sid] = set()
+                ms = members[sid] = []
                 member_line[sid] = lineno
-            ms.add(value)
+            ms.append(value)
         elif shape == "count":
             if not _COUNT.fullmatch(value):
                 t = Triple(Term(IRI, PAYLOAD_NS + sid), Term(IRI, P_COUNT), Term(LITERAL, value, XSD_INTEGER))
@@ -360,12 +361,13 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     for pid, (hexid, line) in payload_of.items():
         if hexid in summary.payloads:
             raise SummaryFormatError(f"line {line}: EQC {hexid} has a second payload {PAYLOAD_NS}{pid}")
-        ms = members.get(pid)
-        if not ms:
+        ms = members.pop(pid, None)
+        if ms is None:
             raise SummaryFormatError(f"line {line}: EQC {hexid} has an empty payload")
         if pid not in counts:
             raise SummaryFormatError(f"line {line}: payload of EQC {hexid} has no count")
         count, count_line = counts[pid]
+        ms = as_payload(ms)
         if count != str(len(ms)):
             raise SummaryFormatError(f"line {count_line}: EQC {hexid}: count {count} != {len(ms)} members")
         summary.payloads[hexid] = ms

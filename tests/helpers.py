@@ -290,6 +290,13 @@ def validate(summary: Summary) -> None:
     for cid, members in summary.payloads.items():
         if not members:
             raise ValueError(f"EQC {cid} has no members")
+        # The canonical payload: a 1-tuple for one member, else a frozenset.
+        if type(members) is tuple:
+            canonical = len(members) == 1
+        else:
+            canonical = type(members) is frozenset and len(members) > 1
+        if not canonical:
+            raise ValueError(f"EQC {cid} has a payload that is not a 1-tuple or a frozenset of two or more members: {members!r}")
         for m in members:
             # The member rule the writer and the loader share.
             if not _MEMBER.fullmatch(m):

@@ -238,3 +238,50 @@ def test_criterion_8_serialization(tmp_path):
     golden = (DATA / "tiny_graph_acc.golden.nt").read_bytes()
     ok = out1.read_bytes() == out2.read_bytes() == golden
     report(8, ok, "(round trip, id-stable reload, and byte-stable goldens)")
+
+
+# Criterion 10's families, shaped like the paper's three domains: (view edge
+# counts, vertex overlap). Views are ACC summaries over 8 predicates and 4
+# classes, each with half as many vertices as edges.
+_STRATEGY_FAMILIES = {
+    # Many power-law-sized views with low overlap, like pay-level domains.
+    "pay-level domains": ([24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024], 0.2),
+    # Views of one code base that share almost every vertex, like control and data flow.
+    "control and data flow": ([600, 700, 800, 900, 1000, 1100], 0.95),
+    # A handful of views with moderate overlap, like broadcasters.
+    "broadcasters": ([500, 700, 900, 1200, 1500], 0.6),
+}
+
+
+def _family_summaries(sizes, overlap, seed):
+    summaries = []
+    for i, edges in enumerate(sizes):
+        params = GenParams(views=len(sizes), vertices_per_view=edges // 2, edges_per_view=edges,
+                           predicate_alphabet=8, class_alphabet=4, overlap=overlap, type_prob=0.3, seed=seed)
+        summaries.append(summarize(generate_view(params, i), Model.ACC))
+    return summaries
+
+
+def test_criterion_10_smallest_first_on_real_merges():
+    # Real total work, the sum of `edges_sum` over a tree's merges: no
+    # timing decides it. On real merges an output is |E1 ∪ E2| <= a + b, so
+    # Huffman's optimality does not carry over, and smallest-first is only
+    # asked to come within 1% of the best of 20 random trees.
+    details = []
+    for name, (sizes, overlap) in _STRATEGY_FAMILIES.items():
+        worst = 0.0
+        for seed in range(3):
+            summaries = _family_summaries(sizes, overlap, seed)
+            edges = [s.edge_count() for s in summaries]
+            if len(set(edges)) != len(edges):
+                report(10, False, f"{name} seed {seed}: view sizes {edges} are not distinct")
+            work_sf = merge_all(summaries, Strategy.smallest_first())[1].total_work
+            work_lf = merge_all(summaries, Strategy.largest_first())[1].total_work
+            work_random = min(merge_all(summaries, Strategy.random(k))[1].total_work for k in range(20))
+            if not work_sf < work_lf:
+                report(10, False, f"{name} seed {seed}: smallest-first {work_sf} not < largest-first {work_lf}")
+            if not work_sf <= 1.01 * work_random:
+                report(10, False, f"{name} seed {seed}: smallest-first {work_sf} > 1.01 x best random {work_random}")
+            worst = max(worst, work_sf / work_random)
+        details.append(f"{name} {len(sizes)} views: at most {worst:.4f}x the best random tree")
+    report(10, True, f"({'; '.join(details)})")

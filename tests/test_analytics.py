@@ -160,7 +160,7 @@ def test_bench_pairwise_case3_symmetric_per_unordered_pair():
 
 def _fake_record(e_sum, e_union, wall):
     return MergeRecord(edges_s1=e_sum // 2, edges_s2=e_sum - e_sum // 2,
-                       edges_sum=e_sum, edges_union=e_union, wall_ms=wall,
+                       edges_sum=e_sum, edges_union=e_union, edges_out=e_union, wall_ms=wall,
                        stats=CaseStats(1, 0, 0, 1))
 
 
@@ -193,7 +193,7 @@ def test_csv_outputs(tmp_path):
         out = list(csv.DictReader(fh))
     assert len(out) == 6
     assert set(out[0]) == {"pair_id", "left", "right", "edges_left", "edges_right",
-                           "edges_sum", "edges_union", "wall_ms", "case1", "case2", "case3"}
+                           "edges_sum", "edges_union", "edges_out", "wall_ms", "case1", "case2", "case3"}
     fits_path = tmp_path / "fits.csv"
     fit = RegressionFit(1.0, 0.0, 0.9, 0.81, 6)
     write_fits_csv([(Model.ACC, "E", "sum", fit)], fits_path)

@@ -49,7 +49,7 @@ def _bad_summary():
     # A member IRI the writer refuses, in a summary built through the API.
     schema = (("urn:p",), ())
     cid = eqc_id(Model.AC, schema)
-    return Summary(Model.AC, eqcs={cid: schema}, payloads={cid: {"<urn:a b>"}})
+    return Summary(Model.AC, eqcs={cid: schema}, payloads={cid: ("<urn:a b>",)})
 
 
 def _file_lines():

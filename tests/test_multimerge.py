@@ -209,8 +209,9 @@ def test_schedule_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert set(rows[0]) == {"step", "left_id", "right_id", "edges_left", "edges_right",
-                            "wall_ms", "case1", "case2", "case3"}
+                            "edges_out", "wall_ms", "case1", "case2", "case3"}
     assert rows[0]["step"] == "0"
+    assert [int(row["edges_out"]) for row in rows] == [step.record.edges_out for step in schedule.steps]
     assert int(rows[0]["case1"]) >= 0
 
 
