@@ -36,17 +36,24 @@ new one, never a part.
 
 The reader matches each line, as the writer formats it, against one
 compiled pattern for these five shapes. Its member is `_MEMBER`, the
-writer's rule, kept as the text it is; the rest is grouped by the EQC
-or payload id string. A line the pattern rejects (a comment, a blank line,
-other spacing, an escape, a non-plain blank label, CRLF, a foreign
-statement or garbage) goes, on its own, through `parse_ntriples`,
-and its triple is mapped onto the same shape, so one set of checks serves
-both paths. An error in one statement names its physical line, the header
-being line 1: so do an attribute under CC, a class under AC and a second,
-differing count of one payload. An error found after the last line names
-the EQC's `payload` statement or its payload's `count` statement, the first
-statement of an EQC without a payload, or the first `member` or `count`
-statement of a payload attached to no EQC. `load_summary` reads its file
+writer's rule, kept as the text it is; the rest is grouped by the EQC id
+string, which is also its payload's id: an EQC's `payload` statement must
+name `urn:mvs:payload:` and the EQC's own id, as every writer has. A line
+the pattern rejects (a comment, a blank line, other spacing, an escape, a
+non-plain blank label, CRLF, a foreign statement or garbage) goes, on its
+own, through `parse_ntriples`, is spelled again by `triple_line`, the
+writer's spelling, and meets the same pattern, so one grammar and one set
+of checks serve both paths; a line it still rejects is an unexpected
+statement. An error in one statement names its physical line, the header
+being line 1: so do an attribute under CC, a class under AC, a count that
+is not a plain decimal and a second, differing count of one payload. After
+the last line come, in this order: EQCs without a payload, named at the
+first statement of the first such EQC; then, EQC by EQC in id order, an id
+that does not match its schema, an empty payload, a payload without a
+count, a count that disagrees with the members and a member already in
+another EQC, named at the EQC's `payload` statement or, for the count, its
+payload's `count` statement; last, payloads attached to no EQC, named at
+their first `member` or `count` statement. `load_summary` reads its file
 once; lines that are not ASCII pass `ntriples._checked_text` first.
 
 Within one `read_summary` call each id and each label is one string: a
@@ -71,11 +78,11 @@ import re
 import secrets
 import stat
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from mvsum._collector import paused
 from mvsum.errors import DataError
-from mvsum.ntriples import IRI, LITERAL, XSD_INTEGER, _IRI_CHAR, ParseError, Term, Triple, _checked_iri, _checked_text, parse_ntriples, triple_line
+from mvsum.ntriples import XSD_INTEGER, _IRI_CHAR, ParseError, _checked_iri, _checked_text, parse_ntriples, triple_line
 from mvsum.summary import Model, Summary, as_payload, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
@@ -95,21 +102,24 @@ _CHUNK_LINES = 1024
 # `int()` alone would also take signs, spaces, underscores and non-ASCII digits.
 _COUNT = re.compile(r"[0-9]+")
 
-# The five statement shapes exactly as `_blocks` writes them. Group
-# 2 is the subject's id, and the last group to match names the shape:
-# `attribute`, `class` or `payload` after an EQC subject (group 1 set),
-# `member` or `count` after a payload subject. An IRI here holds no escape,
-# so its text is its value, and a member's text is the member.
+# The five statement shapes exactly as `_blocks` writes them, which is how
+# `triple_line` spells them. Group 2 is the subject's id, and the last group
+# to match names the shape: `attribute`, `class` or `payload` after an EQC
+# subject (group 1 set), `member` or `count` after a payload subject. An EQC's
+# payload is `urn:mvs:payload:` and the EQC's own id (`\2`). An IRI here holds
+# no escape, so its text is its value, and a member's text is the member. A
+# count is any literal body `triple_line` writes unescaped, so that the count
+# check, not the pattern, refuses a body that is not a plain decimal.
 _PLAIN_IRI = f"{_IRI_CHAR}*"
 _MEMBER = re.compile(rf"<{_PLAIN_IRI}>|_:[A-Za-z0-9]+")
 _STATEMENT = re.compile(
     rf"<urn:mvs:(?:(eqc)|payload):({_PLAIN_IRI})> <urn:mvs:(?(1)(?:"
     rf"attribute> <(?P<attribute>{_PLAIN_IRI})>"
     rf"|class> <(?P<class>{_PLAIN_IRI})>"
-    rf"|payload> <urn:mvs:payload:(?P<payload>{_PLAIN_IRI})>"
+    rf"|payload> <urn:mvs:payload:(?P<payload>\2)>"
     rf")|(?:"
     rf"member> (?P<member>{_MEMBER.pattern})"
-    rf'|count> "(?P<count>[0-9]+)"\^\^<{re.escape(XSD_INTEGER)}>'
+    rf'|count> "(?P<count>[^"\\\x00-\x1f]*)"\^\^<{re.escape(XSD_INTEGER)}>'
     r")) \.\n?"
 )
 
@@ -159,10 +169,13 @@ def _blocks(summary: Summary) -> Iterator[list[str]]:
 
 
 def _statement_chunks(summary: Summary) -> Iterator[str]:
-    """The statements in file order, joined into chunks of at least `_CHUNK_LINES` lines.
+    """The file text: the header line, then the statements in file order.
 
-    Only the last chunk may be shorter, and a summary without EQCs has none.
+    The statements are joined into chunks of at least `_CHUNK_LINES` lines;
+    only the last may be shorter, and a summary without EQCs yields the
+    header alone.
     """
+    yield f"{header_line(summary)}\n"
     chunk: list[str] = []
     for block in _blocks(summary):
         chunk += block
@@ -176,13 +189,7 @@ def _statement_chunks(summary: Summary) -> Iterator[str]:
 @paused()
 def format_summary(summary: Summary) -> str:
     """The full file text: header plus sorted statements, LF-terminated."""
-    return f"{header_line(summary)}\n" + "".join(_statement_chunks(summary))
-
-
-def _write(fh: TextIO, summary: Summary) -> None:
-    fh.write(f"{header_line(summary)}\n")
-    for chunk in _statement_chunks(summary):
-        fh.write(chunk)
+    return "".join(_statement_chunks(summary))
 
 
 @paused()
@@ -204,7 +211,7 @@ def save_summary(summary: Summary, path: str | Path) -> None:
         st = None
     if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            _write(fh, summary)
+            fh.writelines(_statement_chunks(summary))
         return
     target = os.path.realpath(path)
     # A short name of its own: the target's name plus a suffix could exceed
@@ -214,7 +221,7 @@ def save_summary(summary: Summary, path: str | Path) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-                _write(fh, summary)
+                fh.writelines(_statement_chunks(summary))
             if st is not None:
                 os.chmod(tmp, stat.S_IMODE(st.st_mode))
             os.replace(tmp, target)
@@ -228,35 +235,16 @@ def save_summary(summary: Summary, path: str | Path) -> None:
         raise
 
 
-def _generic_shape(raw: str, lineno: int) -> tuple[str, str, str] | None:
-    """(shape, subject id, value) of a line `_STATEMENT` rejects, or None.
+def _respelled(raw: str, lineno: int) -> str | None:
+    """A line `_STATEMENT` rejects, parsed and spelled as `triple_line` does.
 
-    The line goes through the generic parser; None means a blank or comment
-    line. Its triple is mapped onto the shape the pattern would have matched,
-    and a triple that has none is an unexpected statement.
+    None means a blank or comment line.
     """
     try:
         triple = next(parse_ntriples((raw,), start=lineno), None)
     except ParseError as exc:
         raise SummaryFormatError(f"bad statement: {exc}") from exc
-    if triple is None:
-        return None
-    s, p, o = triple
-    if s.kind == IRI and s.value.startswith(EQC_NS) and o.kind == IRI:
-        sid = s.value[len(EQC_NS):]
-        if p.value == P_ATTRIBUTE:
-            return "attribute", sid, o.value
-        if p.value == P_CLASS:
-            return "class", sid, o.value
-        if p.value == P_PAYLOAD and o.value.startswith(PAYLOAD_NS):
-            return "payload", sid, o.value[len(PAYLOAD_NS):]
-    elif s.kind == IRI and s.value.startswith(PAYLOAD_NS):
-        sid = s.value[len(PAYLOAD_NS):]
-        if p.value == P_MEMBER and o.kind != LITERAL:
-            return "member", sid, o.nt()
-        if p.value == P_COUNT and o.kind == LITERAL and o.datatype == XSD_INTEGER:
-            return "count", sid, o.value
-    raise SummaryFormatError(f"line {lineno}: unexpected statement: {triple_line(triple)}")
+    return None if triple is None else triple_line(triple)
 
 
 @paused()
@@ -282,18 +270,18 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
         raise SummaryFormatError(f"line 1: unsupported digest {m.group(2)!r}")
     model = Model(m.group(1))
 
-    # Keyed by the EQC id, or by the payload id (the text after PAYLOAD_NS).
-    # `payload_of` and `counts` keep their statement's line, `eqc_line` and
-    # `member_line` the line an id is first seen on, for the later checks.
-    # `one` maps each id and label string to its first copy (see the module
-    # docstring). A schema side is a list, deduplicated when its tuple is
-    # built below.
+    # Keyed by the EQC id, which is also its payload's id (the text after
+    # PAYLOAD_NS). `counts` keeps its statement's line, and the `*_line`
+    # dicts the line of an id's first `payload` statement, first attribute or
+    # class, and first member, for the later checks. `one` maps each id and
+    # label string to its first copy (see the module docstring). A schema
+    # side is a list, deduplicated when its tuple is built below.
     want_attrs, want_classes = model.wants_attributes, model.wants_classes
     one: dict[str, str] = {}
     attrs: dict[str, list[str]] = {}
     classes: dict[str, list[str]] = {}
-    payload_of: dict[str, tuple[str, int]] = {}
     eqc_line: dict[str, int] = {}
+    payload_line: dict[str, int] = {}
     members: dict[str, list[str]] = {}
     member_line: dict[str, int] = {}
     counts: dict[str, tuple[str, int]] = {}
@@ -305,14 +293,15 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
             except ParseError as exc:
                 raise SummaryFormatError(f"bad statement: {exc}") from exc
         m = match(raw)
-        if m is not None:
-            shape = m.lastgroup
-            sid, value = m.group(2, shape)
-        else:
-            parsed = _generic_shape(raw, lineno)
-            if parsed is None:
+        if m is None:
+            raw = _respelled(raw, lineno)
+            if raw is None:
                 continue
-            shape, sid, value = parsed
+            m = match(raw)
+            if m is None:
+                raise SummaryFormatError(f"line {lineno}: unexpected statement: {raw}")
+        shape = m.lastgroup
+        sid, value = m.group(2, shape)
         sid = one.setdefault(sid, sid)
         if shape == "attribute":
             if not want_attrs:
@@ -327,60 +316,51 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
             ms.append(value)
         elif shape == "count":
             if not _COUNT.fullmatch(value):
-                t = Triple(Term(IRI, PAYLOAD_NS + sid), Term(IRI, P_COUNT), Term(LITERAL, value, XSD_INTEGER))
-                raise SummaryFormatError(f"line {lineno}: count is not a plain decimal: {triple_line(t)}")
+                line = raw.rstrip("\n")
+                raise SummaryFormatError(f"line {lineno}: count is not a plain decimal: {line}")
             # Kept as canonical text: `int()` refuses more than a few thousand digits.
             count = value.lstrip("0") or "0"
             if counts.setdefault(sid, (count, lineno))[0] != count:
                 raise SummaryFormatError(f"line {lineno}: payload {PAYLOAD_NS}{sid} has two counts: {counts[sid][0]} and {count}")
         elif shape == "payload":
-            eqc_line.setdefault(sid, lineno)
-            value = one.setdefault(value, value)
-            if payload_of.setdefault(value, (sid, lineno))[0] != sid:
-                raise SummaryFormatError(f"line {lineno}: payload vertex {PAYLOAD_NS}{value} attached to two EQCs")
+            payload_line.setdefault(sid, lineno)
         else:
             if not want_classes:
                 raise SummaryFormatError(f"line {lineno}: EQC {sid} has classes under model {model.value}")
             eqc_line.setdefault(sid, lineno)
             classes.setdefault(sid, []).append(one.setdefault(value, value))
 
-    missing = eqc_line.keys() - {hexid for hexid, _ in payload_of.values()}
+    missing = eqc_line.keys() - payload_line.keys()
     if missing:
         line = min(eqc_line[hexid] for hexid in missing)
         raise SummaryFormatError(f"line {line}: EQCs without payloads: {sorted(missing)}")
 
     summary = Summary(model=model)
-    for hexid in sorted(eqc_line):
+    owner: dict[str, str] = {}
+    for hexid in sorted(payload_line):
+        line = payload_line[hexid]
         schema = tuple(sorted(set(attrs.pop(hexid, ())))), tuple(sorted(set(classes.pop(hexid, ()))))
         if verify and eqc_id(model, schema) != hexid:
-            line = min(n for c, n in payload_of.values() if c == hexid)
             raise SummaryFormatError(f"line {line}: EQC id {hexid} does not match its schema")
-        summary.eqcs[hexid] = schema
-
-    owner: dict[str, str] = {}
-    for pid, (hexid, line) in payload_of.items():
-        if hexid in summary.payloads:
-            raise SummaryFormatError(f"line {line}: EQC {hexid} has a second payload {PAYLOAD_NS}{pid}")
-        ms = members.pop(pid, None)
+        ms = members.pop(hexid, None)
         if ms is None:
             raise SummaryFormatError(f"line {line}: EQC {hexid} has an empty payload")
-        if pid not in counts:
+        if hexid not in counts:
             raise SummaryFormatError(f"line {line}: payload of EQC {hexid} has no count")
-        count, count_line = counts[pid]
+        count, count_line = counts.pop(hexid)
         ms = as_payload(ms)
         if count != str(len(ms)):
             raise SummaryFormatError(f"line {count_line}: EQC {hexid}: count {count} != {len(ms)} members")
+        summary.eqcs[hexid] = schema
         summary.payloads[hexid] = ms
         for m in ms:
             other = owner.setdefault(m, hexid)
             if other != hexid:
                 raise SummaryFormatError(f"line {line}: member {m} of EQC {hexid} already appears in EQC {other}")
 
-    stray = (members.keys() | counts.keys()) - payload_of.keys()
-    if stray:
-        line = min([member_line[pid] for pid in stray if pid in member_line]
-                   + [counts[pid][1] for pid in stray if pid in counts])
-        stray_iris = sorted(PAYLOAD_NS + pid for pid in stray)
+    if members or counts:
+        line = min([member_line[pid] for pid in members] + [n for _, n in counts.values()])
+        stray_iris = sorted(PAYLOAD_NS + pid for pid in members.keys() | counts.keys())
         raise SummaryFormatError(f"line {line}: payload vertices never attached to an EQC: {stray_iris}")
     return summary
 

@@ -121,11 +121,12 @@ def test_summary_reader_restores_collector(caller_gc, tmp_path):
 def test_summary_writer_restores_collector(caller_gc, tmp_path, monkeypatch):
     assert format_summary(_summary()).splitlines(keepends=True) == _file_lines()
     assert gc.isenabled() is caller_gc
-    # The chunk generator never pauses: between chunks the caller's own code
-    # runs under the caller's setting.
+    # The chunk generator (the header, then one chunk per subject here) never
+    # pauses: between chunks the caller's own code runs under the caller's
+    # setting.
     monkeypatch.setattr(summary_io, "_CHUNK_LINES", 1)
     seen = [gc.isenabled() for _ in summary_io._statement_chunks(_summary())]
-    assert seen == [caller_gc] * 4
+    assert seen == [caller_gc] * 5
     assert gc.isenabled() is caller_gc
     save_summary(_summary(), tmp_path / "s.nt")
     assert gc.isenabled() is caller_gc
