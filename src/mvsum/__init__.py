@@ -10,7 +10,7 @@ from mvsum.merge import (
     merge,
 )
 from mvsum.multimerge import MergeSchedule, Strategy, merge_all, schedule_work
-from mvsum.ntriples import ParseError, Term, Triple, parse_ntriples
+from mvsum.ntriples import ParseError, Triple, parse_ntriples
 from mvsum.summary import (
     Model,
     Summary,
@@ -36,7 +36,6 @@ __all__ = [
     "Strategy",
     "Summary",
     "SummaryFormatError",
-    "Term",
     "Triple",
     "UsageError",
     "build_graph",

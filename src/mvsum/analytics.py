@@ -20,7 +20,7 @@ from typing import Sequence
 
 from mvsum.errors import UsageError
 from mvsum.merge import MergeRecord, merge
-from mvsum.ntriples import RDF_TYPE, Term, Triple
+from mvsum.ntriples import RDF_TYPE, Triple
 from mvsum.summary import Model, Summary
 
 FIT_FUNCTIONS = ("E", "ElogE", "E2")
@@ -65,17 +65,16 @@ def view_triples(params: GenParams, index: int) -> list[Triple]:
     """
     rng = random.Random(view_seed(params, index))
     n_shared = round(params.overlap * params.vertices_per_view)
-    vertices = [Term.iri(f"urn:mvs:gen:shared:{k}") for k in range(n_shared)]
-    vertices += [Term.iri(f"urn:mvs:gen:v{index}:{k}") for k in range(params.vertices_per_view - n_shared)]
-    predicates = [Term.iri(f"urn:mvs:gen:p{k}") for k in range(params.predicate_alphabet)]
-    classes = [Term.iri(f"urn:mvs:gen:c{k}") for k in range(params.class_alphabet)]
-    rdf_type = Term.iri(RDF_TYPE)
+    vertices = [f"<urn:mvs:gen:shared:{k}>" for k in range(n_shared)]
+    vertices += [f"<urn:mvs:gen:v{index}:{k}>" for k in range(params.vertices_per_view - n_shared)]
+    predicates = [f"urn:mvs:gen:p{k}" for k in range(params.predicate_alphabet)]
+    classes = [f"<urn:mvs:gen:c{k}>" for k in range(params.class_alphabet)]
     triples = []
     for _ in range(params.edges_per_view):
         triples.append(Triple(rng.choice(vertices), rng.choice(predicates), rng.choice(vertices)))
     for v in vertices:
         if rng.random() < params.type_prob:
-            triples.append(Triple(v, rdf_type, rng.choice(classes)))
+            triples.append(Triple(v, RDF_TYPE, rng.choice(classes)))
     return triples
 
 

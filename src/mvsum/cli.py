@@ -100,7 +100,7 @@ def cmd_gen(args) -> int:
         triples = set(analytics.view_triples(params, i))
         lines = sorted(map(triple_line, triples))
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n")
-        types = sum(t.predicate.value == RDF_TYPE for t in triples)
+        types = sum(t.predicate == RDF_TYPE for t in triples)
         manifest["views"].append({
             "file": path.name,
             "view_id": view_id,

@@ -16,7 +16,7 @@ maps. Local dicts map each to its first copy and are dropped on return.
 
 `build_graph` runs with the cyclic collector paused (see `mvsum._collector`),
 and so does the parser generator it drives, since the parser's work runs
-inside `build_graph`'s loop. Terms, Triples, label sets and tuples hold no
+inside `build_graph`'s loop. Triples, strings, label sets and tuples hold no
 cycles, so a collection there would free nothing.
 """
 
@@ -27,7 +27,7 @@ from typing import Iterable
 
 from mvsum._collector import paused
 from mvsum.errors import DataError
-from mvsum.ntriples import IRI, LITERAL, RDF_TYPE, Triple
+from mvsum.ntriples import RDF_TYPE, Triple
 
 
 @dataclass
@@ -39,12 +39,12 @@ class Graph:
 
 @paused()
 def build_graph(triples: Iterable[Triple]) -> Graph:
-    """Build a graph from triples, splitting `rdf:type` off into vertex labels.
+    """Build a graph from text triples, splitting `rdf:type` off into vertex labels.
 
-    A triple (s, rdf:type, c) with c an IRI adds class c to s's label set; any
-    other triple (s, p, o) adds p to s's outgoing labels. Subjects and
-    non-literal objects are registered as vertices. A literal subject, or an
-    `rdf:type` object that is not an IRI, raises DataError.
+    A triple (s, rdf:type, <c>) adds class c to s's label set; any other
+    triple (s, p, o) adds p to s's outgoing labels. Subjects and objects
+    that are not literals are registered as vertices. A literal subject, or
+    an `rdf:type` object that is not an IRI, raises DataError.
     """
     vertices: set[str] = set()
     vertex_labels: dict[str, set[str]] = {}
@@ -53,19 +53,18 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
     # `vertices` and both label maps share one string per vertex and per class.
     one = {}.setdefault
     for s, p, o in triples:
-        if s.kind == LITERAL:
-            raise DataError(f"subject must be an IRI or blank node, got {s.nt()}")
-        s = f"<{s.value}>" if s.kind == IRI else f"_:{s.value}"
+        if s[0] == '"':
+            raise DataError(f"subject must be an IRI or blank node, got {s}")
         s = one(s, s)
         vertices.add(s)
-        if p.value == RDF_TYPE:
-            if o.kind != IRI:
-                raise DataError(f"rdf:type object must be an IRI, got {o.nt()}")
-            vertex_labels.setdefault(s, set()).add(one(o.value, o.value))
+        if p == RDF_TYPE:
+            if o[0] != "<":
+                raise DataError(f"rdf:type object must be an IRI, got {o}")
+            c = o[1:-1]
+            vertex_labels.setdefault(s, set()).add(one(c, c))
             continue
-        out_labels.setdefault(s, set()).add(p.value)
-        if o.kind != LITERAL:
-            o = f"<{o.value}>" if o.kind == IRI else f"_:{o.value}"
+        out_labels.setdefault(s, set()).add(p)
+        if o[0] != '"':
             vertices.add(one(o, o))
     # Equal label sets become one tuple.
     interned = {}.setdefault

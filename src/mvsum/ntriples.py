@@ -17,11 +17,12 @@ U+DFFF), is a ParseError too, so every statement the parser accepts can be
 written back. So is an `rdf:type` statement whose object is not an IRI,
 since the graph model has no place for a literal or blank class.
 
-A matched line builds its Terms and its Triple with `tuple.__new__`, which
-skips the NamedTuple constructor's Python frame, and yields exact `Term`
-and `Triple` instances. Each `parse_ntriples` call keeps its own dict of
-predicate Terms, so the statements of one parse share one Term per
-predicate; nothing is cached across calls.
+A triple is three strings. The subject and the object are N-Triples term
+text: `<iri>` with its escapes decoded, `_:label` with the label
+normalized, or a literal spelled as `triple_line` writes it. The predicate
+is its bare IRI, the label the graph keeps. Each `parse_ntriples` call
+keeps its own dict of predicate strings, so the statements of one parse
+share one string per predicate; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ import re
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from mvsum.errors import DataError
-
-IRI = "iri"
-BLANK = "blank"
-LITERAL = "literal"
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
@@ -49,54 +46,10 @@ class ParseError(DataError):
         self.reason = message
 
 
-class Term(NamedTuple):
-    """An RDF term: IRI, blank node, or literal.
-
-    IRI values are stored without the surrounding angle brackets; blank node
-    labels are normalized to ``[A-Za-z0-9]+``. A literal carries at most one
-    of `datatype` (an IRI) and `lang`. A Term is a tuple, so it hashes and
-    compares in C and equals the plain 4-tuple of its fields.
-    """
-
-    kind: str
-    value: str
-    datatype: str | None = None
-    lang: str | None = None
-
-    @staticmethod
-    def iri(value: str) -> "Term":
-        return Term(IRI, value)
-
-    @staticmethod
-    def blank(label: str) -> "Term":
-        return Term(BLANK, normalize_bnode_label(label))
-
-    @staticmethod
-    def literal(value: str, datatype: str | None = None, lang: str | None = None) -> "Term":
-        if datatype is not None and lang is not None:
-            raise ValueError("a literal has at most one of datatype/lang")
-        return Term(LITERAL, value, datatype, lang)
-
-    def nt(self) -> str:
-        """The term in N-Triples syntax."""
-        if self.kind == IRI:
-            return f"<{_checked_iri(self.value)}>"
-        if self.kind == BLANK:
-            if not _BNODE_PLAIN.fullmatch(self.value):
-                raise ValueError(f"blank node label not alphanumeric: {self.value!r}")
-            return f"_:{self.value}"
-        out = f'"{_escape_literal(self.value)}"'
-        if self.lang is not None:
-            return f"{out}@{self.lang}"
-        if self.datatype is not None:
-            return f"{out}^^<{_checked_iri(self.datatype)}>"
-        return out
-
-
 class Triple(NamedTuple):
-    subject: Term
-    predicate: Term
-    object: Term
+    subject: str
+    predicate: str
+    object: str
 
 
 # --- blank node labels -------------------------------------------------------
@@ -106,13 +59,14 @@ class Triple(NamedTuple):
 # re-parses to equal terms), anything else becomes `x` plus the UTF-8 hex of
 # the whole label. Labels are global: `_:b` in two files is one node.
 
-_BNODE_PLAIN = re.compile(r"[A-Za-z0-9]+\Z")
-
-
 def normalize_bnode_label(label: str) -> str:
-    if _BNODE_PLAIN.fullmatch(label):
+    if label.isascii() and label.isalnum():
         return label
     return "x" + label.encode("utf-8").hex()
+
+
+def _blank(label: str) -> str:
+    return f"_:{normalize_bnode_label(label)}"
 
 
 # --- tokenizing --------------------------------------------------------------
@@ -171,15 +125,16 @@ def _skip_ws(text: str, pos: int) -> int:
     return m.end() if m else pos
 
 
-def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicate: bool) -> tuple[Term, int]:
+def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicate: bool) -> tuple[str, int]:
+    """The term at `pos` as its N-Triples text, and the position after it."""
     m = _IRIREF.match(text, pos)
     if m:
-        return Term(IRI, _unescape(m.group(1), line, pos + 2, iri=True)), m.end()
+        return f"<{_unescape(m.group(1), line, pos + 2, iri=True)}>", m.end()
     if as_predicate:
         raise ParseError("expected IRI predicate", line, pos + 1)
     m = _BNODE.match(text, pos)
     if m:
-        return Term(BLANK, normalize_bnode_label(m.group(1))), m.end()
+        return _blank(m.group(1)), m.end()
     if as_subject:
         raise ParseError("expected IRI or blank node subject", line, pos + 1)
     m = _STRING.match(text, pos)
@@ -190,11 +145,11 @@ def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicat
             m = _IRIREF.match(text, pos + 2)
             if not m:
                 raise ParseError("expected datatype IRI after ^^", line, pos + 3)
-            return Term(LITERAL, value, datatype=_unescape(m.group(1), line, pos + 4, iri=True)), m.end()
+            return _literal(value, _unescape(m.group(1), line, pos + 4, iri=True), None), m.end()
         m = _LANGTAG.match(text, pos)
         if m:
-            return Term(LITERAL, value, lang=m.group(1)), m.end()
-        return Term(LITERAL, value), pos
+            return _literal(value, None, m.group(1)), m.end()
+        return _literal(value, None, None), pos
     raise ParseError("expected IRI, blank node, or literal object", line, pos + 1)
 
 
@@ -216,7 +171,8 @@ def _tokenize_line(text: str, line: int) -> Triple:
     pos = _skip_ws(text, pos)
     obj_col = pos + 1
     obj, pos = _parse_term(text, pos, line, as_subject=False, as_predicate=False)
-    if obj.kind != IRI and pred.value == RDF_TYPE:
+    pred = pred[1:-1]
+    if obj[0] != "<" and pred == RDF_TYPE:
         raise ParseError(_TYPE_OBJECT, line, obj_col)
     pos = _skip_ws(text, pos)
     if pos >= len(text) or text[pos] != ".":
@@ -228,65 +184,61 @@ def _tokenize_line(text: str, line: int) -> Triple:
 
 
 # The whole statement grammar `_tokenize_line` accepts, as one pattern, with
-# the same groups and the same parts in the same order. Its escape bodies
-# admit only UCHAR and ECHAR escapes; `_unescape` then raises, at the
-# tokenizer's column, for a \U beyond U+10FFFF or an escaped IRI character
-# the writer refuses. A blank node label or language tag cannot end where the
-# next part begins, so backtracking never finds a split the tokenizer would
-# not. Groups: subject IRI | subject label, predicate, object IRI | object
-# label | literal body, then datatype | language tag.
+# the same parts in the same order. Its escape bodies admit only UCHAR and
+# ECHAR escapes; `_unescape` then raises, at the tokenizer's column, for a \U
+# beyond U+10FFFF or an escaped IRI character the writer refuses. A blank
+# node label or language tag cannot end where the next part begins, so
+# backtracking never finds a split the tokenizer would not. Groups: subject,
+# its blank label, predicate IRI, object, its blank label, literal body, then
+# datatype | language tag. A subject or object group is the term's text.
 _LINE = re.compile(
-    rf"[ \t]*(?:<({_IRI_BODY})>|_:({_LABEL}))"
+    rf"[ \t]*(<{_IRI_BODY}>|_:({_LABEL}))"
     rf"[ \t]*<({_IRI_BODY})>"
-    rf'[ \t]*(?:<({_IRI_BODY})>|_:({_LABEL})|"({_STR_BODY})"(?:\^\^<({_IRI_BODY})>|@({_LANG}))?)'
+    rf'[ \t]*(<{_IRI_BODY}>|_:({_LABEL})|"({_STR_BODY})"(?:\^\^<({_IRI_BODY})>|@({_LANG}))?)'
     r"[ \t]*\.[ \t]*(?:#.*)?",
     re.DOTALL,
 )
 
 
-# Builds an exact Term or Triple without the NamedTuple constructor's frame.
+# Builds an exact Triple without the NamedTuple constructor's frame.
 _new = tuple.__new__
 
 
-def _parse_line(text: str, line: int, predicates: dict[str, Term]) -> Triple:
-    """Parse one statement; `predicates` maps predicate IRIs to shared Terms.
+def _parse_line(text: str, line: int, predicates: dict[str, str]) -> Triple:
+    """Parse one statement; `predicates` maps each predicate IRI to its first copy.
 
-    The caller owns `predicates`, so equal predicates share one Term for as
-    long as the caller keeps the dict, and no longer.
+    The caller owns `predicates`, so equal predicates share one string for
+    as long as the caller keeps the dict, and no longer.
     """
     m = _LINE.fullmatch(text)
     if m is None:
         return _tokenize_line(text, line)
-    s_iri, s_label, p_iri, o_iri, o_label, lit, dt, lang = m.groups()
+    s, s_label, p, o, o_label, lit, dt, lang = m.groups()
     if "\\" in text:
         # Only group contents are unescaped, in the tokenizer's order, so the
-        # first bad IRI escape is reported where the tokenizer reports it.
-        if s_iri is not None and "\\" in s_iri:
-            s_iri = _unescape(s_iri, line, m.start(1) + 1, iri=True)
-        if "\\" in p_iri:
-            p_iri = _unescape(p_iri, line, m.start(3) + 1, iri=True)
-        if o_iri is not None and "\\" in o_iri:
-            o_iri = _unescape(o_iri, line, m.start(4) + 1, iri=True)
-        if lit is not None and "\\" in lit:
-            lit = _unescape(lit, line, m.start(6) + 1)
-        if dt is not None and "\\" in dt:
-            dt = _unescape(dt, line, m.start(7) + 1, iri=True)
-    if o_iri is None and p_iri == RDF_TYPE:
-        raise ParseError(_TYPE_OBJECT, line, m.start(6) if lit is not None else m.start(5) - 1)
-    if s_iri is not None:
-        subj = _new(Term, (IRI, s_iri, None, None))
-    else:
-        subj = _new(Term, (BLANK, normalize_bnode_label(s_label), None, None))
-    pred = predicates.get(p_iri)
-    if pred is None:
-        pred = predicates[p_iri] = _new(Term, (IRI, p_iri, None, None))
-    if o_iri is not None:
-        obj = _new(Term, (IRI, o_iri, None, None))
-    elif o_label is not None:
-        obj = _new(Term, (BLANK, normalize_bnode_label(o_label), None, None))
-    else:
-        obj = _new(Term, (LITERAL, lit, dt, lang))
-    return _new(Triple, (subj, pred, obj))
+        # first bad IRI escape is reported where the tokenizer reports it. A
+        # blank node label holds no `\`.
+        if "\\" in s:
+            s = f"<{_unescape(s[1:-1], line, m.start(1) + 2, iri=True)}>"
+        if "\\" in p:
+            p = _unescape(p, line, m.start(3) + 1, iri=True)
+        if lit is not None:
+            if "\\" in lit:
+                lit = _unescape(lit, line, m.start(6) + 1)
+            if dt is not None and "\\" in dt:
+                dt = _unescape(dt, line, m.start(7) + 1, iri=True)
+        elif "\\" in o:
+            o = f"<{_unescape(o[1:-1], line, m.start(4) + 2, iri=True)}>"
+    if o[0] != "<" and p == RDF_TYPE:
+        raise ParseError(_TYPE_OBJECT, line, m.start(4) + 1)
+    # A matched label is ASCII, so `isalnum` tells a plain one.
+    if s_label is not None and not s_label.isalnum():
+        s = _blank(s_label)
+    if o_label is not None and not o_label.isalnum():
+        o = _blank(o_label)
+    elif lit is not None:
+        o = _literal(lit, dt, lang)
+    return _new(Triple, (s, predicates.setdefault(p, p), o))
 
 
 def _checked_text(raw: str, line: int) -> str:
@@ -320,7 +272,7 @@ def parse_ntriples(
     already read the lines before it. Blank node labels are not namespaced:
     `_:b` names one node in every source.
     """
-    predicates: dict[str, Term] = {}
+    predicates: dict[str, str] = {}
     for lineno, raw in enumerate(source, start=start):
         try:
             if not raw.isascii():
@@ -341,8 +293,15 @@ _LITERAL_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\
 for _cp in range(0x20):
     _LITERAL_ESCAPES.setdefault(_cp, "\\u%04X" % _cp)
 
-def _escape_literal(value: str) -> str:
-    return value.translate(_LITERAL_ESCAPES)
+
+def _literal(value: str, datatype: str | None, lang: str | None) -> str:
+    """A literal's canonical text: escaped value, then `@lang` or `^^<datatype>`."""
+    out = f'"{value.translate(_LITERAL_ESCAPES)}"'
+    if lang is not None:
+        return f"{out}@{lang}"
+    if datatype is not None:
+        return f"{out}^^<{datatype}>"
+    return out
 
 
 def _checked_iri(value: str) -> str:
@@ -353,9 +312,9 @@ def _checked_iri(value: str) -> str:
 
 
 def triple_line(t: Triple) -> str:
-    """One statement in canonical form, without the newline."""
-    if t.subject.kind == LITERAL:
-        raise ValueError("subject is never a literal")
-    if t.predicate.kind != IRI:
-        raise ValueError("predicate is always an IRI")
-    return f"{t.subject.nt()} {t.predicate.nt()} {t.object.nt()} ."
+    """One statement in canonical form, without the newline.
+
+    `t` holds text as `parse_ntriples` yields it, so it is written as it is.
+    """
+    s, p, o = t
+    return f"{s} <{p}> {o} ."

@@ -41,20 +41,21 @@ string, which is also its payload's id: an EQC's `payload` statement must
 name `urn:mvs:payload:` and the EQC's own id, as every writer has. A line
 the pattern rejects (a comment, a blank line, other spacing, an escape, a
 non-plain blank label, CRLF, a foreign statement or garbage) goes, on its
-own, through `parse_ntriples`, is spelled again by `triple_line`, the
-writer's spelling, and meets the same pattern, so one grammar and one set
-of checks serve both paths; a line it still rejects is an unexpected
-statement. An error in one statement names its physical line, the header
-being line 1: so do an attribute under CC, a class under AC, a count that
-is not a plain decimal and a second, differing count of one payload. After
-the last line come, in this order: EQCs without a payload, named at the
-first statement of the first such EQC; then, EQC by EQC in id order, an id
-that does not match its schema, an empty payload, a payload without a
-count, a count that disagrees with the members and a member already in
-another EQC, named at the EQC's `payload` statement or, for the count, its
-payload's `count` statement; last, payloads attached to no EQC, named at
-their first `member` or `count` statement. `load_summary` reads its file
-once; lines that are not ASCII pass `ntriples._checked_text` first.
+own, through `parse_ntriples`, whose terms come out as the writer spells
+them; `triple_line` joins them into a line that meets the same pattern, so
+one grammar and one set of checks serve both paths; a line it still
+rejects is an unexpected statement. An error in one statement names its
+physical line, the header being line 1: so do an attribute under CC, a
+class under AC, a count that is not a plain decimal and a second,
+differing count of one payload. After the last line come, in this order:
+EQCs without a payload, named at the first statement of the first such
+EQC; then, EQC by EQC in id order, an id that does not match its schema,
+an empty payload, a payload without a count, a count that disagrees with
+the members and a member already in another EQC, named at the EQC's
+`payload` statement or, for the count, its payload's `count` statement;
+last, payloads attached to no EQC, named at their first `member` or
+`count` statement. `load_summary` reads its file once; lines that are not
+ASCII pass `ntriples._checked_text` first.
 
 Within one `read_summary` call each id and each label is one string: a
 local dict maps every copy a line brings to the first one, so an EQC's id
@@ -103,13 +104,14 @@ _CHUNK_LINES = 1024
 _COUNT = re.compile(r"[0-9]+")
 
 # The five statement shapes exactly as `_blocks` writes them, which is how
-# `triple_line` spells them. Group 2 is the subject's id, and the last group
-# to match names the shape: `attribute`, `class` or `payload` after an EQC
-# subject (group 1 set), `member` or `count` after a payload subject. An EQC's
-# payload is `urn:mvs:payload:` and the EQC's own id (`\2`). An IRI here holds
-# no escape, so its text is its value, and a member's text is the member. A
-# count is any literal body `triple_line` writes unescaped, so that the count
-# check, not the pattern, refuses a body that is not a plain decimal.
+# `triple_line` joins a parsed line. Group 2 is the subject's id, and the
+# last group to match names the shape: `attribute`, `class` or `payload`
+# after an EQC subject (group 1 set), `member` or `count` after a payload
+# subject. An EQC's payload is `urn:mvs:payload:` and the EQC's own id
+# (`\2`). An IRI here holds no escape, so its text is its value, and a
+# member's text is the member. A count is any literal body the parser spells
+# unescaped, so that the count check, not the pattern, refuses a body that is
+# not a plain decimal.
 _PLAIN_IRI = f"{_IRI_CHAR}*"
 _MEMBER = re.compile(rf"<{_PLAIN_IRI}>|_:[A-Za-z0-9]+")
 _STATEMENT = re.compile(
@@ -236,7 +238,7 @@ def save_summary(summary: Summary, path: str | Path) -> None:
 
 
 def _respelled(raw: str, lineno: int) -> str | None:
-    """A line `_STATEMENT` rejects, parsed and spelled as `triple_line` does.
+    """A line `_STATEMENT` rejects, parsed and joined by `triple_line`.
 
     None means a blank or comment line.
     """

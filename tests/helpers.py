@@ -13,7 +13,7 @@ import mvsum
 from mvsum.analytics import GenParams, view_id, view_triples
 from mvsum.graph import Graph, build_graph
 from mvsum.merge import CaseStats
-from mvsum.ntriples import RDF_TYPE, XSD_INTEGER, Term, Triple, _checked_iri
+from mvsum.ntriples import RDF_TYPE, XSD_INTEGER, Triple, _checked_iri
 from mvsum.summary import Model, Schema, Summary, eqc_id, summarize
 from mvsum.summary_io import (
     EQC_NS,
@@ -29,19 +29,19 @@ from mvsum.summary_io import (
 )
 
 
-def iri(name: str) -> Term:
-    return Term.iri(f"urn:x:{name}")
+# A triple is text, as `parse_ntriples` yields it: a vertex or class is its
+# N-Triples term, a predicate its bare IRI.
+
+def iri(name: str) -> str:
+    return f"<urn:x:{name}>"
 
 
-def p(name: str) -> Term:
-    return Term.iri(f"urn:p:{name}")
+def p(name: str) -> str:
+    return f"urn:p:{name}"
 
 
-def cls(name: str) -> Term:
-    return Term.iri(f"urn:c:{name}")
-
-
-RDF_TYPE_TERM = Term.iri(RDF_TYPE)
+def cls(name: str) -> str:
+    return f"<urn:c:{name}>"
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -75,7 +75,7 @@ def traced(f):
 
 
 def graph_of(*triples: tuple) -> Graph:
-    """Build a graph from (subject, predicate, object) Term triples."""
+    """Build a graph from (subject, predicate, object) text triples."""
     return build_graph(Triple(s, pr, o) for s, pr, o in triples)
 
 
@@ -89,15 +89,15 @@ def graph_of(*triples: tuple) -> Graph:
 def naive_vertices(triples) -> set[str]:
     vertices = set()
     for s, pr, o in triples:
-        vertices.add(s.nt())
-        if pr != RDF_TYPE_TERM and o.kind != "literal":
-            vertices.add(o.nt())
+        vertices.add(s)
+        if pr != RDF_TYPE and not o.startswith('"'):
+            vertices.add(o)
     return vertices
 
 
 def naive_features(triples, v: str, model: Model):
-    attrs = frozenset(pr.value for (s, pr, _) in triples if s.nt() == v and pr != RDF_TYPE_TERM)
-    classes = frozenset(o.value for (s, pr, o) in triples if s.nt() == v and pr == RDF_TYPE_TERM)
+    attrs = frozenset(pr for (s, pr, _) in triples if s == v and pr != RDF_TYPE)
+    classes = frozenset(o[1:-1] for (s, pr, o) in triples if s == v and pr == RDF_TYPE)
     if model is Model.AC:
         return ("AC", attrs)
     if model is Model.CC:
@@ -211,7 +211,7 @@ def random_triples(rng: random.Random, max_vertices: int = 12, max_edges: int = 
     vertices = []
     for i in range(n):
         if rng.random() < blank_prob:
-            vertices.append(Term.blank(f"b{i}"))
+            vertices.append(f"_:b{i}")
         else:
             vertices.append(iri(f"v{i}"))
     triples = []
@@ -220,13 +220,13 @@ def random_triples(rng: random.Random, max_vertices: int = 12, max_edges: int = 
             s = rng.choice(vertices)
             pr = p(str(rng.randrange(n_predicates)))
             if rng.random() < literal_prob:
-                o = Term.literal(f"lit{rng.randrange(3)}")
+                o = f'"lit{rng.randrange(3)}"'
             else:
                 o = rng.choice(vertices)
             triples.append(Triple(s, pr, o))
         for v in vertices:
             if rng.random() < type_prob:
-                triples.append(Triple(v, RDF_TYPE_TERM, cls(str(rng.randrange(n_classes)))))
+                triples.append(Triple(v, RDF_TYPE, cls(str(rng.randrange(n_classes)))))
     return triples
 
 

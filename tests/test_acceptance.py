@@ -20,7 +20,7 @@ from mvsum.cli import main as cli_main
 from mvsum.graph import build_graph
 from mvsum.merge import merge
 from mvsum.multimerge import Strategy, merge_all
-from mvsum.ntriples import Term, Triple, parse_ntriples, triple_line
+from mvsum.ntriples import Triple, parse_ntriples, triple_line
 from mvsum.summary import Model, summarize
 from mvsum.summary_io import format_summary, read_summary
 
@@ -157,12 +157,12 @@ def _scaling_pair(target_edges: int):
     """
     k = max(4, (target_edges - 8) // 4)
     shared = max(1, k // 64)
-    sink = Term.iri("urn:scale:sink")
-    p, q = Term.iri("urn:scale:p"), Term.iri("urn:scale:q")
-    t1 = [Triple(Term.iri(f"urn:scale:s{i}"), p, sink) for i in range(shared)]
-    t1 += [Triple(Term.iri(f"urn:scale:a{i}"), p, sink) for i in range(k - shared)]
-    t2 = [Triple(Term.iri(f"urn:scale:s{i}"), q, sink) for i in range(shared)]
-    t2 += [Triple(Term.iri(f"urn:scale:b{i}"), q, sink) for i in range(k - shared)]
+    sink = "<urn:scale:sink>"
+    p, q = "urn:scale:p", "urn:scale:q"
+    t1 = [Triple(f"<urn:scale:s{i}>", p, sink) for i in range(shared)]
+    t1 += [Triple(f"<urn:scale:a{i}>", p, sink) for i in range(k - shared)]
+    t2 = [Triple(f"<urn:scale:s{i}>", q, sink) for i in range(shared)]
+    t2 += [Triple(f"<urn:scale:b{i}>", q, sink) for i in range(k - shared)]
     return summarize(build_graph(t1), Model.ACC), summarize(build_graph(t2), Model.ACC)
 
 

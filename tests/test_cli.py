@@ -503,6 +503,16 @@ def test_bench_mixed_models_names_the_file(tmp_path, capsys):
     assert f"{d / 'g.nt'} is model=ACC, {d / 's.nt'} is model=AC" in err
 
 
+@pytest.mark.parametrize("command", ["merge-all", "bench"])
+def test_a_file_given_for_the_directory_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "s.nt"
+    assert run("summarize", DATA / "tiny_graph.nt", "-o", path) == 0
+    capsys.readouterr()
+    assert run(command, path, "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: not a directory: {path}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_needs_a_directory(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run("bench", "-o", tmp_path / "r.csv")

@@ -23,13 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvsum
-from helpers import RDF_TYPE_TERM, first_undecodable_line, graph_of, iri, p
+from helpers import first_undecodable_line, graph_of, iri, p
 from mvsum import DataError, Model, UsageError, cli, merge_all, summarize
 from mvsum.analytics import GenParams, pearson
 from mvsum.graph import build_graph
 from mvsum.merge import CorruptSummaryError, MergeConfigError
 from mvsum.multimerge import Strategy
-from mvsum.ntriples import RDF_TYPE, ParseError, Term, Triple
+from mvsum.ntriples import RDF_TYPE, ParseError, Triple
 from mvsum.summary_io import SummaryFormatError, load_summary
 
 
@@ -56,9 +56,9 @@ def test_library_checks_raise_by_kind():
     with pytest.raises(UsageError, match="zero-variance"):
         pearson([1.0, 1.0], [1.0, 2.0])
     with pytest.raises(DataError, match="rdf:type object must be an IRI"):
-        build_graph([Triple(iri("a"), RDF_TYPE_TERM, Term.literal("x"))])
+        build_graph([Triple(iri("a"), RDF_TYPE, '"x"')])
     with pytest.raises(DataError, match="subject must be an IRI or blank node"):
-        build_graph([Triple(Term.literal("x"), p("p"), iri("a"))])
+        build_graph([Triple('"x"', p("p"), iri("a"))])
     g = graph_of((iri("a"), p("p"), iri("b")))
     with pytest.raises(MergeConfigError, match="^all summaries must share one model: in0 is model=AC, in1 is model=CC$"):
         merge_all([summarize(g, Model.AC), summarize(g, Model.CC)], Strategy.smallest_first())

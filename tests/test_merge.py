@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    RDF_TYPE_TERM,
     canonical_bytes,
     cls,
     graph_of,
@@ -27,7 +26,7 @@ from helpers import (
 from mvsum.analytics import GenParams, correlate_times, linfit
 from mvsum.graph import build_graph
 from mvsum.merge import CorruptSummaryError, MergeConfigError, check_compatible, merge
-from mvsum.ntriples import Term, Triple, parse_ntriples
+from mvsum.ntriples import RDF_TYPE, Triple, parse_ntriples
 from mvsum.summary import Model, eqc_id, summarize, union_side
 from mvsum.summary_io import format_summary, read_summary
 
@@ -66,13 +65,13 @@ def test_case3_example_with_drained_eqcs():
     merged, record = merge(s1, s2)
     assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
     validate(merged)
-    assert set(merged.eqcs.values()) == {((p("p").value, p("q").value), ()), ((), ())}
-    combined = eqc_id(Model.AC, ((p("p").value, p("q").value), ()))
-    assert merged.payloads[combined] == (iri("x").nt(),)
-    assert merged.payloads[eqc_id(Model.AC, ((), ()))] == frozenset({iri("a").nt(), iri("b").nt()})
+    assert set(merged.eqcs.values()) == {((p("p"), p("q")), ()), ((), ())}
+    combined = eqc_id(Model.AC, ((p("p"), p("q")), ()))
+    assert merged.payloads[combined] == (iri("x"),)
+    assert merged.payloads[eqc_id(Model.AC, ((), ()))] == frozenset({iri("a"), iri("b")})
     # EQC{p} and EQC{q} were drained and removed
-    assert eqc_id(Model.AC, ((p("p").value,), ())) not in merged.eqcs
-    assert eqc_id(Model.AC, ((p("q").value,), ())) not in merged.eqcs
+    assert eqc_id(Model.AC, ((p("p"),), ())) not in merged.eqcs
+    assert eqc_id(Model.AC, ((p("q"),), ())) not in merged.eqcs
     assert record.stats.case1 == 0
     assert record.stats.case2 == 1  # a
     assert record.stats.case3 == 1  # x
@@ -83,11 +82,11 @@ def test_payload_count_updated_one_plus_two():
     g1 = graph_of((iri("w"), p("g"), iri("a")))
     g2 = graph_of((iri("y"), p("g"), iri("a")), (iri("z"), p("g"), iri("b")))
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
-    green = eqc_id(Model.AC, ((p("g").value,), ()))
+    green = eqc_id(Model.AC, ((p("g"),), ()))
     assert len(s1.payloads[green]) == 1
     assert len(s2.payloads[green]) == 2
     merged, record = merge(s1, s2)
-    assert merged.payloads[green] == frozenset({iri("w").nt(), iri("y").nt(), iri("z").nt()})
+    assert merged.payloads[green] == frozenset({iri("w"), iri("y"), iri("z")})
     assert f'<urn:mvs:payload:{green}> <urn:mvs:count> "3"^^' in format_summary(merged)
     assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
     assert record.stats.case2 >= 1  # w is only in G1 but green exists in both
@@ -99,25 +98,25 @@ def test_members_unique_after_combine():
     merged, _ = merge(summarize(g1, Model.AC), summarize(g2, Model.AC))
     members = [m for ms in merged.payloads.values() for m in ms]
     assert len(members) == len(set(members))
-    assert set(merged.member_index) == {iri("x").nt(), iri("a").nt(), iri("b").nt()}
+    assert set(merged.member_index) == {iri("x"), iri("a"), iri("b")}
 
 
 def test_conflicting_member_gets_its_union_graph_schema():
     # m is {p} with class C in G1 and {q} in G2: a case-3 member whose
     # target EQC exists in neither input.
-    g1 = graph_of((iri("m"), p("p"), iri("a")), (iri("m"), RDF_TYPE_TERM, cls("C")))
+    g1 = graph_of((iri("m"), p("p"), iri("a")), (iri("m"), RDF_TYPE, cls("C")))
     g2 = graph_of((iri("m"), p("q"), iri("b")))
     for model in (Model.AC, Model.ACC):
         s1, s2 = summarize(g1, model), summarize(g2, model)
         merged, record = merge(s1, s2)
         assert record.stats.case3 == 1
-        target = merged.member_index[iri("m").nt()]
+        target = merged.member_index[iri("m")]
         assert target not in s1.eqcs and target not in s2.eqcs
-        assert merged.eqcs[target] == schema_of(iri("m").nt(), union(g1, g2), model)
-        assert merged.payloads[target] == (iri("m").nt(),)
+        assert merged.eqcs[target] == schema_of(iri("m"), union(g1, g2), model)
+        assert merged.payloads[target] == (iri("m"),)
         # m's EQCs in the inputs held only m, so step 3 dropped them
-        assert s1.member_index[iri("m").nt()] not in merged.eqcs
-        assert s2.member_index[iri("m").nt()] not in merged.eqcs
+        assert s1.member_index[iri("m")] not in merged.eqcs
+        assert s2.member_index[iri("m")] not in merged.eqcs
 
 
 def test_shared_blank_label_is_one_member():
@@ -125,7 +124,7 @@ def test_shared_blank_label_is_one_member():
     g1 = build_graph(parse_ntriples(["_:b <urn:p> <urn:a> .\n"]))
     g2 = build_graph(parse_ntriples(["_:b <urn:q> <urn:a> .\n"]))
     merged, record = merge(summarize(g1, Model.AC), summarize(g2, Model.AC))
-    b = Term.blank("b").nt()
+    b = "_:b"
     assert merged.eqcs[merged.member_index[b]] == (("urn:p", "urn:q"), ())
     assert sum(b in members for members in merged.payloads.values()) == 1
     assert summaries_equal(merged, summarize(union(g1, g2), Model.AC))
@@ -138,13 +137,13 @@ def test_member_in_same_eqc_in_both_stays_put():
     g1 = graph_of((iri("m"), p("p"), iri("a")))
     g2 = graph_of((iri("m"), p("p"), iri("b")))
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
-    cid = s1.member_index[iri("m").nt()]
-    assert s2.member_index[iri("m").nt()] == cid
+    cid = s1.member_index[iri("m")]
+    assert s2.member_index[iri("m")] == cid
     merged, record = merge(s1, s2)
     assert record.stats.case3 == 0
     assert set(merged.eqcs) == set(s1.eqcs) | set(s2.eqcs)
-    assert merged.member_index[iri("m").nt()] == cid
-    assert merged.payloads[cid] == (iri("m").nt(),)
+    assert merged.member_index[iri("m")] == cid
+    assert merged.payloads[cid] == (iri("m"),)
     validate(merged)
 
 
@@ -156,11 +155,11 @@ def test_partly_drained_eqc_is_kept():
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
     merged, record = merge(s1, s2)
     assert record.stats.case3 == 1
-    green = eqc_id(Model.AC, ((p("p").value,), ()))
-    assert merged.payloads[green] == (iri("y").nt(),)
-    assert merged.member_index[iri("y").nt()] == green
+    green = eqc_id(Model.AC, ((p("p"),), ()))
+    assert merged.payloads[green] == (iri("y"),)
+    assert merged.member_index[iri("y")] == green
     # EQC{q} held only x, so it was drained and dropped
-    assert eqc_id(Model.AC, ((p("q").value,), ())) not in merged.eqcs
+    assert eqc_id(Model.AC, ((p("q"),), ())) not in merged.eqcs
     validate(merged)
     assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
 
@@ -180,12 +179,12 @@ def test_drained_eqc_comes_back_as_a_target(pq_first):
     # and step 3 builds its payload once, in either direction of the merge.
     g1, g2 = _DRAIN_THEN_TARGET
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
-    pq = eqc_id(Model.AC, ((p("p").value, p("q").value), ()))
+    pq = eqc_id(Model.AC, ((p("p"), p("q")), ()))
     s1.payloads = dict(sorted(s1.payloads.items(), key=lambda item: (item[0] == pq) != pq_first))
     for a, b in ((s1, s2), (s2, s1)):
         merged, record = merge(a, b)
         assert record.stats.case3 == 2
-        assert merged.payloads[pq] == (iri("y").nt(),)
+        assert merged.payloads[pq] == (iri("y"),)
         validate(merged)
         assert summaries_equal(merged, oracle_merged(g1, g2, Model.AC))
 
@@ -206,7 +205,7 @@ def test_merge_peak_stays_near_the_result():
 
 def test_classify_disjoint_graphs_all_case1():
     g1 = graph_of((iri("u"), p("p"), iri("a")), (iri("u"), p("r"), iri("a")))
-    g2 = graph_of((iri("v"), p("q"), Term.literal("x")))
+    g2 = graph_of((iri("v"), p("q"), '"x"'))
     s1, s2 = summarize(g1, Model.AC), summarize(g2, Model.AC)
     # avoid the shared empty-schema EQC: G2's only vertex has out labels {q}
     stats = classify_cases(s1, s2)
@@ -252,7 +251,7 @@ def test_duplicate_id_with_different_schema_is_corruption():
     cid = [c for c, (attributes, _) in s2.eqcs.items() if attributes][0]
     # simulate a hash collision: same id, different schema in s1
     s1.eqcs[cid] = (("urn:other",), ())
-    s1.payloads[cid] = (iri("q").nt(),)
+    s1.payloads[cid] = (iri("q"),)
     with pytest.raises(CorruptSummaryError):
         merge(s1, s2)
     # The same collision on the combined schema of a conflicting member: x is
@@ -260,9 +259,9 @@ def test_duplicate_id_with_different_schema_is_corruption():
     # schema.
     s1 = summarize(graph_of((iri("x"), p("p"), iri("a"))), Model.AC)
     s2 = summarize(graph_of((iri("x"), p("q"), iri("b"))), Model.AC)
-    cid = eqc_id(Model.AC, ((p("p").value, p("q").value), ()))
+    cid = eqc_id(Model.AC, ((p("p"), p("q")), ()))
     s1.eqcs[cid] = (("urn:other",), ())
-    s1.payloads[cid] = (iri("q").nt(),)
+    s1.payloads[cid] = (iri("q"),)
     with pytest.raises(CorruptSummaryError, match=f"^EqcId {cid} maps to two different schemas$"):
         merge(s1, s2)
 
@@ -437,22 +436,22 @@ def _dense_pair(target_edges):
     """
     rng = random.Random(target_edges)
     k = max(8, target_edges // 2)
-    sink = Term.iri("urn:dense:sink")
-    preds = [Term.iri(f"urn:dense:p{i}") for i in range(4)]
-    q = Term.iri("urn:dense:q")
-    classes = [Term.iri(f"urn:dense:c{i}") for i in range(3)]
+    sink = "<urn:dense:sink>"
+    preds = [f"urn:dense:p{i}" for i in range(4)]
+    q = "urn:dense:q"
+    classes = [f"<urn:dense:c{i}>" for i in range(3)]
 
     def triples(v, extra):
         chosen = rng.sample(preds, rng.randint(1, 4)) + extra
         out = [Triple(v, pr, sink) for pr in chosen]
         if rng.random() < 0.4:
-            out.append(Triple(v, RDF_TYPE_TERM, rng.choice(classes)))
+            out.append(Triple(v, RDF_TYPE, rng.choice(classes)))
         return out
 
     t1, t2 = [], []
     for i in range(k):
-        v1 = Term.iri(f"urn:dense:s{i}") if i % 2 == 0 else Term.iri(f"urn:dense:a{i}")
-        v2 = Term.iri(f"urn:dense:s{i}") if i % 2 == 0 else Term.iri(f"urn:dense:b{i}")
+        v1 = f"<urn:dense:s{i}>" if i % 2 == 0 else f"<urn:dense:a{i}>"
+        v2 = f"<urn:dense:s{i}>" if i % 2 == 0 else f"<urn:dense:b{i}>"
         t1 += triples(v1, [])
         t2 += triples(v2, [q])
     return summarize(build_graph(t1), Model.ACC), summarize(build_graph(t2), Model.ACC)

@@ -40,6 +40,15 @@ def test_single_input_returned_unchanged():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         merge_all([], Strategy.smallest_first())
+    with pytest.raises(ValueError, match="^schedule_work needs at least one size$"):
+        schedule_work([], Strategy.smallest_first())
+
+
+def test_names_must_match_summaries():
+    s = summarize(graph_of((iri("x"), p("p"), iri("y"))), Model.AC)
+    for names in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="^names must match summaries one-to-one$"):
+            merge_all([s, s], Strategy.smallest_first(), names=names)
 
 
 def test_model_mix_rejected():

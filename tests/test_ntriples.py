@@ -12,7 +12,6 @@ from mvsum.ntriples import (
     _LINE,
     RDF_TYPE,
     ParseError,
-    Term,
     Triple,
     _parse_line,
     _tokenize_line,
@@ -40,31 +39,39 @@ def round_trip(triples: list[Triple]) -> list[Triple]:
 
 
 def _assert_exact_types(t) -> None:
-    # A Term equals the plain 4-tuple of its fields, so equality cannot tell
-    # them apart; the types must be exact.
+    # A Triple equals the plain 3-tuple of its fields, and a str subclass
+    # equals its text, so equality cannot tell them apart; the types must be exact.
     assert type(t) is Triple
-    assert all(type(term) is Term for term in t)
+    assert all(type(term) is str for term in t)
+
+
+def _lit(value: str, suffix: str = "") -> str:
+    """A literal's canonical text, spelled here independently of the parser."""
+    for ch, esc in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t")):
+        value = value.replace(ch, esc)
+    value = re.sub(r"[\x00-\x1f]", lambda m: "\\u%04X" % ord(m.group()), value)
+    return f'"{value}"{suffix}'
 
 
 def test_parse_plain_iri_triple():
     t = parse_one("<urn:a> <urn:p> <urn:b> .")
-    assert t == Triple(Term.iri("urn:a"), Term.iri("urn:p"), Term.iri("urn:b"))
+    assert t == Triple("<urn:a>", "urn:p", "<urn:b>")
 
 
 def test_parse_datatyped_literal():
     t = parse_one('<urn:a> <urn:p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .')
-    assert t.object == Term.literal("5", datatype="http://www.w3.org/2001/XMLSchema#integer")
+    assert t.object == '"5"^^<http://www.w3.org/2001/XMLSchema#integer>'
 
 
 def test_parse_langtag_literal():
     t = parse_one('<urn:a> <urn:p> "hi"@en-GB .')
-    assert t.object == Term.literal("hi", lang="en-GB")
+    assert t.object == '"hi"@en-GB'
 
 
 def test_parse_blank_nodes():
     t = parse_one("_:a <urn:p> _:b1 .")
-    assert t.subject == Term.blank("a")
-    assert t.object == Term.blank("b1")
+    assert t.subject == "_:a"
+    assert t.object == "_:b1"
 
 
 def test_missing_object_is_parse_error():
@@ -88,8 +95,21 @@ def test_malformed_lines(bad):
 
 
 def test_escapes_unescaped():
+    # Decoded, then spelled once: ECHARs as they came, UCHARs as characters.
     t = parse_one(r'<urn:a> <urn:p> "a\"b\\c\nd\teAf\U0001F600" .')
-    assert t.object.value == 'a"b\\c\nd\teAf\N{GRINNING FACE}'
+    assert t.object == _lit('a"b\\c\nd\teAf\N{GRINNING FACE}')
+    t = parse_one(r'<urn:\u0061> <urn:p\U00000071> "\u0041\u0009\u0022"^^<urn:\u0064> .')
+    assert t == Triple("<urn:a>", "urn:pq", '"A\\t\\""^^<urn:d>')
+
+
+@given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12))
+@settings(max_examples=200)
+def test_uchar_escaped_literal_is_spelled_canonically(value):
+    # Every character written as a UCHAR escape parses to the canonical text.
+    escaped = "".join("\\U%08X" % ord(ch) for ch in value)
+    line = f'<urn:a> <urn:p> "{escaped}" .'
+    assert parse_one(line).object == _lit(value)
+    assert _tokenize_line(line, 1).object == _lit(value)
 
 
 def test_bad_escape_is_error():
@@ -143,7 +163,7 @@ def test_rdf_type_object_must_be_iri(line, col):
             parse(line, 1)
         assert (exc.value.line, exc.value.col) == (1, col)
         assert exc.value.reason == "rdf:type object must be an IRI"
-    assert parse_one(f"<urn:a> {_TYPE} <urn:C> .").object == Term.iri("urn:C")
+    assert parse_one(f"<urn:a> {_TYPE} <urn:C> .").object == "<urn:C>"
 
 
 def test_comments_and_blank_lines_skipped():
@@ -224,34 +244,20 @@ def test_parsing_is_streaming():
 
 
 def test_serialize_literal_quote_escaped():
-    line = triple_line(Triple(Term.iri("urn:a"), Term.iri("urn:p"), Term.literal('say "hi"')))
+    line = triple_line(parse_one(r'<urn:a> <urn:p> "say \u0022hi\u0022" .'))
     assert line == '<urn:a> <urn:p> "say \\"hi\\"" .'
-
-
-def test_serialize_rejects_invalid_terms():
-    with pytest.raises(ValueError):
-        triple_line(Triple(Term.literal("x"), Term.iri("urn:p"), Term.iri("urn:b")))
-    with pytest.raises(ValueError):
-        triple_line(Triple(Term.iri("urn:a"), Term.blank("b"), Term.iri("urn:b")))
-    with pytest.raises(ValueError):
-        triple_line(Triple(Term.iri("urn:a b"), Term.iri("urn:p"), Term.iri("urn:b")))
 
 
 def test_round_trip_corpus():
     triples = [
-        Triple(Term.iri("urn:a"), Term.iri("urn:p"), Term.iri("urn:b")),
-        Triple(Term.blank("x1"), Term.iri("urn:p"), Term.literal("plain")),
-        Triple(Term.iri("urn:a"), Term.iri("urn:q"), Term.literal("5", datatype="urn:dt")),
-        Triple(Term.iri("urn:a"), Term.iri("urn:q"), Term.literal("hallo", lang="de")),
-        Triple(Term.iri("urn:a"), Term.iri("urn:q"), Term.literal('tab\t "q" \\ \n ü')),
-        Triple(Term.iri("urn:a"), Term.iri("urn:q"), Term.blank("y2")),
+        Triple("<urn:a>", "urn:p", "<urn:b>"),
+        Triple("_:x1", "urn:p", _lit("plain")),
+        Triple("<urn:a>", "urn:q", _lit("5", "^^<urn:dt>")),
+        Triple("<urn:a>", "urn:q", _lit("hallo", "@de")),
+        Triple("<urn:a>", "urn:q", _lit('tab\t "q" \\ \n ü \x01')),
+        Triple("<urn:a>", "urn:q", "_:y2"),
     ]
     assert round_trip(triples) == triples
-
-
-def test_literal_with_one_of_datatype_lang():
-    with pytest.raises(ValueError):
-        Term.literal("x", datatype="urn:dt", lang="en")
 
 
 # --- blank node label normalization -------------------------------------------
@@ -271,8 +277,8 @@ def test_blank_labels_are_global_across_files():
     # No per-file namespace: one label read from two files is one term.
     view1 = list(parse_ntriples(["_:b <urn:p> _:a.b .\n"]))
     view2 = list(parse_ntriples(["_:a.b <urn:q> _:b .\n"]))
-    assert view1[0].subject == view2[0].object == Term.blank("b")
-    assert view1[0].object == view2[0].subject == Term.blank(normalize_bnode_label("a.b"))
+    assert view1[0].subject == view2[0].object == "_:b"
+    assert view1[0].object == view2[0].subject == "_:" + normalize_bnode_label("a.b")
 
 
 @given(st.text(alphabet="abcXYZ019._-", min_size=1, max_size=12))
@@ -297,18 +303,19 @@ _safe_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=0, max_size=20
 )
 _iris = st.text(alphabet="abcz:/#09%?&-_.~", min_size=1, max_size=24).map(lambda s: "urn:" + s)
+_iri_terms = _iris.map(lambda i: f"<{i}>")
 
 _terms = st.one_of(
-    _iris.map(Term.iri),
-    st.text(alphabet="abcRST019", min_size=1, max_size=8).map(Term.blank),
-    st.builds(Term.literal, _safe_text),
-    st.builds(lambda v, d: Term.literal(v, datatype=d), _safe_text, _iris),
-    st.builds(lambda v, l: Term.literal(v, lang=l), _safe_text, st.sampled_from(["en", "de", "en-GB", "x-a1"])),
+    _iri_terms,
+    st.text(alphabet="abcRST019", min_size=1, max_size=8).map(lambda l: "_:" + l),
+    st.builds(_lit, _safe_text),
+    st.builds(lambda v, d: _lit(v, f"^^<{d}>"), _safe_text, _iris),
+    st.builds(lambda v, l: _lit(v, "@" + l), _safe_text, st.sampled_from(["en", "de", "en-GB", "x-a1"])),
 )
-_subjects = st.one_of(_iris.map(Term.iri), st.text(alphabet="abc019", min_size=1, max_size=6).map(Term.blank))
+_subjects = st.one_of(_iri_terms, st.text(alphabet="abc019", min_size=1, max_size=6).map(lambda l: "_:" + l))
 
 
-@given(st.lists(st.builds(Triple, _subjects, _iris.map(Term.iri), _terms), max_size=20))
+@given(st.lists(st.builds(Triple, _subjects, _iris, _terms), max_size=20))
 @settings(max_examples=200)
 def test_round_trip_property(triples):
     assert round_trip(triples) == triples
@@ -410,7 +417,7 @@ def test_line_pattern_agrees_with_tokenizer(line):
         assert _tokenize_line(triple_line(expected), 1) == expected
 
 
-def test_predicate_term_shared_within_one_parse_only():
+def test_predicate_string_shared_within_one_parse_only():
     lines = ['<urn:a> <urn:p> <urn:b> .', '_:x <urn:p> "v" .', '<urn:c> <urn:q> <urn:b> .']
     first = list(parse_ntriples(lines))
     second = list(parse_ntriples(list(lines)))

@@ -15,7 +15,6 @@ PUBLIC = [
     "Strategy",
     "Summary",
     "SummaryFormatError",
-    "Term",
     "Triple",
     "UsageError",
     "build_graph",

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    RDF_TYPE_TERM,
     cls,
     generate_views,
     graph_of,
@@ -25,7 +24,7 @@ from helpers import (
 from mvsum.analytics import GenParams
 from mvsum.graph import build_graph
 from mvsum.merge import merge
-from mvsum.ntriples import Triple
+from mvsum.ntriples import RDF_TYPE, Triple
 from mvsum.summary import Model, Summary, canonical_string, eqc_id, summarize, union_side
 from mvsum.summary_io import SummaryFormatError, format_summary, read_summary
 
@@ -34,23 +33,23 @@ MODELS = [Model.AC, Model.CC, Model.ACC]
 
 def test_schema_of_ac():
     g = graph_of((iri("v"), p("p"), iri("a")), (iri("v"), p("q"), iri("b")))
-    assert schema_of(iri("v").nt(), g, Model.AC) == ((p("p").value, p("q").value), ())
+    assert schema_of(iri("v"), g, Model.AC) == ((p("p"), p("q")), ())
 
 
 def test_schema_of_cc_untyped_vertex_is_empty_schema():
     g = graph_of((iri("v"), p("p"), iri("a")))
-    assert schema_of(iri("v").nt(), g, Model.CC) == ((), ())
+    assert schema_of(iri("v"), g, Model.CC) == ((), ())
 
 
 def test_schema_of_acc():
-    g = graph_of((iri("v"), p("p"), iri("a")), (iri("v"), RDF_TYPE_TERM, cls("C")))
-    assert schema_of(iri("v").nt(), g, Model.ACC) == ((p("p").value,), (cls("C").value,))
+    g = graph_of((iri("v"), p("p"), iri("a")), (iri("v"), RDF_TYPE, cls("C")))
+    assert schema_of(iri("v"), g, Model.ACC) == ((p("p"),), ("urn:c:C",))
 
 
 def test_schema_of_unknown_vertex():
     g = graph_of((iri("v"), p("p"), iri("a")))
     with pytest.raises(KeyError):
-        schema_of(iri("nope").nt(), g, Model.AC)
+        schema_of(iri("nope"), g, Model.AC)
 
 
 def test_canonical_string_formats():
@@ -63,7 +62,7 @@ def _one_eqc_summary(model, schema):
     # Built through the API, with the id of the schema it holds, so only the
     # side/model check can refuse it.
     cid = eqc_id(model, schema)
-    return Summary(model, eqcs={cid: schema}, payloads={cid: (iri("v").nt(),)})
+    return Summary(model, eqcs={cid: schema}, payloads={cid: (iri("v"),)})
 
 
 def test_schema_sides_match_model():
@@ -143,7 +142,7 @@ def test_summarize_single_edge_ac():
     g = graph_of((iri("x"), p("p"), iri("a")))
     s = summarize(g, Model.AC)
     by_schema = {schema: s.payloads[cid] for cid, schema in s.eqcs.items()}
-    assert by_schema == {((p("p").value,), ()): ("<urn:x:x>",), ((), ()): ("<urn:x:a>",)}
+    assert by_schema == {((p("p"),), ()): ("<urn:x:x>",), ((), ()): ("<urn:x:a>",)}
     validate(s)
 
 
@@ -151,14 +150,14 @@ def test_summarize_acc_example():
     triples = [
         Triple(iri("x"), p("p"), iri("a")),
         Triple(iri("y"), p("p"), iri("b")),
-        Triple(iri("x"), RDF_TYPE_TERM, cls("C")),
+        Triple(iri("x"), RDF_TYPE, cls("C")),
     ]
     s = summarize(build_graph(triples), Model.ACC)
     assert partition_of(s) == naive_partition(triples, Model.ACC)
     by_schema = {schema: s.payloads[cid] for cid, schema in s.eqcs.items()}
     assert by_schema == {
-        ((p("p").value,), (cls("C").value,)): ("<urn:x:x>",),
-        ((p("p").value,), ()): ("<urn:x:y>",),
+        ((p("p"),), ("urn:c:C",)): ("<urn:x:x>",),
+        ((p("p"),), ()): ("<urn:x:y>",),
         ((), ()): frozenset({"<urn:x:a>", "<urn:x:b>"}),
     }
 
@@ -174,7 +173,7 @@ def test_validate_rejects_bad_summaries():
     g = graph_of((iri("x"), p("p"), iri("a")))
     # A payload whose EQC has no schema.
     s = summarize(g, Model.AC)
-    s.payloads["0" * 32] = (iri("zz").nt(),)
+    s.payloads["0" * 32] = (iri("zz"),)
     with pytest.raises(ValueError, match="^eqcs and payloads must have identical key sets$"):
         validate(s)
     # An EQC whose id is not the digest of its schema.
@@ -243,7 +242,7 @@ def test_member_index_names_the_eqc_of_each_vertex_schema():
             assert cid == eqc_id(model, schema_of(v, g, model))
             assert v in s.payloads[cid]
     s = summarize(g, Model.AC)
-    assert s.eqcs[s.member_index["<urn:x:v>"]] == ((p("p").value, p("q").value), ())
+    assert s.eqcs[s.member_index["<urn:x:v>"]] == ((p("p"), p("q")), ())
     assert s.eqcs[s.member_index["<urn:x:a>"]] == ((), ())
 
 

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BARE_SURROGATES, RDF_TYPE_TERM, cls, generate_views, graph_of, iri, oracle_merged, p, random_graph, reference_format, traced, validate
+from helpers import BARE_SURROGATES, cls, generate_views, graph_of, iri, oracle_merged, p, random_graph, reference_format, traced, validate
 from mvsum import analytics, summary_io
 from mvsum.graph import build_graph
 from mvsum.merge import merge
-from mvsum.ntriples import Term, parse_ntriples
+from mvsum.ntriples import RDF_TYPE, parse_ntriples
 from mvsum.summary import Model, Summary, eqc_id, summarize
 from mvsum.summary_io import (
     SummaryFormatError,
@@ -83,8 +83,8 @@ def test_reload_preserves_everything():
 def test_an_iri_spelled_like_a_blank_label_stays_its_own_member(tmp_path):
     # The IRI `_:b` and the blank node `_:b` are two vertices, `<_:b>` and
     # `_:b`: the brackets keep their texts apart through every stage.
-    g1 = graph_of((Term.iri("_:b"), p("p"), iri("a")), (Term.blank("b"), p("q"), iri("a")))
-    g2 = graph_of((Term.blank("b"), p("p"), iri("a")))
+    g1 = graph_of(("<_:b>", p("p"), iri("a")), ("_:b", p("q"), iri("a")))
+    g2 = graph_of(("_:b", p("p"), iri("a")))
     s1 = summarize(g1, Model.AC)
     assert s1.member_index == {
         "<_:b>": eqc_id(Model.AC, (("urn:p:p",), ())),
@@ -272,6 +272,25 @@ def test_save_that_fails_leaves_no_file(tmp_path, monkeypatch, member, error):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_save_passes_an_oserror_without_errno_through(tmp_path, monkeypatch):
+    # An OSError with an errno is raised again naming the target; one
+    # without (here from the chunks, after a first chunk was written) is
+    # raised as it is, and the temporary file is still removed.
+    error = OSError("no errno")
+    chunks = summary_io._statement_chunks
+
+    def failing(summary):
+        it = chunks(summary)
+        yield next(it)
+        raise error
+
+    monkeypatch.setattr(summary_io, "_statement_chunks", failing)
+    with pytest.raises(OSError) as exc:
+        save_summary(_summary_with(), tmp_path / "s.nt")
+    assert exc.value is error and exc.value.errno is None
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_new_file_mode_is_that_of_write_bytes(tmp_path):
     umask = os.umask(0o027)
     try:
@@ -370,10 +389,10 @@ def test_loaded_ids_and_labels_are_one_object_each():
         (iri("x"), p("q"), iri("a")),
         (iri("y"), p("p"), iri("x")),
         (iri("y"), p("q"), iri("b")),
-        (iri("x"), RDF_TYPE_TERM, cls("C")),
-        (iri("a"), RDF_TYPE_TERM, cls("C")),
-        (iri("a"), RDF_TYPE_TERM, cls("D")),
-        (iri("b"), RDF_TYPE_TERM, cls("D")),
+        (iri("x"), RDF_TYPE, cls("C")),
+        (iri("a"), RDF_TYPE, cls("C")),
+        (iri("a"), RDF_TYPE, cls("D")),
+        (iri("b"), RDF_TYPE, cls("D")),
     )
     s = summarize(g, Model.ACC)
     loaded = reload(s)
@@ -405,7 +424,7 @@ def test_empty_summary_file():
 def test_serialization_stable_across_runs(tmp_path):
     g = graph_of(
         (iri("x"), p("p"), iri("a")),
-        (iri("x"), RDF_TYPE_TERM, cls("C")),
+        (iri("x"), RDF_TYPE, cls("C")),
         (iri("y"), p("q"), iri("x")),
     )
     a = format_summary(summarize(g, Model.ACC))
@@ -612,10 +631,10 @@ def _variants(text):
 def test_non_canonical_lines_load_equal():
     # `A` has two attributes and `_:b` two classes, which a shuffle parts.
     g = graph_of(
-        (iri("A"), p("p"), Term.blank("b")),
+        (iri("A"), p("p"), "_:b"),
         (iri("A"), p("q"), iri("y")),
-        (Term.blank("b"), RDF_TYPE_TERM, cls("C")),
-        (Term.blank("b"), RDF_TYPE_TERM, cls("D")),
+        ("_:b", RDF_TYPE, cls("C")),
+        ("_:b", RDF_TYPE, cls("D")),
         (iri("y"), p("q"), iri("A")),
     )
     for model in Model:
