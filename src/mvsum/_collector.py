@@ -1,11 +1,12 @@
 """The cyclic garbage collector, paused over the bulk stages.
 
-Building a graph, summarizing it, loading a summary and formatting or
-saving one allocate many tuples, strings, sets and str-keyed dicts, none of
-which holds a reference cycle, so the collector's passes over them free
-nothing. Those stages run under `paused()`. Reference counting still frees
-everything they drop. A generator never holds the pause across a `yield`:
-the caller's own code between items runs with the caller's setting.
+Building a graph, summarizing it, loading a summary, formatting or saving
+one and merging two allocate many tuples, strings, sets, lists and
+str-keyed dicts, none of which holds a reference cycle, so the collector's
+passes over them free nothing. Those stages run under `paused()`.
+Reference counting still frees everything they drop. A generator never
+holds the pause across a `yield`: the caller's own code between items runs
+with the caller's setting.
 """
 
 from __future__ import annotations

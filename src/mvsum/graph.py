@@ -16,8 +16,7 @@ maps. Local dicts map each to its first copy and are dropped on return.
 
 `build_graph` runs with the cyclic collector paused (see `mvsum._collector`),
 and so does the parser generator it drives, since the parser's work runs
-inside `build_graph`'s loop. Triples, strings, label sets and tuples hold no
-cycles, so a collection there would free nothing.
+inside `build_graph`'s loop.
 """
 
 from __future__ import annotations
@@ -46,30 +45,39 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
     that are not literals are registered as vertices. A literal subject, or
     an `rdf:type` object that is not an IRI, raises DataError.
     """
-    vertices: set[str] = set()
     vertex_labels: dict[str, set[str]] = {}
     out_labels: dict[str, set[str]] = {}
-    # Maps each vertex text and class IRI to its first copy, so that
-    # `vertices` and both label maps share one string per vertex and per class.
-    one = {}.setdefault
+    # `vertex` maps each vertex text to its first copy and is the vertex set,
+    # `klass` each class IRI; `vertices` and both label maps share them.
+    vertex: dict[str, str] = {}
+    klass = {}.setdefault
+    one = vertex.setdefault
     for s, p, o in triples:
         if s[0] == '"':
             raise DataError(f"subject must be an IRI or blank node, got {s}")
         s = one(s, s)
-        vertices.add(s)
         if p == RDF_TYPE:
             if o[0] != "<":
                 raise DataError(f"rdf:type object must be an IRI, got {o}")
             c = o[1:-1]
-            vertex_labels.setdefault(s, set()).add(one(c, c))
+            c = klass(c, c)
+            side = vertex_labels.get(s)
+            if side is None:
+                vertex_labels[s] = {c}
+            else:
+                side.add(c)
             continue
-        out_labels.setdefault(s, set()).add(p)
+        side = out_labels.get(s)
+        if side is None:
+            out_labels[s] = {p}
+        else:
+            side.add(p)
         if o[0] != '"':
-            vertices.add(one(o, o))
+            one(o, o)
     # Equal label sets become one tuple.
     interned = {}.setdefault
     for labels in (vertex_labels, out_labels):
         for v, side in labels.items():
             side = tuple(sorted(side))
             labels[v] = interned(side, side)
-    return Graph(vertices, vertex_labels, out_labels)
+    return Graph(set(vertex), vertex_labels, out_labels)

@@ -28,6 +28,8 @@ inputs using the same model, so that equal schemas have equal identifiers
 (every id is a SHA-256 digest); a repeated identifier with a different schema
 means a hash collision or inconsistent inputs and is reported as corruption
 rather than silently repaired.
+
+`merge` runs with the cyclic collector paused (see `mvsum._collector`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from mvsum._collector import paused
 from mvsum.errors import DataError, UsageError
 from mvsum.summary import EqcId, Schema, Summary, as_payload, eqc_id, union_side
 
@@ -86,6 +89,7 @@ def check_compatible(what: str, named) -> None:
             raise MergeConfigError(f"{what}: {first} is model={s1.model.value}, {name} is model={s.model.value}")
 
 
+@paused()
 def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     """Merge two summaries; the result summarizes the union of their graphs.
 

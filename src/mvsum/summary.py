@@ -15,9 +15,7 @@ payload, an EQC's members, is immutable and sized to what it holds
 (`as_payload`): a 1-tuple for one member, else a frozenset, so a merge can
 share every input payload it leaves unchanged.
 
-`summarize` runs with the cyclic collector paused (see `mvsum._collector`):
-its groups, schemas and payloads hold no cycles, so a collection there
-would free nothing.
+`summarize` runs with the cyclic collector paused (see `mvsum._collector`).
 """
 
 from __future__ import annotations
@@ -61,18 +59,15 @@ def canonical_string(model: Model, schema: Schema) -> str:
     literal `|` separator line, then one per line for the classes.
     """
     attributes, classes = schema
-    parts = [model.value, "\n"]
-    for a in attributes:
-        parts.append(f"<{a}>\n")
-    parts.append("|\n")
-    for c in classes:
-        parts.append(f"<{c}>\n")
-    return "".join(parts)
+    a = "<" + ">\n<".join(attributes) + ">\n" if attributes else ""
+    c = "<" + ">\n<".join(classes) + ">\n" if classes else ""
+    # A Model is a str whose text is its value.
+    return model + "\n" + a + "|\n" + c
 
 
 def eqc_id(model: Model, schema: Schema) -> EqcId:
     """First 128 bits of the SHA-256 digest of the canonical schema string, as hex."""
-    return hashlib.sha256(canonical_string(model, schema).encode("utf-8")).hexdigest()[:32]
+    return hashlib.sha256(canonical_string(model, schema).encode()).digest()[:16].hex()
 
 
 def union_side(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:

@@ -27,12 +27,14 @@ subjects. Whole lines and whole subjects are compared, never bare IRIs:
 that of `ab`. Bare ids sort like their subjects unless one id is a prefix
 of another, and then some id is a prefix of the id after it in bare order;
 so the writer sorts the bare ids and, only when it finds such a neighbour,
-sorts them again as `ID>`, the subject's tail. The lines are joined into
-chunks of about a thousand, and `save_summary` writes each chunk as it
-comes, so the writer holds one chunk and one subject's lines, never the
-whole file. It writes to a temporary file beside the target and renames
-that onto the target at the end, so the target holds the old file or the
-new one, never a part.
+sorts them again as `ID>`, the subject's tail. `save_summary` writes the
+lines in chunks of about a thousand, so the writer holds one chunk and one
+subject's lines, never the whole file, and renames a temporary file beside
+the target onto it at the end, so the target is never a part. The writer
+checks every IRI and member, as the API may give it text never parsed, in
+file order, so the first bad id, label or member is named. A label is
+checked only when first met, in a set emptied at `_CHUNK_LINES` labels, so
+a predicate on thousands of lines is checked about once per chunk.
 
 The reader matches each line, as the writer formats it, against one
 compiled pattern for these five shapes. Its member is `_MEMBER`, the
@@ -58,17 +60,16 @@ last, payloads attached to no EQC, named at their first `member` or
 ASCII pass `ntriples._checked_text` first.
 
 Within one `read_summary` call each id and each label is one string: a
-local dict maps every copy a line brings to the first one, so an EQC's id
-is the same object in `eqcs`, in `payloads` and in the loader's own dicts,
-and a predicate named on thousands of attribute lines is one string. Each
-schema side is collected in a list, then deduplicated, sorted and made a
-tuple when its EQC is built, and each payload's members in a list, made its
+local dict, read only where the subject changes, maps every copy to the
+first, so an EQC's id is one object in `eqcs`, `payloads` and the loader's
+dicts, and a predicate on thousands of lines is one string. A schema side
+is a list, made a tuple (sorted and deduplicated if it holds two or more
+labels) when its EQC is built, and a payload's members a list, made its
 payload (`summary.as_payload`) where the count is checked; so statements
 may come in any order and any number of times. Nothing is kept across calls.
 
 `read_summary`, `format_summary` and `save_summary` run with the cyclic
-collector paused (see `mvsum._collector`): their strings, lines, lists,
-payloads and dicts hold no cycles, so a collection there would free nothing.
+collector paused (see `mvsum._collector`).
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-import secrets
 import stat
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -144,17 +144,22 @@ def _blocks(summary: Summary) -> Iterator[list[str]]:
     First every EQC subject, then every payload subject in the same order;
     the module docstring says why this is the order of one global sort.
     """
-    # Every IRI and member is still checked: a Summary built through the API
-    # may hold text that was never parsed. The payload IRI holds the same id
+    # The checks of the module docstring. The payload IRI holds the same id
     # as the checked EQC IRI.
     cids = sorted(summary.eqcs)
     if any(b.startswith(a) for a, b in zip(cids, cids[1:])):
         cids.sort(key=lambda cid: cid + ">")
+    checked: set[str] = set()
     for cid in cids:
         eqc = f"<{_checked_iri(EQC_NS + cid)}>"
         attributes, classes = summary.eqcs[cid]
-        block = [f"{eqc} <{P_ATTRIBUTE}> <{_checked_iri(a)}> .\n" for a in attributes]
-        block += [f"{eqc} <{P_CLASS}> <{_checked_iri(c)}> .\n" for c in classes]
+        for label in attributes + classes:
+            if label not in checked:
+                checked.add(_checked_iri(label))
+        if len(checked) >= _CHUNK_LINES:
+            checked.clear()
+        block = [f"{eqc} <{P_ATTRIBUTE}> <{a}> .\n" for a in attributes]
+        block += [f"{eqc} <{P_CLASS}> <{c}> .\n" for c in classes]
         block.append(f"{eqc} <{P_PAYLOAD}> <{PAYLOAD_NS}{cid}> .\n")
         block.sort()
         yield block
@@ -218,7 +223,7 @@ def save_summary(summary: Summary, path: str | Path) -> None:
     target = os.path.realpath(path)
     # A short name of its own: the target's name plus a suffix could exceed
     # the file system's name limit.
-    tmp = os.path.join(os.path.dirname(target), f".mvsum-{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(os.path.dirname(target), f".mvsum-{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
@@ -276,8 +281,8 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     # PAYLOAD_NS). `counts` keeps its statement's line, and the `*_line`
     # dicts the line of an id's first `payload` statement, first attribute or
     # class, and first member, for the later checks. `one` maps each id and
-    # label string to its first copy (see the module docstring). A schema
-    # side is a list, deduplicated when its tuple is built below.
+    # label string to its first copy (see the module docstring), and `last`
+    # is the line before's id. A side's list is deduplicated below.
     want_attrs, want_classes = model.wants_attributes, model.wants_classes
     one: dict[str, str] = {}
     attrs: dict[str, list[str]] = {}
@@ -288,6 +293,7 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     member_line: dict[str, int] = {}
     counts: dict[str, tuple[str, int]] = {}
     match = _STATEMENT.fullmatch
+    last = None
     for lineno, raw in enumerate(it, start=2):
         if not raw.isascii():
             try:
@@ -304,18 +310,16 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
                 raise SummaryFormatError(f"line {lineno}: unexpected statement: {raw}")
         shape = m.lastgroup
         sid, value = m.group(2, shape)
-        sid = one.setdefault(sid, sid)
-        if shape == "attribute":
-            if not want_attrs:
-                raise SummaryFormatError(f"line {lineno}: EQC {sid} has attributes under model {model.value}")
-            eqc_line.setdefault(sid, lineno)
-            attrs.setdefault(sid, []).append(one.setdefault(value, value))
-        elif shape == "member":
+        if sid != last:
+            last = one.setdefault(sid, sid)
+        sid = last
+        if shape == "member":
             ms = members.get(sid)
             if ms is None:
-                ms = members[sid] = []
+                members[sid] = [value]
                 member_line[sid] = lineno
-            ms.append(value)
+            else:
+                ms.append(value)
         elif shape == "count":
             if not _COUNT.fullmatch(value):
                 line = raw.rstrip("\n")
@@ -327,10 +331,18 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
         elif shape == "payload":
             payload_line.setdefault(sid, lineno)
         else:
-            if not want_classes:
-                raise SummaryFormatError(f"line {lineno}: EQC {sid} has classes under model {model.value}")
-            eqc_line.setdefault(sid, lineno)
-            classes.setdefault(sid, []).append(one.setdefault(value, value))
+            if shape == "attribute":
+                sides, wanted, word = attrs, want_attrs, "attributes"
+            else:
+                sides, wanted, word = classes, want_classes, "classes"
+            if not wanted:
+                raise SummaryFormatError(f"line {lineno}: EQC {sid} has {word} under model {model.value}")
+            side = sides.get(sid)
+            if side is None:
+                sides[sid] = [one.setdefault(value, value)]
+                eqc_line.setdefault(sid, lineno)
+            else:
+                side.append(one.setdefault(value, value))
 
     missing = eqc_line.keys() - payload_line.keys()
     if missing:
@@ -341,7 +353,8 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     owner: dict[str, str] = {}
     for hexid in sorted(payload_line):
         line = payload_line[hexid]
-        schema = tuple(sorted(set(attrs.pop(hexid, ())))), tuple(sorted(set(classes.pop(hexid, ()))))
+        a, c = attrs.pop(hexid, ()), classes.pop(hexid, ())
+        schema = tuple(sorted(set(a)) if len(a) > 1 else a), tuple(sorted(set(c)) if len(c) > 1 else c)
         if verify and eqc_id(model, schema) != hexid:
             raise SummaryFormatError(f"line {line}: EQC id {hexid} does not match its schema")
         ms = members.pop(hexid, None)

@@ -1,10 +1,10 @@
 """The cyclic collector is paused over the bulk stages and restored after.
 
-`build_graph`, `summarize`, `read_summary`, `format_summary` and
-`save_summary` run with cyclic GC disabled. After any of them, with a normal
-return or an exception, `gc.isenabled()` must read what it read before; a
-caller's own code between parsed items runs with the caller's setting, and
-merging never touches the collector.
+`build_graph`, `summarize`, `read_summary`, `format_summary`,
+`save_summary` and `merge` run with cyclic GC disabled. After any of them,
+with a normal return or an exception, `gc.isenabled()` must read what it
+read before; a caller's own code between parsed items runs with the
+caller's setting, and `merge_all` pauses once per pairwise merge.
 """
 
 import gc
@@ -13,7 +13,7 @@ import pytest
 
 from mvsum import multimerge, summary_io
 from mvsum.graph import build_graph
-from mvsum.merge import merge
+from mvsum.merge import MergeConfigError, merge
 from mvsum.ntriples import ParseError, parse_ntriples
 from mvsum.summary import Model, Summary, eqc_id, summarize
 from mvsum.summary_io import SummaryFormatError, format_summary, load_summary, read_summary, save_summary
@@ -138,22 +138,39 @@ def test_summary_writer_restores_collector(caller_gc, tmp_path, monkeypatch):
     assert gc.isenabled() is caller_gc
 
 
-def test_merge_does_not_touch_the_collector(caller_gc, monkeypatch, tmp_path):
+def test_merge_restores_collector(caller_gc):
+    s1 = _summary()
+    s2 = summarize(build_graph(parse_ntriples(["<urn:x:a> <urn:p:r> <urn:x:c> ."])), Model.ACC)
+    assert merge(s1, s2)[0].eqcs
+    assert gc.isenabled() is caller_gc
+    with pytest.raises(MergeConfigError):
+        merge(s1, _bad_summary())
+    assert gc.isenabled() is caller_gc
+
+
+def test_merge_pauses_the_collector_once_per_call(caller_gc, monkeypatch, tmp_path):
     s1 = _summary()
     s2 = summarize(build_graph(parse_ntriples(["<urn:x:a> <urn:p:r> <urn:x:c> ."])), Model.ACC)
     lines = _file_lines()
     calls = []
     monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
+    # Each paused call re-enables only a collector that was enabled.
+    once = ["disable", "enable"] if caller_gc else ["disable"]
     merge(s1, s2)
-    multimerge.merge_all([s1, s2, s1], multimerge.Strategy.smallest_first())
-    multimerge.merge_all([s1, s2, s1], multimerge.Strategy.greedy_parallel(2))
-    assert calls == []
-    # The same spies see each of the five paused stages once; each re-enables
-    # only a collector that was enabled.
+    assert calls == once
+    # `merge_all` pauses once per pairwise merge, never around the whole fold.
+    for strategy in multimerge.Strategy.smallest_first(), multimerge.Strategy.greedy_parallel(2):
+        calls.clear()
+        _, schedule = multimerge.merge_all([s1, s2, s1], strategy)
+        assert len(schedule.steps) == 2
+        assert calls == once * 2
+    # The same spies see each of the six paused stages once.
+    calls.clear()
     g = build_graph(parse_ntriples(GRAPH))
     summarize(g, Model.ACC)
     read_summary(lines)
     format_summary(s1)
     save_summary(s1, tmp_path / "s.nt")
-    assert calls == (["disable", "enable"] if caller_gc else ["disable"]) * 5
+    merge(s1, s2)
+    assert calls == once * 6

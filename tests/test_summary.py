@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -103,6 +103,47 @@ def test_eqc_id_matches_independent_digest():
     ]:
         expected = hashlib.sha256(text.encode()).hexdigest()[:32]
         assert eqc_id(model, schema) == expected
+
+
+def _spelled(model, attributes, classes):
+    # The canonical string by hand, one piece at a time.
+    text = model.value + "\n"
+    for a in attributes:
+        text += "<" + a + ">\n"
+    text += "|\n"
+    for c in classes:
+        text += "<" + c + ">\n"
+    return text
+
+
+_SIDE = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
+                 unique=True, max_size=6).map(sorted).map(tuple)
+
+
+@st.composite
+def _model_schemas(draw):
+    model = draw(st.sampled_from(MODELS))
+    attributes = draw(_SIDE) if model.wants_attributes else ()
+    classes = draw(_SIDE) if model.wants_classes else ()
+    return model, (attributes, classes)
+
+
+@given(_model_schemas())
+@example((Model.AC, ((), ())))
+@example((Model.CC, ((), ())))
+@example((Model.ACC, ((), ())))
+@example((Model.AC, (("urn:p",), ())))
+@example((Model.CC, ((), ("urn:C",))))
+@example((Model.ACC, (("urn:p",), ())))
+@example((Model.ACC, ((), ("urn:C",))))
+@example((Model.ACC, (("urn:p", "urn:q", "urn:r"), ("urn:C",))))
+@example((Model.ACC, (("urn:p",), ("urn:A", "urn:B", "urn:C", "urn:\u00e9"))))
+@settings(max_examples=300, deadline=None)
+def test_canonical_string_and_eqc_id_match_an_independent_speller(model_schema):
+    model, (attributes, classes) = model_schema
+    text = _spelled(model, attributes, classes)
+    assert canonical_string(model, (attributes, classes)) == text
+    assert eqc_id(model, (attributes, classes)) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
 def test_distinct_schemas_distinct_ids():
