@@ -24,7 +24,7 @@ from mvsum.ntriples import RDF_TYPE, Triple
 from mvsum.summary import Model, Summary
 
 FIT_FUNCTIONS = ("E", "ElogE", "E2")
-EDGE_MEASURES = ("sum", "union")
+EDGE_MEASURES = ("sum", "union", "in_out")
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,8 @@ def _fit_input(record: MergeRecord, against: str, edge_measure: str) -> float:
         e = record.edges_sum
     elif edge_measure == "union":
         e = record.edges_union
+    elif edge_measure == "in_out":
+        e = record.edges_sum + record.edges_out
     else:
         raise ValueError(f"unknown edge measure {edge_measure!r}")
     if against == "E":

@@ -7,15 +7,19 @@ at most one line in memory, so files can be arbitrarily large. Input is
 decoded with `errors="surrogateescape"`, and one check, `_checked_text`,
 refuses a line that holds a surrogate before any pattern sees it.
 
-Each statement line is matched by one compiled whole-line pattern that
-covers the whole accepted grammar; only groups that hold a `\\` are
-unescaped. A line the pattern rejects goes to the term-by-term tokenizer,
-which finds where parsing stopped and raises a ParseError with the line,
-the column and the reason. An IRI escape that decodes to a character the
-writer refuses (such as `\\u0020`), or to a lone surrogate (U+D800 to
-U+DFFF), is a ParseError too, so every statement the parser accepts can be
-written back. So is an `rdf:type` statement whose object is not an IRI,
-since the graph model has no place for a literal or blank class.
+Each raw line, line end included, is matched by one compiled whole-line
+pattern that covers the whole accepted grammar, with escape bodies spelled
+as a branch (possessive `*+` is a syntax error before Python 3.11). Only
+groups that hold a `\\` are unescaped, and a printable literal on a line
+without one is kept as matched. Only a line the pattern rejects is
+stripped, skipped if blank or a comment, or else handed to the term-by-term
+tokenizer, which finds where parsing stopped and raises a ParseError with
+the line, the column and the reason. An IRI escape that decodes to a
+character the writer refuses (such as `\\u0020`), or to a lone surrogate
+(U+D800 to U+DFFF), is a ParseError too, so every statement the parser
+accepts can be written back. So is an `rdf:type` statement whose object is
+not an IRI, since the graph model has no place for a literal or blank
+class.
 
 A triple is three strings. The subject and the object are N-Triples term
 text: `<iri>` with its escapes decoded, `_:label` with the label
@@ -79,9 +83,12 @@ _IRI_CHAR = f"[^{_IRI_EXCLUDED}]"
 _IRI_FORBIDDEN = re.compile(f"[{_IRI_EXCLUDED}]")
 _H = "[0-9A-Fa-f]"
 _UCHAR = rf"u{_H}{{4}}|U{_H}{{8}}"
-# Escape bodies are unrolled (`plain*(?:\\escape plain*)*`).
-_IRI_BODY = rf"{_IRI_CHAR}*(?:\\(?:{_UCHAR}){_IRI_CHAR}*)*"
-_STR_BODY = rf'[^"\\\n\r]*(?:\\(?:[tbnrf"\'\\]|{_UCHAR})[^"\\\n\r]*)*'
+# Escape bodies are unrolled as a branch, `plain*(?:\\esc(?:plain|\\esc)*|)`, so
+# an escape-free body sets up no general repeat. Possessive `*+` is at most a
+# few percent faster, and it is a syntax error before Python 3.11.
+_IRI_BODY = rf"{_IRI_CHAR}*(?:\\(?:{_UCHAR})(?:{_IRI_CHAR}|\\(?:{_UCHAR}))*|)"
+_STR_ESC = rf"""\\(?:[tbnrf"'\\]|{_UCHAR})"""
+_STR_BODY = rf'[^"\\\n\r]*(?:{_STR_ESC}(?:[^"\\\n\r]|{_STR_ESC})*|)'
 _LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
 _LANG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
@@ -191,11 +198,12 @@ def _tokenize_line(text: str, line: int) -> Triple:
 # backtracking never finds a split the tokenizer would not. Groups: subject,
 # its blank label, predicate IRI, object, its blank label, literal body, then
 # datatype | language tag. A subject or object group is the term's text.
+# A raw line matches with its line end, any run of CR and LF.
 _LINE = re.compile(
     rf"[ \t]*(<{_IRI_BODY}>|_:({_LABEL}))"
     rf"[ \t]*<({_IRI_BODY})>"
     rf'[ \t]*(<{_IRI_BODY}>|_:({_LABEL})|"({_STR_BODY})"(?:\^\^<({_IRI_BODY})>|@({_LANG}))?)'
-    r"[ \t]*\.[ \t]*(?:#.*)?",
+    r"[ \t]*\.[ \t]*(?:#.*)?[\r\n]*",
     re.DOTALL,
 )
 
@@ -213,8 +221,13 @@ def _parse_line(text: str, line: int, predicates: dict[str, str]) -> Triple:
     m = _LINE.fullmatch(text)
     if m is None:
         return _tokenize_line(text, line)
+    return _matched(m, line, predicates)
+
+
+def _matched(m: re.Match, line: int, predicates: dict[str, str]) -> Triple:
+    """The Triple of a `_LINE` match, unescaped and checked as the tokenizer does."""
     s, s_label, p, o, o_label, lit, dt, lang = m.groups()
-    if "\\" in text:
+    if "\\" in m.string:
         # Only group contents are unescaped, in the tokenizer's order, so the
         # first bad IRI escape is reported where the tokenizer reports it. A
         # blank node label holds no `\`.
@@ -227,8 +240,12 @@ def _parse_line(text: str, line: int, predicates: dict[str, str]) -> Triple:
                 lit = _unescape(lit, line, m.start(6) + 1)
             if dt is not None and "\\" in dt:
                 dt = _unescape(dt, line, m.start(7) + 1, iri=True)
+            o = _literal(lit, dt, lang)
         elif "\\" in o:
             o = f"<{_unescape(o[1:-1], line, m.start(4) + 2, iri=True)}>"
+    elif lit is not None and not lit.isprintable():
+        # With no `\` on the line, a printable body is `_literal`'s spelling.
+        o = _literal(lit, dt, lang)
     if o[0] != "<" and p == RDF_TYPE:
         raise ParseError(_TYPE_OBJECT, line, m.start(4) + 1)
     # A matched label is ASCII, so `isalnum` tells a plain one.
@@ -236,8 +253,6 @@ def _parse_line(text: str, line: int, predicates: dict[str, str]) -> Triple:
         s = _blank(s_label)
     if o_label is not None and not o_label.isalnum():
         o = _blank(o_label)
-    elif lit is not None:
-        o = _literal(lit, dt, lang)
     return _new(Triple, (s, predicates.setdefault(p, p), o))
 
 
@@ -264,8 +279,9 @@ def parse_ntriples(
     """Yield triples from N-Triples text, one statement per line.
 
     `source` is any iterable of lines, such as a file opened with
-    `errors="surrogateescape"`. Blank and `#` comment lines are skipped after
-    `_checked_text`. A malformed line raises
+    `errors="surrogateescape"`. Each line, after `_checked_text`, is matched
+    with its line end; only a line the pattern rejects is stripped, skipped
+    if blank or a `#` comment, and tokenized. A malformed line raises
     ParseError; passing `on_error` switches to skip-and-count mode, where the
     handler receives each error and parsing continues with the next line.
     `start` is the line number of the first line, for a caller that has
@@ -277,10 +293,11 @@ def parse_ntriples(
         try:
             if not raw.isascii():
                 raw = _checked_text(raw, lineno)
-            text = raw.rstrip("\r\n")
-            stripped = text.lstrip(" \t")
-            if stripped and not stripped.startswith("#"):
-                yield _parse_line(text, lineno, predicates)
+            m = _LINE.fullmatch(raw)
+            if m is not None:
+                yield _matched(m, lineno, predicates)
+            elif (text := raw.rstrip("\r\n")).lstrip(" \t")[:1] not in ("", "#"):
+                yield _tokenize_line(text, lineno)
         except ParseError as err:
             if on_error is None:
                 raise

@@ -1,5 +1,6 @@
 import csv
 import math
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,24 @@ def test_correlate_times_linear_family():
     assert correlate_times(records, "E", "sum").r >= correlate_times(records, "E2", "sum").r
     union_fit = correlate_times(records, "E", "union")
     assert union_fit.r >= 0.999
+
+
+def test_correlate_times_in_out_fits_input_plus_output():
+    # Time linear in edges_sum + edges_out, with an output that grows faster
+    # than the input: only the in_out measure sees a straight line.
+    records = [
+        MergeRecord(edges_s1=e, edges_s2=e, edges_sum=2 * e, edges_union=2 * e, edges_out=e * e // 8,
+                    wall_ms=0.5 * (2 * e + e * e // 8), stats=CaseStats(1, 0, 0, 1))
+        for e in (8, 16, 32, 64, 128)
+    ]
+    fit = correlate_times(records, "E", "in_out")
+    assert fit.slope == pytest.approx(0.5, rel=1e-9)
+    assert fit.intercept == pytest.approx(0.0, abs=1e-9)
+    assert fit.r2 == pytest.approx(1.0, rel=1e-12)
+    assert correlate_times(records, "E", "sum").r2 < 0.99
+    assert correlate_times(records, "E2", "in_out").slope == pytest.approx(
+        statistics.linear_regression([float(r.edges_sum + r.edges_out) ** 2 for r in records],
+                                     [r.wall_ms for r in records]).slope)
 
 
 def test_correlate_times_elog_and_errors():

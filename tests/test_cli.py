@@ -413,9 +413,9 @@ def test_bench_generated_views(tmp_path):
     assert len(rows) == 6  # n(n-1)
     with open(fits, newline="") as fh:
         fit_rows = list(csv.DictReader(fh))
-    assert len(fit_rows) == 6  # 3 functions x 2 measures
+    assert len(fit_rows) == 9  # 3 functions x 3 measures
     assert {r["function"] for r in fit_rows} == {"E", "ElogE", "E2"}
-    assert {r["edge_measure"] for r in fit_rows} == {"sum", "union"}
+    assert {r["edge_measure"] for r in fit_rows} == {"sum", "union", "in_out"}
 
 
 @pytest.mark.parametrize("repeats", ["0", "-1", "x"])

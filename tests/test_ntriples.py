@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -430,3 +431,86 @@ def test_predicate_string_shared_within_one_parse_only():
     # A second parse builds its own: nothing is cached across calls.
     assert second[0].predicate is not first[0].predicate
     assert second[2].predicate is not first[2].predicate
+
+
+# --- the raw line first ----------------------------------------------------------
+#
+# `parse_ntriples` matches each raw line, line end included, and strips,
+# skips or tokenizes only a line the pattern rejects. Whatever path a line
+# takes, the result must be the stripped line's through the tokenizer.
+
+_LINE_ENDS = st.sampled_from(["", "\n", "\r\n", "\r", "\r\r\n"])
+_skipped_lines = st.one_of(
+    _ws,
+    st.builds(lambda w, c: w + c, _ws, _comment.filter(bool)),
+)
+
+
+@given(
+    st.one_of(_grammar_lines(), _mutated_lines(), st.sampled_from(_fixture_lines), _skipped_lines),
+    _LINE_ENDS,
+)
+@settings(max_examples=1000)
+def test_raw_line_parses_as_its_stripped_line(line, end):
+    errors = []
+    got = list(parse_ntriples([line + end], on_error=errors.append, start=3))
+    stripped = (line + end).rstrip("\r\n")
+    # A surrogate, even in a comment, is refused before any pattern.
+    expected = _outcome(ntriples._checked_text, line + end)
+    if isinstance(expected, str) and stripped.lstrip(" \t")[:1] in ("", "#"):
+        assert (got, errors) == ([], [])
+        return
+    if isinstance(expected, str):
+        expected = _outcome(_tokenize_line, stripped)
+    if isinstance(expected, Triple):
+        assert (got, errors) == ([expected], [])
+        _assert_exact_types(got[0])
+    else:
+        assert got == []
+        assert [("error", e.line, e.col, e.reason) for e in errors] == [expected]
+
+
+def _no_tokenizer(text, line):
+    raise AssertionError(f"line {line} left the pattern: {text!r}")
+
+
+@given(st.lists(st.builds(Triple, _subjects, _iris, _terms), max_size=20))
+@settings(max_examples=200)
+def test_written_lines_take_the_pattern(triples):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ntriples, "_tokenize_line", _no_tokenizer)
+        assert round_trip(triples) == triples
+
+
+def test_benchmark_lines_take_the_pattern(monkeypatch):
+    # The lines of the benchmark's `ingest` graph, at a small size: IRIs,
+    # plain, tagged and typed literals, and rdf:type statements.
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import gen
+    import run
+
+    shape = dataclasses.replace(run.INGEST, edges=600, vertices=200)
+    lines = io.StringIO(gen.make_view(shape, 1, "ingest", 0).text).readlines()
+    expected = [_tokenize_line(line.rstrip("\n"), 1) for line in lines]
+    monkeypatch.setattr(ntriples, "_tokenize_line", _no_tokenizer)
+    assert list(parse_ntriples(lines)) == expected
+    assert any(t.object.startswith('"') for t in expected)
+
+
+# A literal on a line without `\` keeps its matched text when its body is
+# printable. These characters are not, or are not ASCII: each must still be
+# spelled as the writer spells it, on lines with and without a `\`.
+_SPELLED = ["\t", "\x01", "\x7f", "\u0085", "\u00a0", "\u2028", "é", "東", "a b"]
+
+
+@pytest.mark.parametrize("suffix", ["", "@en-GB", "^^<urn:dt>"])
+@pytest.mark.parametrize("subject", ["<urn:a>", r"<urn:\u0061>"], ids=["plain", "escaped"])
+@pytest.mark.parametrize("char", _SPELLED)
+def test_literal_kept_as_matched_is_canonical(char, subject, suffix):
+    value = f"x{char}y{char}"
+    line = f'{subject} <urn:p> "{value}"{suffix} .'
+    expected = Triple("<urn:a>", "urn:p", _lit(value, suffix))
+    for end in ("", "\n", "\r\n"):
+        assert parse_one(line + end) == expected
+    assert _tokenize_line(line, 1) == expected
