@@ -456,11 +456,13 @@ def test_raw_line_parses_as_its_stripped_line(line, end):
     got = list(parse_ntriples([line + end], on_error=errors.append, start=3))
     stripped = (line + end).rstrip("\r\n")
     # A surrogate, even in a comment, is refused before any pattern.
-    expected = _outcome(ntriples._checked_text, line + end)
-    if isinstance(expected, str) and stripped.lstrip(" \t")[:1] in ("", "#"):
+    checked = _outcome(ntriples._checked_text, line + end)
+    if not isinstance(checked, str):
+        expected = checked
+    elif stripped.lstrip(" \t")[:1] in ("", "#"):
         assert (got, errors) == ([], [])
         return
-    if isinstance(expected, str):
+    else:
         expected = _outcome(_tokenize_line, stripped)
     if isinstance(expected, Triple):
         assert (got, errors) == ([expected], [])
