@@ -7,13 +7,19 @@ shares them, and only an EQC both inputs hold gets a new one. Step 2 looks
 each member of the smaller input up in the larger input's member index, the
 one member-to-EQC map a merge builds, to find members under *different*
 EQCs (case 3), and records each one's move into the EQC of the combined
-schema, creating it if needed. A memo local to the merge maps two schema
+schema. An EQC neither input holds waits in a dict of its own, so the
+union's tables do not grow. A memo local to the merge maps two schema
 sides to their union, so no union is computed twice: this pays when the
 sides of conflicting pairs repeat, as with a small label alphabet. Step 3,
 after the scan, rebuilds only the payloads members left or entered and
 deletes each EQC left empty, so a merged summary shares every input payload
-it does not change. The paper's payload adaptation for case 2 is a new
-member count; a payload's count is its size, so it needs no work.
+it does not change; a new EQC's payload waits beside it. The result's two
+tables are then one copy each of the union's, sized to the EQCs left in
+them, with the new EQCs added. A dict never shrinks, so tables that had
+grown to hold every new EQC and kept the slots of the drained ones would
+be sized for about three times the EQCs the result holds. The paper's
+payload adaptation for case 2 is a new member count; a payload's count is
+its size, so it needs no work.
 
 The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
 second scan: step 1's union of an EQC both inputs hold gives the size of
@@ -102,8 +108,7 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     # Step 1: union of schemas and payloads, keyed by EqcId, sharing each
     # input payload. For an EQC in both, the union's size also gives
     # |p1 ∩ p2|, and a union equal to one side keeps that side's payload.
-    out = Summary(model=s1.model, eqcs=dict(s1.eqcs), payloads=dict(s1.payloads))
-    eqcs, payloads, s1_payloads, s2_eqcs = out.eqcs, out.payloads, s1.payloads, s2.eqcs
+    eqcs, payloads, s1_payloads, s2_eqcs = dict(s1.eqcs), dict(s1.payloads), s1.payloads, s2.eqcs
     case2 = common = 0
     for cid, schema in s2_eqcs.items():
         p2 = s2.payloads[cid]
@@ -123,22 +128,24 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
         payloads[cid] = p1 if both == len(p2) else p2 if both == len(p1) else members
 
     # Step 2: detect case 3 and append each conflicting member to the move
-    # list of the EQC of the combined schema, created with the payload `()`;
-    # `touched` gets the EQCs members leave. Scanning the smaller input's
-    # payloads against the larger input's member index finds the same
-    # conflicts at lower cost. `row` holds the move list of each pair of the
-    # scanned EQC with an EQC of the other input met so far. `unions` maps a
-    # schema side to a dict from another side to their union, so a side
-    # union repeated across pairs is computed once per merge; attribute and
-    # class sides share it. `ids` maps each combined schema, digested and
-    # checked once, to its move list.
+    # list of the EQC of the combined schema; an EQC the union lacks waits
+    # in `new`, so the union's tables do not grow. `touched` gets the EQCs
+    # members leave, repeats and all. Scanning the smaller input's payloads
+    # against the larger input's member index finds the same conflicts at
+    # lower cost. `row` holds the move list of each pair of the scanned EQC
+    # with an EQC of the other input met so far. `unions` maps a schema side
+    # to a dict from another side to their union, so a side union repeated
+    # across pairs is computed once per merge; attribute and class sides
+    # share it. `ids` maps each combined schema, digested and checked once,
+    # to its move list.
     members_s1 = sum(map(len, s1_payloads.values()))
     scan, other = (s1, s2) if members_s1 <= sum(map(len, s2.payloads.values())) else (s2, s1)
     get = other.member_index.get
     unions: dict[tuple[str, ...], dict[tuple[str, ...], tuple[str, ...]]] = {}
     ids: dict[Schema, list[str]] = {}
+    new: dict[EqcId, Schema] = {}
     moves: dict[EqcId, list[str]] = {}
-    touched: set[EqcId] = set()
+    touched: list[EqcId] = []
     for ca, members in scan.payloads.items():
         row = None
         for m in members:
@@ -162,28 +169,31 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
                 schema = (attrs, classes)
                 target = ids.get(schema)
                 if target is None:
-                    cid = eqc_id(out.model, schema)
+                    cid = eqc_id(s1.model, schema)
                     existing = eqcs.get(cid)
                     if existing is None:
-                        eqcs[cid] = schema
-                        payloads[cid] = ()
-                    elif existing != schema:
+                        existing = new.setdefault(cid, schema)
+                    if existing != schema:
                         raise CorruptSummaryError(f"EqcId {cid} maps to two different schemas")
                     target = ids[schema] = moves[cid] = []
                 row[cb] = target
-                touched.add(cb)
+                touched.append(cb)
             target.append(m)
         if row is not None:
-            touched.add(ca)
+            touched.append(ca)
     del get, unions, ids  # step 2's index and memos go before step 3 builds
 
     # Step 3: a touched EQC keeps its members that did not move (a touched
     # 1-tuple lost its one) plus its move list, or goes if that is empty.
     # Step 1 counted each case-3 member in case 2 unless S2 lacks its S1
-    # EQC, whose payload step 1 then shared as it was.
+    # EQC, whose payload step 1 then shared as it was. A new EQC's payload
+    # waits in `new_payloads`, beside `new`; the result is one copy of each
+    # union table, sized to the EQCs left in it, with the new EQCs added.
+    # Each copy replaces its union table before the next is made, so only
+    # one table is held twice at a time.
     moved = set().union(*moves.values())
     case3 = counted = len(moved)
-    for cid in touched:
+    for cid in dict.fromkeys(touched):
         members = payloads[cid]
         kept = members.difference(moved) if len(members) > 1 else ()
         if cid not in s2_eqcs:
@@ -196,9 +206,14 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
         else:
             del eqcs[cid], payloads[cid]
     case2 -= counted
+    new_payloads = {cid: as_payload(moves.pop(cid)) for cid in new}
     for cid, add in moves.items():
-        members = payloads[cid]
-        payloads[cid] = as_payload(frozenset(members).union(add) if members else add)
+        payloads[cid] = as_payload(frozenset(payloads[cid]).union(add))
+    eqcs = dict(eqcs)
+    eqcs.update(new)
+    payloads = dict(payloads)
+    payloads.update(new_payloads)
+    out = Summary(model=s1.model, eqcs=eqcs, payloads=payloads)
     wall_ms = (time.perf_counter() - started) * 1e3
 
     e1 = s1.edge_count()

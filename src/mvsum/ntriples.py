@@ -166,7 +166,7 @@ _TYPE_OBJECT = "rdf:type object must be an IRI"
 
 
 def _tokenize_line(text: str, line: int) -> Triple:
-    """Parse one statement term by term; the reference for `_parse_line`.
+    """Parse one statement term by term; the reference for the `_LINE` path.
 
     Slower than the whole-line pattern, but it knows where parsing stopped,
     so its ParseError carries the exact column and reason.
@@ -210,18 +210,6 @@ _LINE = re.compile(
 
 # Builds an exact Triple without the NamedTuple constructor's frame.
 _new = tuple.__new__
-
-
-def _parse_line(text: str, line: int, predicates: dict[str, str]) -> Triple:
-    """Parse one statement; `predicates` maps each predicate IRI to its first copy.
-
-    The caller owns `predicates`, so equal predicates share one string for
-    as long as the caller keeps the dict, and no longer.
-    """
-    m = _LINE.fullmatch(text)
-    if m is None:
-        return _tokenize_line(text, line)
-    return _matched(m, line, predicates)
 
 
 def _matched(m: re.Match, line: int, predicates: dict[str, str]) -> Triple:

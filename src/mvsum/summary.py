@@ -123,7 +123,9 @@ def summarize(g: Graph, model: Model) -> Summary:
     """Summarize a whole graph: every vertex lands in exactly one EQC."""
     # Group vertices by their schema first, so its digest is computed once
     # per EQC, not per vertex; each group list is popped as it becomes its
-    # payload. The graph's label tuples are already sorted, so they are the
+    # payload. A dict does not shrink as it empties, so each time three
+    # quarters of the groups left are popped, the rest move to a table sized
+    # for them. The graph's label tuples are already sorted, so they are the
     # schema sides as they stand. A side the model omits is read from an
     # empty map, so it is () for every vertex.
     out_labels = g.out_labels if model.wants_attributes else {}
@@ -137,7 +139,11 @@ def summarize(g: Graph, model: Model) -> Summary:
         else:
             bucket.append(v)
     s = Summary(model=model)
+    shrink_at = len(groups) // 4
     while groups:
+        if len(groups) == shrink_at:
+            groups = dict(groups)
+            shrink_at //= 4
         schema, members = groups.popitem()
         cid = eqc_id(model, schema)
         s.eqcs[cid] = schema

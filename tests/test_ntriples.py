@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import BARE_SURROGATES
@@ -14,7 +14,7 @@ from mvsum.ntriples import (
     RDF_TYPE,
     ParseError,
     Triple,
-    _parse_line,
+    _matched,
     _tokenize_line,
     normalize_bnode_label,
     parse_ntriples,
@@ -30,8 +30,9 @@ def parse_one(line: str) -> Triple:
 
 
 def _pattern_path(text: str, line: int) -> Triple:
-    """`_parse_line` with a fresh predicate dict, as a new `parse_ntriples` call has."""
-    return _parse_line(text, line, {})
+    """`parse_ntriples`'s path for one line: `_LINE`, or the tokenizer on a miss, with fresh predicates."""
+    m = _LINE.fullmatch(text)
+    return _tokenize_line(text.rstrip("\r\n"), line) if m is None else _matched(m, line, {})
 
 
 def round_trip(triples: list[Triple]) -> list[Triple]:
@@ -324,7 +325,7 @@ def test_round_trip_property(triples):
 
 # --- whole-line pattern against the term tokenizer -----------------------------
 #
-# `_parse_line` matches a line with one pattern and falls back to the term
+# `parse_ntriples` matches a line with one pattern and falls back to the term
 # tokenizer only for lines the pattern rejects. The two must give equal
 # triples, or equal errors, on every line: generated ones from the grammar,
 # mutated ones, and the fixture lines.
@@ -405,9 +406,12 @@ def _outcome(parse, line):
 
 
 @given(st.one_of(_grammar_lines(), _mutated_lines(), st.sampled_from(_fixture_lines)))
+@example("_:b <p> <o> .\r")  # a comment's CR left at the end by a deletion
 @settings(max_examples=1000)
 def test_line_pattern_agrees_with_tokenizer(line):
-    expected = _outcome(_tokenize_line, line)
+    # A run of CR and LF at the end is the line end, which `parse_ntriples`
+    # strips before it tokenizes.
+    expected = _outcome(_tokenize_line, line.rstrip("\r\n"))
     got = _outcome(_pattern_path, line)
     assert got == expected
     if isinstance(expected, Triple):
