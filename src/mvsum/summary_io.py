@@ -32,32 +32,43 @@ lines in chunks of about a thousand, so the writer holds one chunk and one
 subject's lines, never the whole file, and renames a temporary file beside
 the target onto it at the end, so the target is never a part. The writer
 checks every IRI and member, as the API may give it text never parsed, in
-file order, so the first bad id, label or member is named. A label is
-checked only when first met, in a set emptied at `_CHUNK_LINES` labels, so
-a predicate on thousands of lines is checked about once per chunk.
+file order, so the first bad id, label or member is named. An id is
+searched bare, as `urn:mvs:eqc:` holds no character an IRI excludes. A
+label is checked only when first met, in a set emptied at `_CHUNK_LINES`
+labels, so a predicate on thousands of lines is checked about once per
+chunk. A payload of one member, the most common, is written as its `count`
+line and then its member line, which sorts after it, with no list and no
+sort; each subject's lines go straight into the chunk.
 
-The reader matches each line, as the writer formats it, against one
-compiled pattern for these five shapes. Its member is `_MEMBER`, the
-writer's rule, kept as the text it is; the rest is grouped by the EQC id
-string, which is also its payload's id: an EQC's `payload` statement must
-name `urn:mvs:payload:` and the EQC's own id, as every writer has. A line
-the pattern rejects (a comment, a blank line, other spacing, an escape, a
-non-plain blank label, CRLF, a foreign statement or garbage) goes, on its
-own, through `parse_ntriples`, whose terms come out as the writer spells
-them; `triple_line` joins them into a line that meets the same pattern, so
-one grammar and one set of checks serve both paths; a line it still
-rejects is an unexpected statement. An error in one statement names its
-physical line, the header being line 1: so do an attribute under CC, a
-class under AC, a count that is not a plain decimal and a second,
-differing count of one payload. After the last line come, in this order:
+The reader takes the lines `_BATCH` at a time and reads each batch, joined,
+with one `findall` of one compiled pattern for these five shapes as the
+writer formats them: a row of groups per line, built in C. A match is one
+whole line, so as many matches as lines means every line matched. Its
+member is `_MEMBER`, the writer's rule, kept as the text it is; the rest is
+grouped by the EQC id string, which is also its payload's id: an EQC's
+`payload` statement must name `urn:mvs:payload:` and the EQC's own id, as
+every writer has. A batch with fewer matches, whose first line does not
+match (so a file in another spelling costs no `findall`) or whose text is
+not UTF-8 is read line by line, each line matched on its own into the same
+row. A
+line the pattern rejects (a comment, a blank line, other spacing, an
+escape, a non-plain blank label, CRLF, a foreign statement or garbage)
+goes, on its own, through `parse_ntriples`, whose terms come out as the
+writer spells them; `triple_line` joins them into a line that meets the
+same pattern, so one grammar and one set of checks serve every path; a
+line it still rejects is an unexpected statement. One loop reads the rows
+of both paths, and an error in one statement names its physical line, the
+header being line 1: so do an attribute under CC, a class under AC, a
+count that is not a plain decimal and a second, differing count of one
+payload. After the last line come, in this order:
 EQCs without a payload, named at the first statement of the first such
 EQC; then, EQC by EQC in id order, an id that does not match its schema,
 an empty payload, a payload without a count, a count that disagrees with
 the members and a member already in another EQC, named at the EQC's
 `payload` statement or, for the count, its payload's `count` statement;
 last, payloads attached to no EQC, named at their first `member` or
-`count` statement. `load_summary` reads its file once; lines that are not
-ASCII pass `ntriples._checked_text` first.
+`count` statement. `load_summary` reads its file once; on the per-line
+path, lines that are not ASCII pass `ntriples._checked_text` first.
 
 Within one `read_summary` call each id and each label is one string: a
 local dict, read only where the subject changes, maps every copy to the
@@ -78,12 +89,13 @@ import contextlib
 import os
 import re
 import stat
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from mvsum._collector import paused
 from mvsum.errors import DataError
-from mvsum.ntriples import XSD_INTEGER, _IRI_CHAR, ParseError, _checked_iri, _checked_text, parse_ntriples, triple_line
+from mvsum.ntriples import XSD_INTEGER, _IRI_CHAR, _IRI_FORBIDDEN, ParseError, _checked_iri, _checked_text, parse_ntriples, triple_line
 from mvsum.summary import Model, Summary, as_payload, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
@@ -103,27 +115,33 @@ _CHUNK_LINES = 1024
 # `int()` alone would also take signs, spaces, underscores and non-ASCII digits.
 _COUNT = re.compile(r"[0-9]+")
 
-# The five statement shapes exactly as `_blocks` writes them, which is how
-# `triple_line` joins a parsed line. Group 2 is the subject's id, and the
-# last group to match names the shape: `attribute`, `class` or `payload`
-# after an EQC subject (group 1 set), `member` or `count` after a payload
-# subject. An EQC's payload is `urn:mvs:payload:` and the EQC's own id
-# (`\2`). An IRI here holds no escape, so its text is its value, and a
-# member's text is the member. A count is any literal body the parser spells
-# unescaped, so that the count check, not the pattern, refuses a body that is
-# not a plain decimal.
+# The five statement shapes exactly as the writer spells them, which is how
+# `triple_line` joins a parsed line, as a row: a match is one whole line,
+# from `^` (under `re.M`) to its `\n` or the end of the text, and its groups
+# are (EQC id, side word, label, payload id, member, `count` word, count
+# body). `findall` gives a group that took no part as "", and an id, a label
+# or a count body may be empty too, so the shape is told by the groups that
+# never are: the side word (`attribute` or `class`) on an EQC's label line,
+# the member, the `count` word, and none of them on an EQC's `payload` line,
+# whose object is `urn:mvs:payload:` and the EQC's own id (`\1`). An IRI
+# here holds no escape, so its text is its value, and a member's text is the
+# member. A count is any literal body the parser spells unescaped, so that
+# the count check, not the pattern, refuses a body that is not a plain
+# decimal.
 _PLAIN_IRI = f"{_IRI_CHAR}*"
 _MEMBER = re.compile(rf"<{_PLAIN_IRI}>|_:[A-Za-z0-9]+")
 _STATEMENT = re.compile(
-    rf"<urn:mvs:(?:(eqc)|payload):({_PLAIN_IRI})> <urn:mvs:(?(1)(?:"
-    rf"attribute> <(?P<attribute>{_PLAIN_IRI})>"
-    rf"|class> <(?P<class>{_PLAIN_IRI})>"
-    rf"|payload> <urn:mvs:payload:(?P<payload>\2)>"
-    rf")|(?:"
-    rf"member> (?P<member>{_MEMBER.pattern})"
-    rf'|count> "(?P<count>[^"\\\x00-\x1f]*)"\^\^<{re.escape(XSD_INTEGER)}>'
-    r")) \.\n?"
+    rf"^<urn:mvs:(?:eqc:({_PLAIN_IRI})> <urn:mvs:(?:"
+    rf"(attribute|class)> <({_PLAIN_IRI})>"
+    rf"|payload> <urn:mvs:payload:\1>"
+    rf")|payload:({_PLAIN_IRI})> <urn:mvs:(?:"
+    rf"member> ({_MEMBER.pattern})"
+    rf'|(count)> "([^"\\\x00-\x1f]*)"\^\^<{re.escape(XSD_INTEGER)}>'
+    r")) \.(?:\n|\Z)",
+    re.M,
 )
+# Lines per `findall`: the fastest of the sizes tried.
+_BATCH = 256
 
 
 class SummaryFormatError(DataError):
@@ -138,54 +156,67 @@ def is_summary_header(line: str) -> bool:
     return _HEADER.match(line) is not None
 
 
-def _blocks(summary: Summary) -> Iterator[list[str]]:
-    """Each subject's statement lines, sorted and LF-terminated, in file order.
+def _bad_member(m: str) -> ValueError:
+    return ValueError(f"member is not <iri> or _:[A-Za-z0-9]+: {m!r}")
 
-    First every EQC subject, then every payload subject in the same order;
-    the module docstring says why this is the order of one global sort.
+
+def _statement_chunks(summary: Summary) -> Iterator[str]:
+    """The file text: the header line, then the statements in file order.
+
+    Each subject's lines are sorted: first every EQC subject, then every
+    payload subject in the same order; the module docstring says why this
+    is the order of one global sort. The statements are joined into chunks
+    of at least `_CHUNK_LINES` lines, cut only between subjects; only the
+    last chunk may be shorter, and a summary without EQCs yields the header
+    alone.
     """
-    # The checks of the module docstring. The payload IRI holds the same id
-    # as the checked EQC IRI.
+    yield f"{header_line(summary)}\n"
+    # The checks of the module docstring. `EQC_NS` holds no character an
+    # IRI excludes, so a bare id is searched, and the payload IRI holds the
+    # same id as the checked EQC IRI.
     cids = sorted(summary.eqcs)
     if any(b.startswith(a) for a, b in zip(cids, cids[1:])):
         cids.sort(key=lambda cid: cid + ">")
+    forbidden = _IRI_FORBIDDEN.search
     checked: set[str] = set()
+    chunk: list[str] = []
     for cid in cids:
-        eqc = f"<{_checked_iri(EQC_NS + cid)}>"
+        if forbidden(cid):
+            _checked_iri(EQC_NS + cid)
+        eqc = f"<{EQC_NS}{cid}>"
         attributes, classes = summary.eqcs[cid]
         for label in attributes + classes:
             if label not in checked:
                 checked.add(_checked_iri(label))
         if len(checked) >= _CHUNK_LINES:
             checked.clear()
+        # `attribute` sorts before `class`, and both before `payload`.
         block = [f"{eqc} <{P_ATTRIBUTE}> <{a}> .\n" for a in attributes]
         block += [f"{eqc} <{P_CLASS}> <{c}> .\n" for c in classes]
-        block.append(f"{eqc} <{P_PAYLOAD}> <{PAYLOAD_NS}{cid}> .\n")
         block.sort()
-        yield block
+        chunk += block
+        chunk.append(f"{eqc} <{P_PAYLOAD}> <{PAYLOAD_NS}{cid}> .\n")
+        if len(chunk) >= _CHUNK_LINES:
+            yield "".join(chunk)
+            chunk = []
     for cid in cids:
         pay = f"<{PAYLOAD_NS}{cid}>"
         members = summary.payloads[cid]
-        for m in members:
+        if len(members) == 1:
+            # `count` sorts before `member`.
+            (m,) = members
             if not _MEMBER.fullmatch(m):
-                raise ValueError(f"member is not <iri> or _:[A-Za-z0-9]+: {m!r}")
-        block = [f"{pay} <{P_MEMBER}> {m} .\n" for m in members]
-        block.append(f'{pay} <{P_COUNT}> "{len(members):d}"^^<{XSD_INTEGER}> .\n')
-        block.sort()
-        yield block
-
-
-def _statement_chunks(summary: Summary) -> Iterator[str]:
-    """The file text: the header line, then the statements in file order.
-
-    The statements are joined into chunks of at least `_CHUNK_LINES` lines;
-    only the last may be shorter, and a summary without EQCs yields the
-    header alone.
-    """
-    yield f"{header_line(summary)}\n"
-    chunk: list[str] = []
-    for block in _blocks(summary):
-        chunk += block
+                raise _bad_member(m)
+            chunk.append(f'{pay} <{P_COUNT}> "1"^^<{XSD_INTEGER}> .\n')
+            chunk.append(f"{pay} <{P_MEMBER}> {m} .\n")
+        else:
+            for m in members:
+                if not _MEMBER.fullmatch(m):
+                    raise _bad_member(m)
+            block = [f"{pay} <{P_MEMBER}> {m} .\n" for m in members]
+            block.append(f'{pay} <{P_COUNT}> "{len(members):d}"^^<{XSD_INTEGER}> .\n')
+            block.sort()
+            chunk += block
         if len(chunk) >= _CHUNK_LINES:
             yield "".join(chunk)
             chunk = []
@@ -254,13 +285,64 @@ def _respelled(raw: str, lineno: int) -> str | None:
     return None if triple is None else triple_line(triple)
 
 
+def _line_rows(lines: list[str], start: int) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """(line number, `_STATEMENT` row) of each statement in `lines`, one line at a time.
+
+    `start` is the first line's number. A line the pattern rejects is
+    spelled again by `_respelled`; a blank or comment line gives no row.
+    Rows come as the lines are read, so a line's error comes after the rows
+    of the lines before it.
+    """
+    match = _STATEMENT.fullmatch
+    for lineno, raw in enumerate(lines, start):
+        if not raw.isascii():
+            try:
+                raw = _checked_text(raw, lineno)
+            except ParseError as exc:
+                raise SummaryFormatError(f"bad statement: {exc}") from exc
+        m = match(raw)
+        if m is None:
+            raw = _respelled(raw, lineno)
+            if raw is None:
+                continue
+            m = match(raw)
+            if m is None:
+                raise SummaryFormatError(f"line {lineno}: unexpected statement: {raw}")
+        yield lineno, m.groups("")
+
+
+def _batch_rows(lines: list[str], start: int) -> Iterable[tuple[int, tuple[str, ...]]]:
+    """The rows of `_line_rows(lines, start)`, read with one `findall` when it can.
+
+    A match is one whole line of the joined text, and a line holds no `\n`
+    but its last character, so as many matches as lines means every line
+    matched. A text with a line the pattern
+    rejects, or one that is not UTF-8 (a lone surrogate), is read line by
+    line. So is one whose first line the pattern rejects, without a
+    `findall`: in a file of another spelling (CRLF lines, other spacing)
+    every line is rejected.
+    """
+    text = "".join(lines)
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return _line_rows(lines, start)
+    if _STATEMENT.match(text):
+        rows = _STATEMENT.findall(text)
+        if len(rows) == len(lines):
+            return enumerate(rows, start)
+    return _line_rows(lines, start)
+
+
 @paused()
 def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     """Rebuild a summary from its file lines.
 
-    With `verify` (the default), every EQC id is recomputed from its schema
-    and must match byte-for-byte. A header naming a digest other than
-    SHA-256 is refused either way.
+    `source` yields lines, as a text file does: a line holds no `\n` but the
+    one that may end it. With `verify` (the default), every EQC id is
+    recomputed from its schema and must match byte-for-byte. A header naming
+    a digest other than SHA-256 is refused either way.
     """
     it = iter(source)
     first = next(it, None)
@@ -292,57 +374,45 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     members: dict[str, list[str]] = {}
     member_line: dict[str, int] = {}
     counts: dict[str, tuple[str, int]] = {}
-    match = _STATEMENT.fullmatch
     last = None
-    for lineno, raw in enumerate(it, start=2):
-        if not raw.isascii():
-            try:
-                raw = _checked_text(raw, lineno)
-            except ParseError as exc:
-                raise SummaryFormatError(f"bad statement: {exc}") from exc
-        m = match(raw)
-        if m is None:
-            raw = _respelled(raw, lineno)
-            if raw is None:
-                continue
-            m = match(raw)
-            if m is None:
-                raise SummaryFormatError(f"line {lineno}: unexpected statement: {raw}")
-        shape = m.lastgroup
-        sid, value = m.group(2, shape)
-        if sid != last:
-            last = one.setdefault(sid, sid)
-        sid = last
-        if shape == "member":
-            ms = members.get(sid)
-            if ms is None:
-                members[sid] = [value]
-                member_line[sid] = lineno
+    start = 2
+    while lines := list(islice(it, _BATCH)):
+        for lineno, (eid, word, label, pid, member, counted, value) in _batch_rows(lines, start):
+            sid = eid or pid
+            if sid != last:
+                last = one.setdefault(sid, sid)
+            sid = last
+            if word:
+                if word == "attribute":
+                    sides, wanted, plural = attrs, want_attrs, "attributes"
+                else:
+                    sides, wanted, plural = classes, want_classes, "classes"
+                if not wanted:
+                    raise SummaryFormatError(f"line {lineno}: EQC {sid} has {plural} under model {model.value}")
+                side = sides.get(sid)
+                if side is None:
+                    sides[sid] = [one.setdefault(label, label)]
+                    eqc_line.setdefault(sid, lineno)
+                else:
+                    side.append(one.setdefault(label, label))
+            elif member:
+                ms = members.get(sid)
+                if ms is None:
+                    members[sid] = [member]
+                    member_line[sid] = lineno
+                else:
+                    ms.append(member)
+            elif counted:
+                if not _COUNT.fullmatch(value):
+                    line = f'<{PAYLOAD_NS}{sid}> <{P_COUNT}> "{value}"^^<{XSD_INTEGER}> .'
+                    raise SummaryFormatError(f"line {lineno}: count is not a plain decimal: {line}")
+                # Kept as canonical text: `int()` refuses more than a few thousand digits.
+                count = value.lstrip("0") or "0"
+                if counts.setdefault(sid, (count, lineno))[0] != count:
+                    raise SummaryFormatError(f"line {lineno}: payload {PAYLOAD_NS}{sid} has two counts: {counts[sid][0]} and {count}")
             else:
-                ms.append(value)
-        elif shape == "count":
-            if not _COUNT.fullmatch(value):
-                line = raw.rstrip("\n")
-                raise SummaryFormatError(f"line {lineno}: count is not a plain decimal: {line}")
-            # Kept as canonical text: `int()` refuses more than a few thousand digits.
-            count = value.lstrip("0") or "0"
-            if counts.setdefault(sid, (count, lineno))[0] != count:
-                raise SummaryFormatError(f"line {lineno}: payload {PAYLOAD_NS}{sid} has two counts: {counts[sid][0]} and {count}")
-        elif shape == "payload":
-            payload_line.setdefault(sid, lineno)
-        else:
-            if shape == "attribute":
-                sides, wanted, word = attrs, want_attrs, "attributes"
-            else:
-                sides, wanted, word = classes, want_classes, "classes"
-            if not wanted:
-                raise SummaryFormatError(f"line {lineno}: EQC {sid} has {word} under model {model.value}")
-            side = sides.get(sid)
-            if side is None:
-                sides[sid] = [one.setdefault(value, value)]
-                eqc_line.setdefault(sid, lineno)
-            else:
-                side.append(one.setdefault(value, value))
+                payload_line.setdefault(sid, lineno)
+        start += len(lines)
 
     missing = eqc_line.keys() - payload_line.keys()
     if missing:

@@ -5,6 +5,7 @@ import random
 import re
 import stat
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -733,10 +734,13 @@ def test_header_naming_another_digest_is_format_error(digest, verify):
 
 # --- the statement pattern and the per-line fallback --------------------------
 #
-# `read_summary` matches each line against `_STATEMENT` and sends only the
-# lines it rejects through `_respelled`, whose canonical spelling meets the
-# same pattern. Canonical files must never need the fallback, and the two
-# paths must agree on every input.
+# `read_summary` reads `_BATCH` lines at a time with one `findall` of
+# `_STATEMENT`. A batch with a line the pattern rejects is read line by line
+# (`_line_rows`), and only the lines the pattern rejects go through
+# `_respelled`, whose canonical spelling meets the same pattern. Canonical
+# files must never need either fallback, and the paths must agree on every
+# input. Lines without their `\n` always take the per-line path: joined,
+# they are one line.
 
 def _sample_summaries():
     rng = random.Random(21)
@@ -760,6 +764,95 @@ def test_canonical_files_never_take_the_fallback(tmp_path, monkeypatch):
         assert read_summary(format_summary(s).splitlines()) == s
         save_summary(s, path)
         assert load_summary(path) == s
+
+
+def _batched_summary(n=190):
+    """A valid ACC summary of 1,216 statement lines, more than four batches,
+    the last one part full, with non-ASCII IRIs and members, blank members
+    and payloads of one and of three members."""
+    s = Summary(model=Model.ACC)
+    for i in range(n):
+        schema = (f"urn:p:{i % 7}", f"urn:p:é{i}"), (f"urn:c:{i % 3}",)
+        cid = eqc_id(Model.ACC, schema)
+        s.eqcs[cid] = schema
+        s.payloads[cid] = frozenset([f"_:b{i}", f"<urn:x:ü{i}>", f"<urn:x:{i}>"]) if i % 5 == 0 else (f"<urn:x:é{i}>",)
+    return s
+
+
+def test_canonical_files_never_leave_the_batch_path(tmp_path, monkeypatch):
+    def per_line(lines, start):
+        raise AssertionError(f"lines {start}-{start + len(lines) - 1} were read one by one")
+
+    def fallback(raw, lineno):
+        raise AssertionError(f"line {lineno} took the fallback: {raw!r}")
+
+    s = _batched_summary()
+    path = tmp_path / "s.nt"
+    save_summary(s, path)
+    text = path.read_text(encoding="utf-8")
+    assert not text.isascii() and text.count("\n") > 3 * summary_io._BATCH + 1
+    monkeypatch.setattr(summary_io, "_line_rows", per_line)
+    monkeypatch.setattr(summary_io, "_respelled", fallback)
+    assert load_summary(path) == s
+    assert read_summary(text.splitlines(keepends=True)) == s
+
+
+def _edge_cases():
+    """(name, line, whether its batch is read line by line, the error or
+    None) for lines put into `_batched_summary()`'s file: a repeat of a
+    valid statement, a line the pattern rejects, a line that is not UTF-8,
+    and lines the pattern takes whose values are empty."""
+    s = _batched_summary()
+    cid = sorted(s.eqcs)[1]
+    member = next(iter(s.payloads[cid]))
+    eqc, pay = f"<urn:mvs:eqc:{cid}>", f"<urn:mvs:payload:{cid}>"
+    return [
+        ("non-ASCII member", f"{pay} <urn:mvs:member> {member} .", False, None),
+        ("comment", "# a comment", True, None),
+        ("surrogate", f"{pay} <urn:mvs:member> <urn:x:\udcff> .", True,
+         f"line {{n}}, col {len(pay) + 26}: invalid UTF-8"),
+        ("empty id", "<urn:mvs:eqc:> <urn:mvs:payload> <urn:mvs:payload:> .", False, "line {n}: EQC id  does not match"),
+        ("empty label", f"{eqc} <urn:mvs:attribute> <> .", False, f"EQC id {cid} does not match"),
+        ("empty count", f'{pay} <urn:mvs:count> ""^^<http://www.w3.org/2001/XMLSchema#integer> .', False,
+         "line {n}: count is not a plain decimal"),
+    ]
+
+
+_EDGE_CASES = _edge_cases()
+
+
+@pytest.mark.parametrize("where", ["first of a batch", "last of a batch", "last of the file"])
+@pytest.mark.parametrize("line, by_line, error", [case[1:] for case in _EDGE_CASES], ids=[case[0] for case in _EDGE_CASES])
+def test_faults_at_batch_edges_read_as_line_by_line(monkeypatch, where, line, by_line, error):
+    text = format_summary(_batched_summary())
+    lines = text.splitlines(keepends=True)
+    # Lines 2 to 257 are the first batch; the file's last line is not the
+    # first of its batch.
+    n = {"first of a batch": 2 + summary_io._BATCH, "last of a batch": 1 + 2 * summary_io._BATCH,
+         "last of the file": len(lines) + 1}[where]
+    assert (len(lines) - 1) % summary_io._BATCH != 0
+    lines.insert(n - 1, line + "\n")
+    if where == "last of the file":
+        lines[-1] = line
+    per_line = [raw.rstrip("\n") for raw in lines]
+    # Only the batch holding a line the pattern rejects is read line by line.
+    starts = []
+    line_rows = summary_io._line_rows
+
+    def spy(batch, start):
+        starts.append(start)
+        return line_rows(batch, start)
+
+    monkeypatch.setattr(summary_io, "_line_rows", spy)
+    outcome = _load_outcome(lines, True)
+    assert starts == ([n - (n - 2) % summary_io._BATCH] if by_line else [])
+    monkeypatch.undo()
+    assert outcome == _load_outcome(per_line, True)
+    if error is None:
+        assert outcome == read_summary(text.splitlines())
+    else:
+        assert outcome[0] is SummaryFormatError and error.format(n=n) in outcome[1]
+    assert _load_outcome(lines, False) == _load_outcome(per_line, False)
 
 
 def _variants(text):
@@ -855,6 +948,16 @@ def test_statement_pattern_agrees_with_generic_parse(lines, verify):
     # and keeps every column, so a parse error reads the same.
     generic = lines[:1] + [line.replace(" ", "\t", 1) for line in lines[1:]]
     assert _load_outcome(lines, verify) == _load_outcome(generic, verify)
+
+
+@given(st.one_of(_summary_files(), _mutated_files()), st.sampled_from([1, 2, 3, 256]), st.booleans())
+@settings(max_examples=1000, deadline=None)
+def test_batch_and_per_line_reads_agree(lines, batch, verify):
+    # Ended lines take `findall` a batch at a time, down to one line;
+    # without their ends every batch of two or more is read line by line.
+    bare = [line[:-1] if line.endswith("\n") else line for line in lines]
+    with mock.patch.object(summary_io, "_BATCH", batch):
+        assert _load_outcome([line + "\n" for line in bare], verify) == _load_outcome(bare, verify)
 
 
 # --- the writer's order against one global sort ----------------------------------
