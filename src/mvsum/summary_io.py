@@ -43,32 +43,32 @@ sort; each subject's lines go straight into the chunk.
 The reader takes the lines `_BATCH` at a time and reads each batch, joined,
 with one `findall` of one compiled pattern for these five shapes as the
 writer formats them: a row of groups per line, built in C. A match is one
-whole line, so as many matches as lines means every line matched. Its
-member is `_MEMBER`, the writer's rule, kept as the text it is; the rest is
-grouped by the EQC id string, which is also its payload's id: an EQC's
-`payload` statement must name `urn:mvs:payload:` and the EQC's own id, as
-every writer has. A batch with fewer matches, whose first line does not
-match (so a file in another spelling costs no `findall`) or whose text is
-not UTF-8 is read line by line, each line matched on its own into the same
-row. A
-line the pattern rejects (a comment, a blank line, other spacing, an
-escape, a non-plain blank label, CRLF, a foreign statement or garbage)
-goes, on its own, through `parse_ntriples`, whose terms come out as the
-writer spells them; `triple_line` joins them into a line that meets the
-same pattern, so one grammar and one set of checks serve every path; a
-line it still rejects is an unexpected statement. One loop reads the rows
-of both paths, and an error in one statement names its physical line, the
-header being line 1: so do an attribute under CC, a class under AC, a
-count that is not a plain decimal and a second, differing count of one
-payload. After the last line come, in this order:
-EQCs without a payload, named at the first statement of the first such
-EQC; then, EQC by EQC in id order, an id that does not match its schema,
-an empty payload, a payload without a count, a count that disagrees with
-the members and a member already in another EQC, named at the EQC's
-`payload` statement or, for the count, its payload's `count` statement;
-last, payloads attached to no EQC, named at their first `member` or
-`count` statement. `load_summary` reads its file once; on the per-line
-path, lines that are not ASCII pass `ntriples._checked_text` first.
+whole line, and a line holds no `\n` but its last character, so as many
+matches as lines means every line matched. Its member is `_MEMBER`, the
+writer's rule, kept as the text it is; the rest is grouped by the EQC id
+string, which is also its payload's id: an EQC's `payload` statement must
+name `urn:mvs:payload:` and the EQC's own id, as every writer has. A batch
+with fewer matches, whose first line does not match (so a file in another
+spelling costs no `findall`) or whose text is not UTF-8 is read line by
+line, each line matched on its own into the same row. A line the pattern
+rejects (a comment, a blank line, other spacing, an escape, a non-plain
+blank label, CRLF, a foreign statement or garbage) goes, on its own,
+through `parse_ntriples`, whose terms come out as the writer spells them;
+`triple_line` joins them into a line that meets the same pattern, so one
+grammar and one set of checks serve every path; a line it still rejects is
+an unexpected statement. One loop reads the rows of both paths, and an
+error in one statement names its physical line, the header being line 1:
+so do an attribute under CC, a class under AC, a count that is not a plain
+decimal and a second, differing count of one payload. After the last line
+come, in this order: EQCs without a payload, named at the first statement
+of the first such EQC; then, EQC by EQC in id order, an id that does not
+match its schema, an empty payload, a payload without a count, a count
+that disagrees with the members and a member already in another EQC, named
+at the EQC's `payload` statement or, for the count, its payload's `count`
+statement; last, payloads attached to no EQC, named at their first
+`member` or `count` statement. `load_summary` reads its file once; on the
+per-line path, lines that are not ASCII pass `ntriples._checked_text`
+first.
 
 Within one `read_summary` call each id and each label is one string: a
 local dict, read only where the subject changes, maps every copy to the
