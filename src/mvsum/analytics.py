@@ -172,20 +172,25 @@ def correlate_times(
     return linfit(xs, ys)
 
 
-def write_pair_records_csv(rows: Sequence[PairResult], path: str | Path) -> None:
+def write_records_csv(rows: Sequence, path: str | Path, index: str = "pair_id") -> None:
+    """One CSV line per row with `.left`, `.right` and a `MergeRecord` `.record`.
+
+    The first column, named `index`, numbers the rows from 0. A record
+    without case statistics, as `schedule_work` makes, gets empty case cells.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([
-            "pair_id", "left", "right", "edges_left", "edges_right",
+            index, "left", "right", "edges_left", "edges_right",
             "edges_sum", "edges_union", "edges_out", "wall_ms", "case1", "case2", "case3",
         ])
         for i, row in enumerate(rows):
             r = row.record
             stats = r.stats
+            cases = (stats.case1, stats.case2, stats.case3) if stats else ("", "", "")
             w.writerow([
                 i, row.left, row.right, r.edges_s1, r.edges_s2,
-                r.edges_sum, r.edges_union, r.edges_out, f"{r.wall_ms:.3f}",
-                stats.case1, stats.case2, stats.case3,
+                r.edges_sum, r.edges_union, r.edges_out, f"{r.wall_ms:.3f}", *cases,
             ])
 
 

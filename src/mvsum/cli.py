@@ -62,7 +62,7 @@ def cmd_merge(args) -> int:
     summary_io.save_summary(merged, args.output)
     if args.stats:
         rows = [analytics.PairResult(str(args.left), str(args.right), record)]
-        analytics.write_pair_records_csv(rows, args.stats)
+        analytics.write_records_csv(rows, args.stats)
     return 0
 
 
@@ -72,11 +72,10 @@ def cmd_merge_all(args) -> int:
                                    workers=args.workers if kind == "greedy_parallel" else None)
     files = _summary_files(Path(args.directory))
     summaries = [summary_io.load_summary(p) for p in files]
-    check_compatible("all summaries must share one model", zip(files, summaries))
     final, schedule = multimerge.merge_all(summaries, strategy, names=[p.name for p in files])
     summary_io.save_summary(final, args.output)
     if args.schedule:
-        multimerge.write_schedule_csv(schedule, args.schedule)
+        analytics.write_records_csv(schedule.steps, args.schedule, index="step")
     return 0
 
 
@@ -140,7 +139,7 @@ def cmd_bench(args) -> int:
     if args.fits and (len(named) < 3 or len({s.edge_count() for _, s in named}) < 2):
         raise UsageError("--fits needs at least three inputs, of at least two different sizes")
     rows = analytics.bench_pairwise(named, repeats=args.repeats)
-    analytics.write_pair_records_csv(rows, args.output)
+    analytics.write_records_csv(rows, args.output)
     if args.fits:
         model = named[0][1].model
         records = [row.record for row in rows]

@@ -10,9 +10,8 @@ literal object does not, and a literal subject is refused.
 A vertex is its N-Triples term text, `<iri>` or `_:label`, the string a
 summary holds as a member. A built graph is immutable: each vertex's labels
 are a tuple sorted by code point, the very schema side that `summarize`
-groups on. Within one `build_graph` call each vertex text, each class IRI
-and each label tuple is one object, shared by `vertices` and both label
-maps. Local dicts map each to its first copy and are dropped on return.
+groups on. Each vertex text, class IRI and label tuple is one object,
+shared by `vertices` and both label maps.
 
 `build_graph` runs with the cyclic collector paused (see `mvsum._collector`),
 and so does the parser generator it drives, since the parser's work runs

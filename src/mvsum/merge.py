@@ -1,39 +1,22 @@
 """Pairwise summary merging.
 
-The merge has the paper's three steps. Step 1 takes the plain union of the
-two summaries' schemas and payloads, which is already correct for every
-member whose situation is trivial (case 1); payloads cannot change, so it
-shares them, and only an EQC both inputs hold gets a new one. Step 2 looks
-each member of the smaller input up in the larger input's member index, the
-one member-to-EQC map a merge builds, to find members under *different*
-EQCs (case 3), and records each one's move into the EQC of the combined
-schema. An EQC neither input holds waits in a dict of its own, so the
-union's tables do not grow. A memo local to the merge maps two schema
-sides to their union, so no union is computed twice: this pays when the
-sides of conflicting pairs repeat, as with a small label alphabet. Step 3,
-after the scan, rebuilds only the payloads members left or entered and
-deletes each EQC left empty, so a merged summary shares every input payload
-it does not change; a new EQC's payload waits beside it. The result's two
-tables are then one copy each of the union's, sized to the EQCs left in
-them, with the new EQCs added. A dict never shrinks, so tables that had
-grown to hold every new EQC and kept the slots of the drained ones would
-be sized for about three times the EQCs the result holds. The paper's
-payload adaptation for case 2 is a new member count; a payload's count is
-its size, so it needs no work.
+`merge(s1, s2)` summarizes the union of the two summaries' graphs in the
+paper's three steps: the union of both summaries, already right for every
+member the inputs do not put under different EQCs (cases 1 and 2); the
+move of each member they do (case 3) to the EQC of its combined schema;
+and the rebuilding of the payloads members left or entered. The inputs are not modified. Payloads are
+immutable, so the result shares every input payload it does not change,
+and its tables are sized to the EQCs it holds. Beyond its inputs and
+result, a merge holds the member index of the input with more members and
+the move lists.
 
-The case statistics and |E1 ∪ E2| come from the steps themselves, not from a
-second scan: step 1's union of an EQC both inputs hold gives the size of
-their intersection, and step 3 counts the case-3 members and which of them
-step 1 counted as case 2. A reference oracle in `tests/helpers.py` counts
-the same cases member by member.
-
-Merging S1 into S2 and S2 into S1 produces the same summary; only the case
-statistics, which are reported from S1's perspective, differ -- and the
-case-3 count is equal in both directions. The whole thing relies on the two
-inputs using the same model, so that equal schemas have equal identifiers
-(every id is a SHA-256 digest); a repeated identifier with a different schema
-means a hash collision or inconsistent inputs and is reported as corruption
-rather than silently repaired.
+The case statistics and |E1 ∪ E2| come from the steps, not from a second
+scan; an oracle in `tests/helpers.py` counts the cases member by member.
+Merging S1 into S2 and S2 into S1 gives the same summary; only the case
+statistics, reported from S1's side, differ, and the case-3 count is equal
+both ways. Both inputs must use one model, so that equal schemas have equal
+ids. An id carrying two different schemas means a hash collision or
+inconsistent inputs, and is reported as corruption, not repaired.
 
 `merge` runs with the cyclic collector paused (see `mvsum._collector`).
 """
@@ -105,9 +88,8 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
     check_compatible("cannot merge", [("S1", s1), ("S2", s2)])
     started = time.perf_counter()
 
-    # Step 1: union of schemas and payloads, keyed by EqcId, sharing each
-    # input payload. For an EQC in both, the union's size also gives
-    # |p1 ∩ p2|, and a union equal to one side keeps that side's payload.
+    # Step 1: the union of schemas and payloads, sharing each input payload.
+    # For an EQC in both, the union's size also gives |p1 ∩ p2|.
     eqcs, payloads, s1_payloads, s2_eqcs = dict(s1.eqcs), dict(s1.payloads), s1.payloads, s2.eqcs
     case2 = common = 0
     for cid, schema in s2_eqcs.items():
@@ -127,17 +109,12 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
         common += len(p1) == len(p2)
         payloads[cid] = p1 if both == len(p2) else p2 if both == len(p1) else members
 
-    # Step 2: detect case 3 and append each conflicting member to the move
-    # list of the EQC of the combined schema; an EQC the union lacks waits
-    # in `new`, so the union's tables do not grow. `touched` gets the EQCs
-    # members leave, repeats and all. Scanning the smaller input's payloads
-    # against the larger input's member index finds the same conflicts at
-    # lower cost. `row` holds the move list of each pair of the scanned EQC
-    # with an EQC of the other input met so far. `unions` maps a schema side
-    # to a dict from another side to their union, so a side union repeated
-    # across pairs is computed once per merge; attribute and class sides
-    # share it. `ids` maps each combined schema, digested and checked once,
-    # to its move list.
+    # Step 2: scan the smaller input against the larger input's member index
+    # and put each case-3 member on the move list of the EQC of the combined
+    # schema; an EQC the union lacks waits in `new`. `touched` gets the EQCs
+    # members leave. `row` holds the scanned EQC's move lists by other EQC,
+    # and `unions` and `ids` are memos, so no side union or id is computed
+    # twice: sides repeat across pairs under a small label alphabet.
     members_s1 = sum(map(len, s1_payloads.values()))
     scan, other = (s1, s2) if members_s1 <= sum(map(len, s2.payloads.values())) else (s2, s1)
     get = other.member_index.get
@@ -183,14 +160,10 @@ def merge(s1: Summary, s2: Summary) -> tuple[Summary, MergeRecord]:
             touched.append(ca)
     del get, unions, ids  # step 2's index and memos go before step 3 builds
 
-    # Step 3: a touched EQC keeps its members that did not move (a touched
-    # 1-tuple lost its one) plus its move list, or goes if that is empty.
-    # Step 1 counted each case-3 member in case 2 unless S2 lacks its S1
-    # EQC, whose payload step 1 then shared as it was. A new EQC's payload
-    # waits in `new_payloads`, beside `new`; the result is one copy of each
-    # union table, sized to the EQCs left in it, with the new EQCs added.
-    # Each copy replaces its union table before the next is made, so only
-    # one table is held twice at a time.
+    # Step 3: a touched EQC keeps its members that did not move plus its move
+    # list, or goes. Step 1 counted each case-3 member in case 2 unless S2
+    # lacks its S1 EQC. A dict never shrinks, so each table is copied once,
+    # sized to the EQCs left, before the new EQCs are added.
     moved = set().union(*moves.values())
     case3 = counted = len(moved)
     for cid in dict.fromkeys(touched):

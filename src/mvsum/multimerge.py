@@ -15,13 +15,11 @@ summaries.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 from mvsum.errors import UsageError
@@ -221,24 +219,3 @@ def schedule_work(sizes: Sequence[int], strategy: Strategy) -> MergeSchedule:
     schedule.total_wall_ms = float(makespan)
     return schedule
 
-
-def write_schedule_csv(schedule: MergeSchedule, path: str | Path) -> None:
-    """Schedule rows as CSV: one line per merge step."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "left_id", "right_id", "edges_left", "edges_right", "edges_out", "wall_ms", "case1", "case2", "case3"])
-        for i, step in enumerate(schedule.steps):
-            r = step.record
-            stats = r.stats
-            w.writerow([
-                i,
-                step.left,
-                step.right,
-                r.edges_s1,
-                r.edges_s2,
-                r.edges_out,
-                f"{r.wall_ms:.3f}",
-                stats.case1 if stats else "",
-                stats.case2 if stats else "",
-                stats.case3 if stats else "",
-            ])

@@ -7,26 +7,19 @@ at most one line in memory, so files can be arbitrarily large. Input is
 decoded with `errors="surrogateescape"`, and one check, `_checked_text`,
 refuses a line that holds a surrogate before any pattern sees it.
 
-Each raw line, line end included, is matched by one compiled whole-line
-pattern that covers the whole accepted grammar, with escape bodies spelled
-as a branch (possessive `*+` is a syntax error before Python 3.11). Only
-groups that hold a `\\` are unescaped, and a printable literal on a line
-without one is kept as matched. Only a line the pattern rejects is
-stripped, skipped if blank or a comment, or else handed to the term-by-term
-tokenizer, which finds where parsing stopped and raises a ParseError with
-the line, the column and the reason. An IRI escape that decodes to a
-character the writer refuses (such as `\\u0020`), or to a lone surrogate
-(U+D800 to U+DFFF), is a ParseError too, so every statement the parser
-accepts can be written back. So is an `rdf:type` statement whose object is
+A malformed line raises a ParseError with its line, column and reason. So
+does an IRI escape that decodes to a character the writer refuses (such as
+`\\u0020`) or to a lone surrogate, so that every statement the parser
+accepts can be written back, and an `rdf:type` statement whose object is
 not an IRI, since the graph model has no place for a literal or blank
 class.
 
 A triple is three strings. The subject and the object are N-Triples term
 text: `<iri>` with its escapes decoded, `_:label` with the label
 normalized, or a literal spelled as `triple_line` writes it. The predicate
-is its bare IRI, the label the graph keeps. Each `parse_ntriples` call
-keeps its own dict of predicate strings, so the statements of one parse
-share one string per predicate; nothing is cached across calls.
+is its bare IRI, the label the graph keeps. The statements of one
+`parse_ntriples` call share one string per predicate; nothing is kept
+across calls.
 """
 
 from __future__ import annotations

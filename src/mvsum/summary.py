@@ -121,13 +121,10 @@ class Summary:
 @paused()
 def summarize(g: Graph, model: Model) -> Summary:
     """Summarize a whole graph: every vertex lands in exactly one EQC."""
-    # Group vertices by their schema first, so its digest is computed once
-    # per EQC, not per vertex; each group list is popped as it becomes its
-    # payload. A dict does not shrink as it empties, so each time three
-    # quarters of the groups left are popped, the rest move to a table sized
-    # for them. The graph's label tuples are already sorted, so they are the
-    # schema sides as they stand. A side the model omits is read from an
-    # empty map, so it is () for every vertex.
+    # Group vertices by schema first, so a digest is computed once per EQC.
+    # The graph's label tuples are sorted, so they are schema sides as they
+    # stand. A dict does not shrink as it empties, so the groups left move to
+    # a table sized for them each time three quarters are popped.
     out_labels = g.out_labels if model.wants_attributes else {}
     vertex_labels = g.vertex_labels if model.wants_classes else {}
     groups: dict[Schema, list[str]] = {}

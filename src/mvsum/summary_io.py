@@ -1,11 +1,9 @@
 """Summary files: N-Triples with a fixed `urn:mvs:` vocabulary.
 
-Line 1 is a comment header carrying the model, so that a reader can refuse
-unsafe merges, and the digest name, always `sha256`. The reader refuses a
-file that names any other at line 1, verified or not: its ids would never
-equal those of the same schemas in another file. Every other line is a
-plain N-Triples statement.
-Statements are emitted sorted, so equal summaries serialize to equal bytes.
+Line 1 is a comment header naming the model, so that a reader can refuse
+unsafe merges, and the digest, always `sha256`. A file naming any other is
+refused at line 1, verified or not: its ids would never equal those of the
+same schemas in another file. Every other line is one statement:
 
     # mvs-summary v1 model=ACC digest=sha256
     <urn:mvs:eqc:HEX> <urn:mvs:attribute> <pred-IRI> .
@@ -14,70 +12,27 @@ Statements are emitted sorted, so equal summaries serialize to equal bytes.
     <urn:mvs:payload:HEX> <urn:mvs:member> <member> .
     <urn:mvs:payload:HEX> <urn:mvs:count> "n"^^<...#integer> .
 
-The writer builds that order instead of sorting the whole file. It sorts
-the EQC subjects `<urn:mvs:eqc:ID>` as whole strings and emits, subject by
-subject, that subject's lines (attributes, classes, `payload`) sorted; then,
-for the same subjects in the same order, each payload subject's lines
-(`count`, members) sorted. This is the order of one sort of all lines:
-no IRI holds `>`, so no subject is a prefix of another and lines group by
-subject; `<urn:mvs:eqc:` sorts before `<urn:mvs:payload:`; and a payload
-subject holds its EQC's id, so the payload subjects sort like the EQC
-subjects. Whole lines and whole subjects are compared, never bare IRIs:
-`<urn:a/b> .` sorts before `<urn:a> .`, and the subject of id `ab!` before
-that of `ab`. Bare ids sort like their subjects unless one id is a prefix
-of another, and then some id is a prefix of the id after it in bare order;
-so the writer sorts the bare ids and, only when it finds such a neighbour,
-sorts them again as `ID>`, the subject's tail. `save_summary` writes the
-lines in chunks of about a thousand, so the writer holds one chunk and one
-subject's lines, never the whole file, and renames a temporary file beside
-the target onto it at the end, so the target is never a part. The writer
-checks every IRI and member, as the API may give it text never parsed, in
-file order, so the first bad id, label or member is named. An id is
-searched bare, as `urn:mvs:eqc:` holds no character an IRI excludes. A
-label is checked only when first met, in a set emptied at `_CHUNK_LINES`
-labels, so a predicate on thousands of lines is checked about once per
-chunk. A payload of one member, the most common, is written as its `count`
-line and then its member line, which sorts after it, with no list and no
-sort; each subject's lines go straight into the chunk.
+The writer emits the statements in the order of one sort of all lines, so
+equal summaries serialize to equal bytes. It checks every id, label and
+member in file order, as the API may give it text never parsed, so the
+first bad one is named. It holds one chunk of about `_CHUNK_LINES` lines,
+never the whole file, and `save_summary` replaces its target atomically.
 
-The reader takes the lines `_BATCH` at a time and reads each batch, joined,
-with one `findall` of one compiled pattern for these five shapes as the
-writer formats them: a row of groups per line, built in C. A match is one
-whole line, and a line holds no `\n` but its last character, so as many
-matches as lines means every line matched. Its member is `_MEMBER`, the
-writer's rule, kept as the text it is; the rest is grouped by the EQC id
-string, which is also its payload's id: an EQC's `payload` statement must
-name `urn:mvs:payload:` and the EQC's own id, as every writer has. A batch
-with fewer matches, whose first line does not match (so a file in another
-spelling costs no `findall`) or whose text is not UTF-8 is read line by
-line, each line matched on its own into the same row. A line the pattern
-rejects (a comment, a blank line, other spacing, an escape, a non-plain
-blank label, CRLF, a foreign statement or garbage) goes, on its own,
-through `parse_ntriples`, whose terms come out as the writer spells them;
-`triple_line` joins them into a line that meets the same pattern, so one
-grammar and one set of checks serve every path; a line it still rejects is
-an unexpected statement. One loop reads the rows of both paths, and an
-error in one statement names its physical line, the header being line 1:
-so do an attribute under CC, a class under AC, a count that is not a plain
-decimal and a second, differing count of one payload. After the last line
-come, in this order: EQCs without a payload, named at the first statement
-of the first such EQC; then, EQC by EQC in id order, an id that does not
-match its schema, an empty payload, a payload without a count, a count
-that disagrees with the members and a member already in another EQC, named
-at the EQC's `payload` statement or, for the count, its payload's `count`
-statement; last, payloads attached to no EQC, named at their first
-`member` or `count` statement. `load_summary` reads its file once; on the
-per-line path, lines that are not ASCII pass `ntriples._checked_text`
-first.
-
-Within one `read_summary` call each id and each label is one string: a
-local dict, read only where the subject changes, maps every copy to the
-first, so an EQC's id is one object in `eqcs`, `payloads` and the loader's
-dicts, and a predicate on thousands of lines is one string. A schema side
-is a list, made a tuple (sorted and deduplicated if it holds two or more
-labels) when its EQC is built, and a payload's members a list, made its
-payload (`summary.as_payload`) where the count is checked; so statements
-may come in any order and any number of times. Nothing is kept across calls.
+The reader takes the statements in any order, any number of times and in
+any spelling `parse_ntriples` accepts, but an EQC's `payload` statement
+must name `urn:mvs:payload:` and the EQC's own id. An error in one
+statement names its physical line, the header being line 1: so do an
+attribute under CC, a class under AC, a count that is not a plain decimal
+and a second, differing count of one payload. After the last line come, in
+this order: EQCs without a payload, named at the first statement of the
+first such EQC; then, EQC by EQC in id order, an id that does not match its
+schema, an empty payload, a payload without a count, a count that disagrees
+with the members and a member already in another EQC, named at the EQC's
+`payload` statement or, for the count, its payload's `count` statement;
+last, payloads attached to no EQC, named at their first `member` or `count`
+statement. One call holds what it has read so far, grouped, and keeps
+nothing once it returns; equal ids and labels of one file are one string in
+its result.
 
 `read_summary`, `format_summary` and `save_summary` run with the cyclic
 collector paused (see `mvsum._collector`).
@@ -116,18 +71,11 @@ _CHUNK_LINES = 1024
 _COUNT = re.compile(r"[0-9]+")
 
 # The five statement shapes exactly as the writer spells them, which is how
-# `triple_line` joins a parsed line, as a row: a match is one whole line,
-# from `^` (under `re.M`) to its `\n` or the end of the text, and its groups
+# `triple_line` joins a parsed line: one match is one whole line. Its groups
 # are (EQC id, side word, label, payload id, member, `count` word, count
-# body). `findall` gives a group that took no part as "", and an id, a label
-# or a count body may be empty too, so the shape is told by the groups that
-# never are: the side word (`attribute` or `class`) on an EQC's label line,
-# the member, the `count` word, and none of them on an EQC's `payload` line,
-# whose object is `urn:mvs:payload:` and the EQC's own id (`\1`). An IRI
-# here holds no escape, so its text is its value, and a member's text is the
-# member. A count is any literal body the parser spells unescaped, so that
-# the count check, not the pattern, refuses a body that is not a plain
-# decimal.
+# body). An id, a label or a count body may be empty, so a shape is told by
+# the groups that never are. A count is any unescaped literal body, so that
+# the count check, not the pattern, refuses one that is not a plain decimal.
 _PLAIN_IRI = f"{_IRI_CHAR}*"
 _MEMBER = re.compile(rf"<{_PLAIN_IRI}>|_:[A-Za-z0-9]+")
 _STATEMENT = re.compile(
@@ -161,19 +109,13 @@ def _bad_member(m: str) -> ValueError:
 
 
 def _statement_chunks(summary: Summary) -> Iterator[str]:
-    """The file text: the header line, then the statements in file order.
-
-    Each subject's lines are sorted: first every EQC subject, then every
-    payload subject in the same order; the module docstring says why this
-    is the order of one global sort. The statements are joined into chunks
-    of at least `_CHUNK_LINES` lines, cut only between subjects; only the
-    last chunk may be shorter, and a summary without EQCs yields the header
-    alone.
+    """The file text: the header, then chunks of at least `_CHUNK_LINES`
+    lines, cut only between subjects; only the last may be shorter.
     """
     yield f"{header_line(summary)}\n"
-    # The checks of the module docstring. `EQC_NS` holds no character an
-    # IRI excludes, so a bare id is searched, and the payload IRI holds the
-    # same id as the checked EQC IRI.
+    # Ids sort as their subjects' tails (`ID>`) when one is a prefix of the
+    # next; the writer's order test says why. `EQC_NS` holds no character an
+    # IRI excludes, so a bare id is searched.
     cids = sorted(summary.eqcs)
     if any(b.startswith(a) for a, b in zip(cids, cids[1:])):
         cids.sort(key=lambda cid: cid + ">")
@@ -314,13 +256,11 @@ def _line_rows(lines: list[str], start: int) -> Iterator[tuple[int, tuple[str, .
 def _batch_rows(lines: list[str], start: int) -> Iterable[tuple[int, tuple[str, ...]]]:
     """The rows of `_line_rows(lines, start)`, read with one `findall` when it can.
 
-    A match is one whole line of the joined text, and a line holds no `\n`
-    but its last character, so as many matches as lines means every line
-    matched. A text with a line the pattern
-    rejects, or one that is not UTF-8 (a lone surrogate), is read line by
-    line. So is one whose first line the pattern rejects, without a
-    `findall`: in a file of another spelling (CRLF lines, other spacing)
-    every line is rejected.
+    When the text holds one physical line per item, as many matches as
+    lines means every line matched. Otherwise, or if the batch is not UTF-8,
+    it is read line by line, so an item with a `\n` inside fails as it does
+    there; one whose first line does not match (a file of another spelling)
+    costs no `findall`.
     """
     text = "".join(lines)
     if not text.isascii():
@@ -328,7 +268,7 @@ def _batch_rows(lines: list[str], start: int) -> Iterable[tuple[int, tuple[str, 
             text.encode("utf-8")
         except UnicodeEncodeError:
             return _line_rows(lines, start)
-    if _STATEMENT.match(text):
+    if _STATEMENT.match(text) and text.count("\n") == len(lines) - (not text.endswith("\n")):
         rows = _STATEMENT.findall(text)
         if len(rows) == len(lines):
             return enumerate(rows, start)
@@ -339,8 +279,8 @@ def _batch_rows(lines: list[str], start: int) -> Iterable[tuple[int, tuple[str, 
 def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     """Rebuild a summary from its file lines.
 
-    `source` yields lines, as a text file does: a line holds no `\n` but the
-    one that may end it. With `verify` (the default), every EQC id is
+    `source` yields lines, as a text file does; a line holding a `\n` before
+    its end is a format error. With `verify` (the default), every EQC id is
     recomputed from its schema and must match byte-for-byte. A header naming
     a digest other than SHA-256 is refused either way.
     """
@@ -359,12 +299,9 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
         raise SummaryFormatError(f"line 1: unsupported digest {m.group(2)!r}")
     model = Model(m.group(1))
 
-    # Keyed by the EQC id, which is also its payload's id (the text after
-    # PAYLOAD_NS). `counts` keeps its statement's line, and the `*_line`
-    # dicts the line of an id's first `payload` statement, first attribute or
-    # class, and first member, for the later checks. `one` maps each id and
-    # label string to its first copy (see the module docstring), and `last`
-    # is the line before's id. A side's list is deduplicated below.
+    # Keyed by the EQC id, which is also its payload's id. The `*_line` dicts
+    # keep the lines the checks after the last line name. `one` maps each id
+    # and label to its first copy, looked up only where the subject changes.
     want_attrs, want_classes = model.wants_attributes, model.wants_classes
     one: dict[str, str] = {}
     attrs: dict[str, list[str]] = {}

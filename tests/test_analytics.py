@@ -15,7 +15,7 @@ from mvsum.analytics import (
     linfit,
     pearson,
     write_fits_csv,
-    write_pair_records_csv,
+    write_records_csv,
 )
 from mvsum.merge import CaseStats, MergeRecord, merge
 from mvsum.summary import Model, summarize
@@ -207,12 +207,12 @@ def test_correlate_times_elog_and_errors():
 def test_csv_outputs(tmp_path):
     rows = bench_pairwise(_named_summaries(3), repeats=1)
     records_path = tmp_path / "records.csv"
-    write_pair_records_csv(rows, records_path)
+    write_records_csv(rows, records_path)
     with open(records_path, newline="") as fh:
         out = list(csv.DictReader(fh))
     assert len(out) == 6
-    assert set(out[0]) == {"pair_id", "left", "right", "edges_left", "edges_right",
-                           "edges_sum", "edges_union", "edges_out", "wall_ms", "case1", "case2", "case3"}
+    assert list(out[0]) == ["pair_id", "left", "right", "edges_left", "edges_right",
+                            "edges_sum", "edges_union", "edges_out", "wall_ms", "case1", "case2", "case3"]
     fits_path = tmp_path / "fits.csv"
     fit = RegressionFit(1.0, 0.0, 0.9, 0.81, 6)
     write_fits_csv([(Model.ACC, "E", "sum", fit)], fits_path)

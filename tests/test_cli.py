@@ -304,11 +304,11 @@ def test_merge_all_mixed_models_is_usage_error(tmp_path, capsys):
         assert run("summarize", DATA / "tiny_graph.nt", "--model", model, "-o", d / name) == 0
     capsys.readouterr()
     assert run("merge-all", d, "-o", tmp_path / "m.nt") == 2
+    # The first file that differs from the first file, with both models,
+    # named as the schedule names them; nothing is written.
     err = capsys.readouterr().err
-    assert "all summaries must share one model" in err
-    # The first file that differs from the first file, with both models.
-    assert f"{d / 'a.nt'} is model=AC, {d / 'c.nt'} is model=CC" in err
-    assert "d.nt" not in err
+    assert err == "error: all summaries must share one model: a.nt is model=AC, c.nt is model=CC\n"
+    assert not (tmp_path / "m.nt").exists()
     # A header naming another digest is no mismatch to report but a data
     # error in that file, at line 1.
     e = tmp_path / "digests"
@@ -442,7 +442,7 @@ def test_merge_all_takes_any_worker_count(tmp_path):
         assert run("merge-all", d, "--strategy", "greedy-parallel", "--workers", workers,
                    "-o", out, "--schedule", sched) == 0
         with open(sched, newline="") as fh:
-            trees.append([(row["left_id"], row["right_id"]) for row in csv.DictReader(fh)])
+            trees.append([(row["left"], row["right"]) for row in csv.DictReader(fh)])
     assert trees[0] == trees[1] and len(trees[0]) == 3
     assert (tmp_path / "m2.nt").read_bytes() == (tmp_path / f"m{2**62}.nt").read_bytes()
 

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import canonical_bytes, generate_views, graph_of, iri, least_merge_work, p, validate
-from mvsum.analytics import GenParams
+from mvsum.analytics import GenParams, write_records_csv
 from mvsum.merge import MergeConfigError
-from mvsum.multimerge import Strategy, merge_all, schedule_work, write_schedule_csv
+from mvsum.multimerge import Strategy, merge_all, schedule_work
 from mvsum.summary import Model, summarize
 
 
@@ -208,20 +208,36 @@ def test_size_ordered_schedules_match_naive_reference(sizes):
         assert [(s.left, s.right) for s in schedule.steps] == _naive_extremes_steps(sizes, largest)
 
 
+_SCHEDULE_COLUMNS = ["step", "left", "right", "edges_left", "edges_right",
+                     "edges_sum", "edges_union", "edges_out", "wall_ms", "case1", "case2", "case3"]
+
+
+def _schedule_rows(schedule, path):
+    write_records_csv(schedule.steps, path, index="step")
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_schedule_csv(tmp_path):
     views = generate_views(GenParams(3, 20, 40, 4, 2, 0.3, 0.4, 7))
     summaries = [summarize(g, Model.AC) for _, g in views]
     _, schedule = merge_all(summaries, Strategy.smallest_first())
-    path = tmp_path / "sched.csv"
-    write_schedule_csv(schedule, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _schedule_rows(schedule, tmp_path / "sched.csv")
     assert len(rows) == 2
-    assert set(rows[0]) == {"step", "left_id", "right_id", "edges_left", "edges_right",
-                            "edges_out", "wall_ms", "case1", "case2", "case3"}
+    assert list(rows[0]) == _SCHEDULE_COLUMNS
     assert rows[0]["step"] == "0"
     assert [int(row["edges_out"]) for row in rows] == [step.record.edges_out for step in schedule.steps]
+    assert sum(int(row["edges_sum"]) for row in rows) == schedule.total_work
     assert int(rows[0]["case1"]) >= 0
+
+
+def test_schedule_work_csv_has_empty_case_cells(tmp_path):
+    schedule = schedule_work([3, 1, 2], Strategy.smallest_first())
+    rows = _schedule_rows(schedule, tmp_path / "sched.csv")
+    assert list(rows[0]) == _SCHEDULE_COLUMNS
+    assert [(row["left"], row["right"], row["edges_sum"], row["wall_ms"]) for row in rows] == [
+        ("in1", "in2", "3", "3.000"), ("in0", "m1", "6", "6.000")]
+    assert all(row[case] == "" for row in rows for case in ("case1", "case2", "case3"))
 
 
 @given(st.lists(st.integers(1, 100), min_size=1, max_size=6), st.integers(0, 2**32), st.integers(1, 7))

@@ -951,6 +951,8 @@ def test_statement_pattern_agrees_with_generic_parse(lines, verify):
 
 
 @given(st.one_of(_summary_files(), _mutated_files()), st.sampled_from([1, 2, 3, 256]), st.booleans())
+@example([HEADER, EQC_LINE + "<", EQC_LINE], 1, False)
+@example([HEADER, EQC_LINE + "<", EQC_LINE], 2, False)
 @settings(max_examples=1000, deadline=None)
 def test_batch_and_per_line_reads_agree(lines, batch, verify):
     # Ended lines take `findall` a batch at a time, down to one line;
@@ -962,9 +964,15 @@ def test_batch_and_per_line_reads_agree(lines, batch, verify):
 
 # --- the writer's order against one global sort ----------------------------------
 #
-# Summaries built straight through the API and never validated, from pools
-# chosen to break a writer that compares bare ids or bare IRIs: ids and IRIs
-# where one is a prefix of another and the next character sorts below `>`.
+# The writer emits each EQC subject's sorted lines, then each payload
+# subject's, with the subjects in sorted order. That is one sort of all lines
+# because no IRI holds `>`, so no subject is a prefix of another, and
+# `<urn:mvs:eqc:` sorts before `<urn:mvs:payload:`, whose subjects hold the
+# same ids. Whole subjects and lines are compared, never bare ids or IRIs:
+# `<urn:a/b> .` sorts before `<urn:a> .`, and the subject of id `ab!` before
+# that of `ab`, so the writer sorts the ids as `ID>` once one is a prefix of
+# the next. The summaries below are built through the API and never
+# validated, from pools of such ids and IRIs.
 
 _IDS = ["abc", "abc1", "ab", "ab!", "ab=", "ab/", "abd", "a", ""]
 _IRIS = ["urn:a", "urn:a/b", "urn:a!", "urn:a=", "urn:a;", "urn:ab", "urn:a0", "urn:é"]
