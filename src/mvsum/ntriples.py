@@ -2,8 +2,8 @@
 
 This is the exchange format for both input graphs and summary files: one
 statement per line, UTF-8, `#` comment lines ignored. Only the N-Triples
-subset is supported (no Turtle prefixes); parsing is single-pass and keeps
-at most one line in memory, so files can be arbitrarily large. Input is
+subset is supported (no Turtle prefixes); parsing is single-pass and holds
+one batch of `_BATCH` (256) lines, so files can be arbitrarily large. Input is
 decoded with `errors="surrogateescape"`, and one check, `_checked_text`,
 refuses a line that holds a surrogate before any pattern sees it.
 
@@ -25,6 +25,8 @@ across calls.
 from __future__ import annotations
 
 import re
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from mvsum.errors import DataError
@@ -67,10 +69,8 @@ def _blank(label: str) -> str:
 
 
 # --- tokenizing --------------------------------------------------------------
-# One spelling per grammar piece, for every pattern here and `_STATEMENT`.
-# The writer refuses the characters IRIs exclude. An unescaped IRIREF body
-# cannot hold one; a UCHAR escape can, and is rejected at parse time so that
-# everything the parser accepts can be written back.
+# One spelling per grammar piece, for every pattern here and `_STATEMENT`;
+# only `_ROW` spells its IRIs by the ASCII characters `_IRI_CHAR` admits.
 _IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
 _IRI_CHAR = f"[^{_IRI_EXCLUDED}]"
 _IRI_FORBIDDEN = re.compile(f"[{_IRI_EXCLUDED}]")
@@ -159,10 +159,8 @@ _TYPE_OBJECT = "rdf:type object must be an IRI"
 
 
 def _tokenize_line(text: str, line: int) -> Triple:
-    """Parse one statement term by term; the reference for the `_LINE` path.
-
-    Slower than the whole-line pattern, but it knows where parsing stopped,
-    so its ParseError carries the exact column and reason.
+    """Parse one statement term by term: slower than `_LINE`, but it knows
+    where parsing stopped, so its ParseError has the exact column and reason.
     """
     pos = _skip_ws(text, 0)
     subj, pos = _parse_term(text, pos, line, as_subject=True, as_predicate=False)
@@ -188,10 +186,8 @@ def _tokenize_line(text: str, line: int) -> Triple:
 # ECHAR escapes; `_unescape` then raises, at the tokenizer's column, for a \U
 # beyond U+10FFFF or an escaped IRI character the writer refuses. A blank
 # node label or language tag cannot end where the next part begins, so
-# backtracking never finds a split the tokenizer would not. Groups: subject,
-# its blank label, predicate IRI, object, its blank label, literal body, then
-# datatype | language tag. A subject or object group is the term's text.
-# A raw line matches with its line end, any run of CR and LF.
+# backtracking never finds a split the tokenizer would not. A subject or
+# object group is the term's text. A raw line matches with its line end.
 _LINE = re.compile(
     rf"[ \t]*(<{_IRI_BODY}>|_:({_LABEL}))"
     rf"[ \t]*<({_IRI_BODY})>"
@@ -200,6 +196,17 @@ _LINE = re.compile(
     re.DOTALL,
 )
 
+
+# One line whose groups are its Triple's text: no `\`, ASCII IRIs, plain blank
+# labels, literal bodies without control characters, an IRI `rdf:type` object.
+_ASCII_IRI = r"[!#-;=?-\[\]_a-z~\x7f]*"
+_ROW = re.compile(
+    rf"^[ \t]*(<{_ASCII_IRI}>|_:[A-Za-z0-9]+)"
+    rf"[ \t]*<({_ASCII_IRI})>(?:(?<!<{re.escape(RDF_TYPE)}>)|(?=[ \t]*<))"
+    rf'[ \t]*(<{_ASCII_IRI}>|_:[A-Za-z0-9]+|"[^"\\\x00-\x1f\x7f]*"(?:\^\^<{_ASCII_IRI}>|@{_LANG})?)'
+    r"[ \t]*\.[ \t]*(?:#[^\n]*)?\r*(?:\n|\Z)",
+    re.M,
+)
 
 # Builds an exact Triple without the NamedTuple constructor's frame.
 _new = tuple.__new__
@@ -252,37 +259,76 @@ def _checked_text(raw: str, line: int) -> str:
     raise ParseError(f"lone surrogate U+{ord(raw[col]):04X}", line, col + 1)
 
 
-def parse_ntriples(
-    source: Iterable[str],
-    on_error: Callable[[ParseError], None] | None = None,
-    start: int = 1,
-) -> Iterator[Triple]:
+def _line_triple(raw: str, line: int, predicates: dict[str, str]) -> Triple | None:
+    """The triple of one raw line, None for a blank or comment line."""
+    if not raw.isascii():
+        raw = _checked_text(raw, line)
+    if (m := _LINE.fullmatch(raw)) is not None:
+        return _matched(m, line, predicates)
+    text = raw.rstrip("\r\n")
+    return None if text.lstrip(" \t")[:1] in ("", "#") else _tokenize_line(text, line)
+
+
+def _line_triples(lines: list[str], on_error: Callable[[ParseError], None] | None, start: int, predicates: dict[str, str]) -> Iterator[Triple]:
+    for lineno, raw in enumerate(lines, start):
+        try:
+            if (t := _line_triple(raw, lineno, predicates)) is not None:
+                yield t
+        except ParseError as err:
+            if on_error is None:
+                raise
+            on_error(err)
+
+
+# Lines per `findall`, in both readers: the fastest of the sizes tried.
+_BATCH = 256
+
+
+def _batch_rows(lines: list[str], pattern: re.Pattern[str]) -> list | None:
+    """`pattern.findall` of the joined `lines`, `pattern` matching one whole
+    line; None unless the text is UTF-8 and each string is one line that
+    matches. A batch whose first line fails (another spelling) costs no `findall`.
+    """
+    text = "".join(lines)
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    if pattern.match(text) and (newlines := text.count("\n")) == len(lines) - (not text.endswith("\n")):
+        rows = pattern.findall(text)
+        # With every `\n` at the end of a string, a row per string is a row per line.
+        if len(rows) == len(lines) and "".join(map(itemgetter(slice(-1, None)), lines)).count("\n") == newlines:
+            return rows
+    return None
+
+
+def _batches(source: Iterable[str], on_error: Callable[[ParseError], None] | None, start: int) -> Iterator[Iterable[Triple]]:
+    predicates: dict[str, str] = {}
+    pred = predicates.setdefault
+    it = iter(source)
+    while lines := list(islice(it, _BATCH)):
+        rows = _batch_rows(lines, _ROW)
+        if rows is None:
+            yield _line_triples(lines, on_error, start, predicates)
+        else:
+            yield [_new(Triple, (s, pred(p, p), o)) for s, p, o in rows]
+        start += len(lines)
+
+
+def parse_ntriples(source: Iterable[str], on_error: Callable[[ParseError], None] | None = None, start: int = 1) -> Iterator[Triple]:
     """Yield triples from N-Triples text, one statement per line.
 
     `source` is any iterable of lines, such as a file opened with
-    `errors="surrogateescape"`. Each line, after `_checked_text`, is matched
-    with its line end; only a line the pattern rejects is stripped, skipped
-    if blank or a `#` comment, and tokenized. A malformed line raises
-    ParseError; passing `on_error` switches to skip-and-count mode, where the
+    `errors="surrogateescape"`; it is read `_BATCH` lines at a time. A
+    malformed line raises ParseError after the triples of the lines before
+    it; passing `on_error` switches to skip-and-count mode, where the
     handler receives each error and parsing continues with the next line.
     `start` is the line number of the first line, for a caller that has
     already read the lines before it. Blank node labels are not namespaced:
     `_:b` names one node in every source.
     """
-    predicates: dict[str, str] = {}
-    for lineno, raw in enumerate(source, start=start):
-        try:
-            if not raw.isascii():
-                raw = _checked_text(raw, lineno)
-            m = _LINE.fullmatch(raw)
-            if m is not None:
-                yield _matched(m, lineno, predicates)
-            elif (text := raw.rstrip("\r\n")).lstrip(" \t")[:1] not in ("", "#"):
-                yield _tokenize_line(text, lineno)
-        except ParseError as err:
-            if on_error is None:
-                raise
-            on_error(err)
+    return chain.from_iterable(_batches(source, on_error, start))
 
 
 # --- writing -----------------------------------------------------------------

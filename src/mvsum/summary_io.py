@@ -50,7 +50,8 @@ from typing import Iterable, Iterator
 
 from mvsum._collector import paused
 from mvsum.errors import DataError
-from mvsum.ntriples import XSD_INTEGER, _IRI_CHAR, _IRI_FORBIDDEN, ParseError, _checked_iri, _checked_text, parse_ntriples, triple_line
+from mvsum.ntriples import XSD_INTEGER, _BATCH, _IRI_CHAR, _IRI_FORBIDDEN, ParseError, _checked_iri, _checked_text, _line_triple, triple_line
+from mvsum.ntriples import _batch_rows as _findall_rows
 from mvsum.summary import Model, Summary, as_payload, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
@@ -88,8 +89,6 @@ _STATEMENT = re.compile(
     r")) \.(?:\n|\Z)",
     re.M,
 )
-# Lines per `findall`: the fastest of the sizes tried.
-_BATCH = 256
 
 
 class SummaryFormatError(DataError):
@@ -216,12 +215,9 @@ def save_summary(summary: Summary, path: str | Path) -> None:
 
 
 def _respelled(raw: str, lineno: int) -> str | None:
-    """A line `_STATEMENT` rejects, parsed and joined by `triple_line`.
-
-    None means a blank or comment line.
-    """
+    """A line `_STATEMENT` rejects, parsed and joined by `triple_line`; None if blank or a comment."""
     try:
-        triple = next(parse_ntriples((raw,), start=lineno), None)
+        triple = _line_triple(raw, lineno, {})
     except ParseError as exc:
         raise SummaryFormatError(f"bad statement: {exc}") from exc
     return None if triple is None else triple_line(triple)
@@ -230,10 +226,8 @@ def _respelled(raw: str, lineno: int) -> str | None:
 def _line_rows(lines: list[str], start: int) -> Iterator[tuple[int, tuple[str, ...]]]:
     """(line number, `_STATEMENT` row) of each statement in `lines`, one line at a time.
 
-    `start` is the first line's number. A line the pattern rejects is
-    spelled again by `_respelled`; a blank or comment line gives no row.
-    Rows come as the lines are read, so a line's error comes after the rows
-    of the lines before it.
+    `start` is the first line's number; a blank or comment line gives no
+    row. A line's error comes after the rows of the lines before it.
     """
     match = _STATEMENT.fullmatch
     for lineno, raw in enumerate(lines, start):
@@ -254,25 +248,9 @@ def _line_rows(lines: list[str], start: int) -> Iterator[tuple[int, tuple[str, .
 
 
 def _batch_rows(lines: list[str], start: int) -> Iterable[tuple[int, tuple[str, ...]]]:
-    """The rows of `_line_rows(lines, start)`, read with one `findall` when it can.
-
-    When the text holds one physical line per item, as many matches as
-    lines means every line matched. Otherwise, or if the batch is not UTF-8,
-    it is read line by line, so an item with a `\n` inside fails as it does
-    there; one whose first line does not match (a file of another spelling)
-    costs no `findall`.
-    """
-    text = "".join(lines)
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            return _line_rows(lines, start)
-    if _STATEMENT.match(text) and text.count("\n") == len(lines) - (not text.endswith("\n")):
-        rows = _STATEMENT.findall(text)
-        if len(rows) == len(lines):
-            return enumerate(rows, start)
-    return _line_rows(lines, start)
+    """The rows of `_line_rows(lines, start)`, read with one `findall` when it can."""
+    rows = _findall_rows(lines, _STATEMENT)
+    return _line_rows(lines, start) if rows is None else enumerate(rows, start)
 
 
 @paused()

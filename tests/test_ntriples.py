@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import random
 import re
 from pathlib import Path
 
@@ -233,16 +234,24 @@ def test_surrogate_escaped_bytes_are_invalid_utf8():
 
 
 def test_parsing_is_streaming():
-    consumed = []
+    # The parser holds one batch of lines, whether the batch takes `findall`
+    # (ended lines) or is read line by line (bare lines).
+    for end in ("\n", ""):
+        consumed = []
 
-    def lines():
-        for i in range(1000):
-            consumed.append(i)
-            yield f"<urn:s{i}> <urn:p> <urn:o{i}> ."
+        def lines():
+            for i in range(1000):
+                consumed.append(i)
+                yield f"<urn:s{i}> <urn:p> <urn:o{i}> .{end}"
 
-    it = parse_ntriples(lines())
-    next(it)
-    assert len(consumed) == 1
+        it = parse_ntriples(lines())
+        assert next(it) == Triple("<urn:s0>", "urn:p", "<urn:o0>")
+        assert len(consumed) <= ntriples._BATCH
+        for _ in range(ntriples._BATCH - 1):
+            next(it)
+        # A full batch read; the next triple may read one more, and no further.
+        assert next(it) == Triple(f"<urn:s{ntriples._BATCH}>", "urn:p", f"<urn:o{ntriples._BATCH}>")
+        assert len(consumed) <= 2 * ntriples._BATCH
 
 
 def test_serialize_literal_quote_escaped():
@@ -423,18 +432,20 @@ def test_line_pattern_agrees_with_tokenizer(line):
 
 
 def test_predicate_string_shared_within_one_parse_only():
-    lines = ['<urn:a> <urn:p> <urn:b> .', '_:x <urn:p> "v" .', '<urn:c> <urn:q> <urn:b> .']
-    first = list(parse_ntriples(lines))
-    second = list(parse_ntriples(list(lines)))
-    assert first == second
-    for triples in (first, second):
-        for t in triples:
-            _assert_exact_types(t)
-        # Equal predicates of one parse are one object.
-        assert triples[0].predicate is triples[1].predicate
-    # A second parse builds its own: nothing is cached across calls.
-    assert second[0].predicate is not first[0].predicate
-    assert second[2].predicate is not first[2].predicate
+    # Bare lines are read line by line, ended ones by one `findall`.
+    for end in ("", "\n"):
+        lines = [line + end for line in ['<urn:a> <urn:p> <urn:b> .', '_:x <urn:p> "v" .', '<urn:c> <urn:q> <urn:b> .']]
+        first = list(parse_ntriples(lines))
+        second = list(parse_ntriples(list(lines)))
+        assert first == second
+        for triples in (first, second):
+            for t in triples:
+                _assert_exact_types(t)
+            # Equal predicates of one parse are one object.
+            assert triples[0].predicate is triples[1].predicate
+        # A second parse builds its own: nothing is cached across calls.
+        assert second[0].predicate is not first[0].predicate
+        assert second[2].predicate is not first[2].predicate
 
 
 # --- the raw line first ----------------------------------------------------------
@@ -488,20 +499,131 @@ def test_written_lines_take_the_pattern(triples):
         assert round_trip(triples) == triples
 
 
-def test_benchmark_lines_take_the_pattern(monkeypatch):
-    # The lines of the benchmark's `ingest` graph, at a small size: IRIs,
-    # plain, tagged and typed literals, and rdf:type statements.
+def _benchmark_lines(monkeypatch):
+    """(tag, lines) of small views of the benchmark's `ingest` and `fold` graph shapes."""
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     import gen
     import run
 
-    shape = dataclasses.replace(run.INGEST, edges=600, vertices=200)
-    lines = io.StringIO(gen.make_view(shape, 1, "ingest", 0).text).readlines()
+    for shape, tag in ((run.INGEST, "ingest"), (run.FOLD, "fold")):
+        small = dataclasses.replace(shape, edges=600, vertices=200)
+        yield tag, io.StringIO(gen.make_view(small, 1, tag, 0).text).readlines()
+
+
+def test_benchmark_lines_take_the_pattern(monkeypatch):
+    # IRIs, plain, tagged and typed literals, and rdf:type statements.
+    _, lines = next(_benchmark_lines(monkeypatch))
     expected = [_tokenize_line(line.rstrip("\n"), 1) for line in lines]
     monkeypatch.setattr(ntriples, "_tokenize_line", _no_tokenizer)
     assert list(parse_ntriples(lines)) == expected
     assert any(t.object.startswith('"') for t in expected)
+
+
+def test_benchmark_lines_take_the_batch_path(monkeypatch):
+    def per_line(raw, line, predicates):
+        raise AssertionError(f"line {line} was read on its own: {raw!r}")
+
+    for tag, lines in _benchmark_lines(monkeypatch):
+        expected = [_tokenize_line(line.rstrip("\n"), 1) for line in lines]
+        assert len(lines) > 2 * ntriples._BATCH and len(lines) % ntriples._BATCH, tag
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ntriples, "_line_triple", per_line)
+            assert list(parse_ntriples(lines)) == expected, tag
+
+
+# --- batches against the per-line reader ---------------------------------------
+#
+# `parse_ntriples` reads `_BATCH` lines with one `findall` of `_ROW` when
+# every line is one it takes, and otherwise reads the batch line by line.
+# Either way a caller must see what the per-line reader alone gives.
+
+def _canonical_line(rng: random.Random, k: int) -> str:
+    s = rng.choice([f"<urn:s{k % 97}>", f"_:b{k % 13}"])
+    p = f"<urn:p{rng.randrange(5)}>"
+    return rng.choice([
+        f"{s} {p} <urn:o{k}> .\n",
+        f'{s} {p} "value {k}" .\n',
+        f'{s} {p} "{k}"^^<http://www.w3.org/2001/XMLSchema#integer> .\n',
+        f'{s} {p} "label"@en-GB .\n',
+        f"{s} {p} _:b{k % 7} .\n",
+        f"{s} <{RDF_TYPE}> <urn:c{k % 3}> .\n",
+    ])
+
+
+_LINE_A, _LINE_B = "<urn:a> <urn:p> <urn:b> .", '_:c <urn:p> "d" .'
+# Lines off the canonical mix, each ended as it stands: the per-line reader
+# takes some, skips some and refuses the rest; `_ROW` takes almost none.
+_ODD_LINES = [
+    "# a comment\n", "\n", " \t\n", "", _LINE_A, _LINE_A + "\r", _LINE_A + "\r\n", _LINE_A + " # note\r\n",
+    f"{_LINE_A}\n{_LINE_B}", f"{_LINE_A}\n{_LINE_B}\n", f"{_LINE_A}\nx", f"{_LINE_A} # a\n{_LINE_B}\n",
+    "_:a.b <urn:p> <urn:o> .\n", "_:a_b <urn:p> <urn:o> .\n", "<urn:a> <urn:p> _:a-b .\n", "<urn:a> <urn:p> _:a_b .\n",
+    '<urn:a> <urn:p> "x\ty" .\n', '<urn:a> <urn:p> "x\x01y" .\n', '<urn:a> <urn:p> "x\x7fy" .\n',
+    r'<urn:\u0061> <urn:p> "a\nb" .' + "\n", '<urn:é> <urn:p> "東" .\n', '<urn:a> <urn:p> "é" .\n',
+    '<urn:a> <urn:p> <urn:\udcff> .\n',
+    f'<urn:a> <{RDF_TYPE}> "c" .\n', f"<urn:a> <{RDF_TYPE}> _:c .\n",
+    "<urn:a> <urn:p> .\n", "<urn:a> <urn:p> <urn:b>\n", "<urn:a> <urn:p> <urn:b> . x\n", '"l" <urn:p> <urn:b> .\n',
+    "<urn:a b> <urn:p> <urn:c> .\n", r"<urn:a> <urn:p> <urn:\u0020> ." + "\n", "x <urn:a> <urn:p> <urn:b> .\n",
+]
+
+
+def _source(n: int, seed: int, faults: list[tuple[int, str]], ended: bool = True) -> list[str]:
+    rng = random.Random(seed)
+    lines = [_canonical_line(rng, k) for k in range(n)]
+    for at, line in faults:
+        lines[at % n] = line
+    if not ended:
+        lines[-1] = lines[-1].rstrip("\n")
+    return lines
+
+
+@st.composite
+def _sources(draw):
+    n = draw(st.integers(1, 600))
+    faults = draw(st.lists(st.tuples(st.integers(0, 599), st.sampled_from(_ODD_LINES)), max_size=6))
+    return _source(n, draw(st.integers(0, 2**16)), faults, draw(st.booleans()))
+
+
+def _per_line(lines, on_error=None):
+    predicates = {}
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            t = ntriples._line_triple(raw, lineno, predicates)
+        except ParseError as err:
+            if on_error is None:
+                raise
+            on_error(err)
+            continue
+        if t is not None:
+            yield t
+
+
+def _seen(parse, lines, skip):
+    """Triples and errors in the order the caller meets them."""
+    seen = []
+    handler = (lambda err: seen.append(("error", err.line, err.col, err.reason))) if skip else None
+    try:
+        for t in parse(lines, handler):
+            _assert_exact_types(t)
+            seen.append(t)
+    except ParseError as err:
+        seen.append(("raised", err.line, err.col, err.reason))
+    return seen
+
+
+# Faults at lines 255, 256 and 257, about the end of the first batch, then
+# strings that are not one line each.
+@given(_sources(), st.booleans())
+@example(_source(600, 1, [(254, "<urn:a> <urn:p> .\n")]), False)
+@example(_source(600, 1, [(255, "<urn:a> <urn:p> .\n")]), False)
+@example(_source(600, 1, [(256, "<urn:a> <urn:p> .\n")]), True)
+@example(_source(600, 1, [(254, "<urn:a> <urn:p> .\n"), (256, "# c\n")]), True)
+@example([f"{_LINE_A}\n{_LINE_B}", "\n"], False)
+@example([f"{_LINE_A}\n{_LINE_B}\n", "\n"], True)
+@example([_LINE_A + "\n", "", _LINE_B + "\n"], False)
+@settings(max_examples=1000, deadline=None)
+def test_batch_and_per_line_parses_agree(lines, skip):
+    assert _seen(parse_ntriples, lines, skip) == _seen(_per_line, lines, skip)
 
 
 # A literal on a line without `\` keeps its matched text when its body is

@@ -962,6 +962,17 @@ def test_batch_and_per_line_reads_agree(lines, batch, verify):
         assert _load_outcome([line + "\n" for line in bare], verify) == _load_outcome(bare, verify)
 
 
+
+@pytest.mark.parametrize("batch", [1, 256])
+def test_a_string_of_two_lines_fails_in_a_batch(batch):
+    # The blank line after it keeps the batch's `\n` count equal to its
+    # strings, yet the string is not one line, so it fails at its line.
+    head, eqc, count, member = _one_member_file("<urn:x:a>")
+    lines = [head, eqc + count.rstrip("\n"), "\n", member]
+    with mock.patch.object(summary_io, "_BATCH", batch):
+        with pytest.raises(SummaryFormatError, match="^bad statement: line 2, col 56: trailing garbage after '.'$"):
+            read_summary(lines)
+
 # --- the writer's order against one global sort ----------------------------------
 #
 # The writer emits each EQC subject's sorted lines, then each payload
