@@ -5,7 +5,9 @@ statement per line, UTF-8, `#` comment lines ignored. Only the N-Triples
 subset is supported (no Turtle prefixes); parsing is single-pass and holds
 one batch of `_BATCH` (256) lines, so files can be arbitrarily large. Input is
 decoded with `errors="surrogateescape"`, and one check, `_checked_text`,
-refuses a line that holds a surrogate before any pattern sees it.
+refuses a line that holds a surrogate before any pattern sees it. A row
+pattern reads each line spelled as `triple_line` writes it, and the term
+tokenizer, the one decoder of escapes, reads any other.
 
 A malformed line raises a ParseError with its line, column and reason. So
 does an IRI escape that decodes to a character the writer refuses (such as
@@ -70,7 +72,8 @@ def _blank(label: str) -> str:
 
 # --- tokenizing --------------------------------------------------------------
 # One spelling per grammar piece, for every pattern here and `_STATEMENT`;
-# only `_ROW` spells its IRIs by the ASCII characters `_IRI_CHAR` admits.
+# only `_ROW` spells its IRIs by the ASCII characters `_IRI_CHAR` admits, and
+# only the row patterns spell their literal bodies as the writer does.
 _IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
 _IRI_CHAR = f"[^{_IRI_EXCLUDED}]"
 _IRI_FORBIDDEN = re.compile(f"[{_IRI_EXCLUDED}]")
@@ -80,8 +83,6 @@ _UCHAR = rf"u{_H}{{4}}|U{_H}{{8}}"
 # an escape-free body sets up no general repeat. Possessive `*+` is at most a
 # few percent faster, and it is a syntax error before Python 3.11.
 _IRI_BODY = rf"{_IRI_CHAR}*(?:\\(?:{_UCHAR})(?:{_IRI_CHAR}|\\(?:{_UCHAR}))*|)"
-_STR_ESC = rf"""\\(?:[tbnrf"'\\]|{_UCHAR})"""
-_STR_BODY = rf'[^"\\\n\r]*(?:{_STR_ESC}(?:[^"\\\n\r]|{_STR_ESC})*|)'
 _LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
 _LANG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
@@ -117,7 +118,7 @@ def _unescape(raw: str, line: int, col: int, iri: bool = False) -> str:
             raise ParseError(f"escaped character {ch!r} not allowed in IRI", line, col + m.start())
         return ch
 
-    return _UNESCAPE.sub(repl, raw)
+    return _UNESCAPE.sub(repl, raw) if "\\" in raw else raw
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -159,8 +160,8 @@ _TYPE_OBJECT = "rdf:type object must be an IRI"
 
 
 def _tokenize_line(text: str, line: int) -> Triple:
-    """Parse one statement term by term: slower than `_LINE`, but it knows
-    where parsing stopped, so its ParseError has the exact column and reason.
+    """Parse one statement term by term, decoding escapes: slower than a row,
+    but it knows where parsing stopped, so its ParseError has the exact column.
     """
     pos = _skip_ws(text, 0)
     subj, pos = _parse_term(text, pos, line, as_subject=True, as_predicate=False)
@@ -181,67 +182,29 @@ def _tokenize_line(text: str, line: int) -> Triple:
     return Triple(subj, pred, obj)
 
 
-# The whole statement grammar `_tokenize_line` accepts, as one pattern, with
-# the same parts in the same order. Its escape bodies admit only UCHAR and
-# ECHAR escapes; `_unescape` then raises, at the tokenizer's column, for a \U
-# beyond U+10FFFF or an escaped IRI character the writer refuses. A blank
-# node label or language tag cannot end where the next part begins, so
-# backtracking never finds a split the tokenizer would not. A subject or
-# object group is the term's text. A raw line matches with its line end.
-_LINE = re.compile(
-    rf"[ \t]*(<{_IRI_BODY}>|_:({_LABEL}))"
-    rf"[ \t]*<({_IRI_BODY})>"
-    rf'[ \t]*(<{_IRI_BODY}>|_:({_LABEL})|"({_STR_BODY})"(?:\^\^<({_IRI_BODY})>|@({_LANG}))?)'
-    r"[ \t]*\.[ \t]*(?:#.*)?[\r\n]*",
-    re.DOTALL,
-)
+# One line whose groups are its Triple's text, IRIs spelled by `iri`: plain
+# blank labels, literal bodies with exactly the escapes `_literal` writes, an
+# IRI `rdf:type` object. `_ROW`'s ASCII IRIs are faster on batches; `_ROW_ANY`
+# reads single lines, and matches every line `triple_line` writes.
+_LITERAL_ESC = r'\\(?:[\\"nrt]|u00(?:0[0-8BCEF]|1[0-9A-F]))'
+_LITERAL_BODY = rf'[^"\\\x00-\x1f]*(?:{_LITERAL_ESC}(?:[^"\\\x00-\x1f]|{_LITERAL_ESC})*|)'
 
 
-# One line whose groups are its Triple's text: no `\`, ASCII IRIs, plain blank
-# labels, literal bodies without control characters, an IRI `rdf:type` object.
-_ASCII_IRI = r"[!#-;=?-\[\]_a-z~\x7f]*"
-_ROW = re.compile(
-    rf"^[ \t]*(<{_ASCII_IRI}>|_:[A-Za-z0-9]+)"
-    rf"[ \t]*<({_ASCII_IRI})>(?:(?<!<{re.escape(RDF_TYPE)}>)|(?=[ \t]*<))"
-    rf'[ \t]*(<{_ASCII_IRI}>|_:[A-Za-z0-9]+|"[^"\\\x00-\x1f\x7f]*"(?:\^\^<{_ASCII_IRI}>|@{_LANG})?)'
-    r"[ \t]*\.[ \t]*(?:#[^\n]*)?\r*(?:\n|\Z)",
-    re.M,
-)
+def _row(iri: str) -> re.Pattern[str]:
+    return re.compile(
+        rf"^[ \t]*(<{iri}*>|_:[A-Za-z0-9]+)"
+        rf"[ \t]*<({iri}*)>(?:(?<!<{re.escape(RDF_TYPE)}>)|(?=[ \t]*<))"
+        rf'[ \t]*(<{iri}*>|_:[A-Za-z0-9]+|"{_LITERAL_BODY}"(?:\^\^<{iri}*>|@{_LANG})?)'
+        r"[ \t]*\.[ \t]*(?:#[^\n]*)?\r*(?:\n|\Z)",
+        re.M,
+    )
+
+
+_ROW = _row(r"[!#-;=?-\[\]_a-z~\x7f]")
+_ROW_ANY = _row(_IRI_CHAR)
 
 # Builds an exact Triple without the NamedTuple constructor's frame.
 _new = tuple.__new__
-
-
-def _matched(m: re.Match, line: int, predicates: dict[str, str]) -> Triple:
-    """The Triple of a `_LINE` match, unescaped and checked as the tokenizer does."""
-    s, s_label, p, o, o_label, lit, dt, lang = m.groups()
-    if "\\" in m.string:
-        # Only group contents are unescaped, in the tokenizer's order, so the
-        # first bad IRI escape is reported where the tokenizer reports it. A
-        # blank node label holds no `\`.
-        if "\\" in s:
-            s = f"<{_unescape(s[1:-1], line, m.start(1) + 2, iri=True)}>"
-        if "\\" in p:
-            p = _unescape(p, line, m.start(3) + 1, iri=True)
-        if lit is not None:
-            if "\\" in lit:
-                lit = _unescape(lit, line, m.start(6) + 1)
-            if dt is not None and "\\" in dt:
-                dt = _unescape(dt, line, m.start(7) + 1, iri=True)
-            o = _literal(lit, dt, lang)
-        elif "\\" in o:
-            o = f"<{_unescape(o[1:-1], line, m.start(4) + 2, iri=True)}>"
-    elif lit is not None and not lit.isprintable():
-        # With no `\` on the line, a printable body is `_literal`'s spelling.
-        o = _literal(lit, dt, lang)
-    if o[0] != "<" and p == RDF_TYPE:
-        raise ParseError(_TYPE_OBJECT, line, m.start(4) + 1)
-    # A matched label is ASCII, so `isalnum` tells a plain one.
-    if s_label is not None and not s_label.isalnum():
-        s = _blank(s_label)
-    if o_label is not None and not o_label.isalnum():
-        o = _blank(o_label)
-    return _new(Triple, (s, predicates.setdefault(p, p), o))
 
 
 def _checked_text(raw: str, line: int) -> str:
@@ -263,10 +226,13 @@ def _line_triple(raw: str, line: int, predicates: dict[str, str]) -> Triple | No
     """The triple of one raw line, None for a blank or comment line."""
     if not raw.isascii():
         raw = _checked_text(raw, line)
-    if (m := _LINE.fullmatch(raw)) is not None:
-        return _matched(m, line, predicates)
-    text = raw.rstrip("\r\n")
-    return None if text.lstrip(" \t")[:1] in ("", "#") else _tokenize_line(text, line)
+    if (m := _ROW_ANY.fullmatch(raw)) is not None:
+        s, p, o = m.groups()
+    elif (text := raw.rstrip("\r\n")).lstrip(" \t")[:1] in ("", "#"):
+        return None
+    else:
+        s, p, o = _tokenize_line(text, line)
+    return _new(Triple, (s, predicates.setdefault(p, p), o))
 
 
 def _line_triples(lines: list[str], on_error: Callable[[ParseError], None] | None, start: int, predicates: dict[str, str]) -> Iterator[Triple]:
@@ -316,7 +282,7 @@ def _batches(source: Iterable[str], on_error: Callable[[ParseError], None] | Non
         start += len(lines)
 
 
-def parse_ntriples(source: Iterable[str], on_error: Callable[[ParseError], None] | None = None, start: int = 1) -> Iterator[Triple]:
+def parse_ntriples(source: Iterable[str], on_error: Callable[[ParseError], None] | None = None) -> Iterator[Triple]:
     """Yield triples from N-Triples text, one statement per line.
 
     `source` is any iterable of lines, such as a file opened with
@@ -324,11 +290,10 @@ def parse_ntriples(source: Iterable[str], on_error: Callable[[ParseError], None]
     malformed line raises ParseError after the triples of the lines before
     it; passing `on_error` switches to skip-and-count mode, where the
     handler receives each error and parsing continues with the next line.
-    `start` is the line number of the first line, for a caller that has
-    already read the lines before it. Blank node labels are not namespaced:
+    Blank node labels are not namespaced:
     `_:b` names one node in every source.
     """
-    return chain.from_iterable(_batches(source, on_error, start))
+    return chain.from_iterable(_batches(source, on_error, 1))
 
 
 # --- writing -----------------------------------------------------------------

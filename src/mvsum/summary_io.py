@@ -50,8 +50,7 @@ from typing import Iterable, Iterator
 
 from mvsum._collector import paused
 from mvsum.errors import DataError
-from mvsum.ntriples import XSD_INTEGER, _BATCH, _IRI_CHAR, _IRI_FORBIDDEN, ParseError, _checked_iri, _checked_text, _line_triple, triple_line
-from mvsum.ntriples import _batch_rows as _findall_rows
+from mvsum.ntriples import XSD_INTEGER, _BATCH, _IRI_CHAR, _IRI_FORBIDDEN, ParseError, _batch_rows, _checked_iri, _checked_text, _line_triple, triple_line
 from mvsum.summary import Model, Summary, as_payload, eqc_id
 
 EQC_NS = "urn:mvs:eqc:"
@@ -247,12 +246,6 @@ def _line_rows(lines: list[str], start: int) -> Iterator[tuple[int, tuple[str, .
         yield lineno, m.groups("")
 
 
-def _batch_rows(lines: list[str], start: int) -> Iterable[tuple[int, tuple[str, ...]]]:
-    """The rows of `_line_rows(lines, start)`, read with one `findall` when it can."""
-    rows = _findall_rows(lines, _STATEMENT)
-    return _line_rows(lines, start) if rows is None else enumerate(rows, start)
-
-
 @paused()
 def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     """Rebuild a summary from its file lines.
@@ -292,7 +285,8 @@ def read_summary(source: Iterable[str], verify: bool = True) -> Summary:
     last = None
     start = 2
     while lines := list(islice(it, _BATCH)):
-        for lineno, (eid, word, label, pid, member, counted, value) in _batch_rows(lines, start):
+        rows = _batch_rows(lines, _STATEMENT)
+        for lineno, (eid, word, label, pid, member, counted, value) in _line_rows(lines, start) if rows is None else enumerate(rows, start):
             sid = eid or pid
             if sid != last:
                 last = one.setdefault(sid, sid)

@@ -23,7 +23,7 @@ GRAPH = [
     "<urn:x:a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:c:C> .",
     "<urn:x:b> <urn:p:q> \"v\" .",
 ]
-BAD_LINE = "<urn:x:a> <urn:p:p> garbage ."
+BAD_STATEMENT = "<urn:x:a> <urn:p:p> garbage ."
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -61,7 +61,7 @@ def test_graph_build_restores_collector(caller_gc):
     assert len(g.vertices) == 2
     assert gc.isenabled() is caller_gc
     with pytest.raises(ParseError):
-        build_graph(parse_ntriples([GRAPH[0], BAD_LINE, GRAPH[1]]))
+        build_graph(parse_ntriples([GRAPH[0], BAD_STATEMENT, GRAPH[1]]))
     assert gc.isenabled() is caller_gc
 
 
@@ -82,7 +82,7 @@ def test_callers_own_parse_loop_keeps_its_setting(caller_gc):
     seen = [gc.isenabled() for _ in parse_ntriples(GRAPH)]
     assert seen == [caller_gc] * len(GRAPH)
     with pytest.raises(ParseError):
-        for _ in parse_ntriples([GRAPH[0], BAD_LINE]):
+        for _ in parse_ntriples([GRAPH[0], BAD_STATEMENT]):
             assert gc.isenabled() is caller_gc
     assert gc.isenabled() is caller_gc
 

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from helpers import BARE_SURROGATES
 from mvsum import ntriples
 from mvsum.ntriples import (
-    _LINE,
+    _ROW,
+    _ROW_ANY,
     RDF_TYPE,
     ParseError,
     Triple,
-    _matched,
     _tokenize_line,
     normalize_bnode_label,
     parse_ntriples,
@@ -30,10 +30,9 @@ def parse_one(line: str) -> Triple:
     return t
 
 
-def _pattern_path(text: str, line: int) -> Triple:
-    """`parse_ntriples`'s path for one line: `_LINE`, or the tokenizer on a miss, with fresh predicates."""
-    m = _LINE.fullmatch(text)
-    return _tokenize_line(text.rstrip("\r\n"), line) if m is None else _matched(m, line, {})
+def _single_line(text: str, line: int) -> Triple:
+    """`parse_ntriples`'s path for one line read on its own: `_ROW_ANY`, or the tokenizer on a miss."""
+    return ntriples._line_triple(text, line, {})
 
 
 def round_trip(triples: list[Triple]) -> list[Triple]:
@@ -142,7 +141,7 @@ def test_escaped_iri_character_the_writer_refuses_is_parse_error(line, col, char
     (r'<urn:a> <urn:p> "x\U0000D800" .   junk', 19),  # the tokenizer path
 ])
 def test_surrogate_escape_is_parse_error(line, col):
-    for parse in (_pattern_path, _tokenize_line):
+    for parse in (_single_line, _tokenize_line):
         with pytest.raises(ParseError) as exc:
             parse(line, 1)
         assert (exc.value.line, exc.value.col) == (1, col)
@@ -161,7 +160,7 @@ _TYPE = f"<{RDF_TYPE}>"
     (f'<urn:a> {_TYPE} "x" .   junk', 59),  # the tokenizer path
 ])
 def test_rdf_type_object_must_be_iri(line, col):
-    for parse in (_pattern_path, _tokenize_line):
+    for parse in (_single_line, _tokenize_line):
         with pytest.raises(ParseError) as exc:
             parse(line, 1)
         assert (exc.value.line, exc.value.col) == (1, col)
@@ -207,9 +206,9 @@ _NEVER = re.compile(r"(?!)")
 
 
 @pytest.mark.parametrize("line, col", BARE_SURROGATES, ids=["iri", "literal", "trailing comment", "comment line"])
-@pytest.mark.parametrize("pattern", [_LINE, _NEVER], ids=["pattern", "tokenizer"])
+@pytest.mark.parametrize("pattern", [_ROW_ANY, _NEVER], ids=["pattern", "tokenizer"])
 def test_bare_surrogate_is_parse_error(monkeypatch, pattern, line, col):
-    monkeypatch.setattr(ntriples, "_LINE", pattern)
+    monkeypatch.setattr(ntriples, "_ROW_ANY", pattern)
     for text in (line, line + "\n"):
         with pytest.raises(ParseError) as exc:
             list(parse_ntriples([text]))
@@ -332,12 +331,12 @@ def test_round_trip_property(triples):
     assert round_trip(triples) == triples
 
 
-# --- whole-line pattern against the term tokenizer -----------------------------
+# --- row patterns against the term tokenizer ----------------------------------
 #
-# `parse_ntriples` matches a line with one pattern and falls back to the term
-# tokenizer only for lines the pattern rejects. The two must give equal
-# triples, or equal errors, on every line: generated ones from the grammar,
-# mutated ones, and the fixture lines.
+# `parse_ntriples` takes a row's groups as its triple and tokenizes only the
+# lines the rows reject. A row must be the tokenizer's triple on every line
+# it matches: generated ones from the grammar, mutated ones, and the fixture
+# lines.
 
 @st.composite
 def _uchar(draw):
@@ -409,7 +408,7 @@ _fixture_lines = ESCAPES.read_text(encoding="utf-8").splitlines()
 
 def _outcome(parse, line):
     try:
-        return parse(line, 3)
+        return parse(line, 1)
     except ParseError as err:
         return ("error", err.line, err.col, err.reason)
 
@@ -421,14 +420,18 @@ def test_line_pattern_agrees_with_tokenizer(line):
     # A run of CR and LF at the end is the line end, which `parse_ntriples`
     # strips before it tokenizes.
     expected = _outcome(_tokenize_line, line.rstrip("\r\n"))
-    got = _outcome(_pattern_path, line)
-    assert got == expected
+    row, ascii_row = _ROW_ANY.fullmatch(line), _ROW.fullmatch(line)
+    for m in (row, ascii_row):
+        if m is not None:
+            assert m.groups() == expected
+    # `_ROW` spells the ASCII subset of `_ROW_ANY`'s IRIs.
+    if ascii_row is not None or line.isascii():
+        assert (ascii_row is None) == (row is None)
     if isinstance(expected, Triple):
         _assert_exact_types(expected)
-        _assert_exact_types(got)
-        # Every valid line takes the pattern, and what it yields writes back.
-        assert _LINE.fullmatch(line) is not None
+        # What it yields writes back, as a row.
         assert _tokenize_line(triple_line(expected), 1) == expected
+        assert _ROW_ANY.fullmatch(triple_line(expected)).groups() == expected
 
 
 def test_predicate_string_shared_within_one_parse_only():
@@ -468,7 +471,7 @@ _skipped_lines = st.one_of(
 @settings(max_examples=1000)
 def test_raw_line_parses_as_its_stripped_line(line, end):
     errors = []
-    got = list(parse_ntriples([line + end], on_error=errors.append, start=3))
+    got = list(parse_ntriples([line + end], on_error=errors.append))
     stripped = (line + end).rstrip("\r\n")
     # A surrogate, even in a comment, is refused before any pattern.
     checked = _outcome(ntriples._checked_text, line + end)
@@ -497,6 +500,23 @@ def test_written_lines_take_the_pattern(triples):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ntriples, "_tokenize_line", _no_tokenizer)
         assert round_trip(triples) == triples
+
+
+# Lines `_ROW` refuses for their IRIs, and literals with each escape the
+# writer spells: read on their own, each is one `_ROW_ANY` match.
+@pytest.mark.parametrize("line", [
+    "<urn:é> <urn:p> <urn:東> .",
+    '_:b <http://例え.jp/ü> "x"^^<urn:dt\x7f> .',
+    r'<urn:a> <urn:p> "a\\b\"c\nd\re\tf\u0000g\u001Fh\u000B" .',
+    r'<urn:a> <urn:π> "\"\\\t"@en-GB . # note',
+    r'<urn:a> <urn:p> "\u0008\u000C\u001B" .',
+])
+def test_non_ascii_iris_and_written_escapes_skip_the_tokenizer(monkeypatch, line):
+    expected = _tokenize_line(line, 1)
+    monkeypatch.setattr(ntriples, "_tokenize_line", _no_tokenizer)
+    for end in ("", "\n", "\r\n"):
+        assert ntriples._line_triple(line + end, 1, {}) == expected
+        assert list(parse_ntriples([line + end])) == [expected]
 
 
 def _benchmark_lines(monkeypatch):
@@ -626,9 +646,9 @@ def test_batch_and_per_line_parses_agree(lines, skip):
     assert _seen(parse_ntriples, lines, skip) == _seen(_per_line, lines, skip)
 
 
-# A literal on a line without `\` keeps its matched text when its body is
-# printable. These characters are not, or are not ASCII: each must still be
-# spelled as the writer spells it, on lines with and without a `\`.
+# A row keeps a literal's matched text. These characters are control
+# characters, not printable or not ASCII: each must still be spelled as the
+# writer spells it, on lines with and without a `\`.
 _SPELLED = ["\t", "\x01", "\x7f", "\u0085", "\u00a0", "\u2028", "é", "東", "a b"]
 
 

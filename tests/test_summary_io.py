@@ -563,17 +563,17 @@ def test_serialization_stable_across_runs(tmp_path):
 
 
 HEADER = "# mvs-summary v1 model=AC digest=sha256\n"
-EQC_LINE = "<urn:mvs:eqc:e> <urn:mvs:payload> <urn:mvs:payload:e> .\n"
+EQC_STATEMENT = "<urn:mvs:eqc:e> <urn:mvs:payload> <urn:mvs:payload:e> .\n"
 
 
 def test_parse_error_names_physical_line():
     # The header is line 1, so the garbage is on line 3.
     with pytest.raises(SummaryFormatError) as exc:
-        read_summary([HEADER, EQC_LINE, "garbage here\n"])
+        read_summary([HEADER, EQC_STATEMENT, "garbage here\n"])
     assert str(exc.value) == "bad statement: line 3, col 1: expected IRI or blank node subject"
     assert (exc.value.__cause__.line, exc.value.__cause__.col) == (3, 1)
     with pytest.raises(SummaryFormatError, match=r"^bad statement: line 4, col 1: invalid UTF-8"):
-        read_summary([HEADER, "# comment\n", EQC_LINE, b"\xff\n".decode("utf-8", "surrogateescape")])
+        read_summary([HEADER, "# comment\n", EQC_STATEMENT, b"\xff\n".decode("utf-8", "surrogateescape")])
 
 
 @pytest.mark.parametrize("line, col", BARE_SURROGATES + [
@@ -583,9 +583,9 @@ def test_bare_surrogate_is_refused(line, col):
     # The canonical member line goes through `_STATEMENT`, the rest through
     # the parser; the check runs before either.
     with pytest.raises(SummaryFormatError, match=f"^bad statement: line 3, col {col}: lone surrogate U\\+D800$"):
-        read_summary([HEADER, EQC_LINE, line])
+        read_summary([HEADER, EQC_STATEMENT, line])
     with pytest.raises(SummaryFormatError, match="^line 1, col 40: lone surrogate U\\+D800$"):
-        read_summary([HEADER.replace("\n", "\ud800\n"), EQC_LINE])
+        read_summary([HEADER.replace("\n", "\ud800\n"), EQC_STATEMENT])
 
 
 @pytest.mark.parametrize("line, message", [
@@ -600,7 +600,7 @@ def test_bare_surrogate_is_refused(line, col):
 @pytest.mark.parametrize("verify", [True, False])
 def test_statement_errors_name_their_line(line, message, verify):
     with pytest.raises(SummaryFormatError) as exc:
-        read_summary([HEADER, EQC_LINE, line], verify=verify)
+        read_summary([HEADER, EQC_STATEMENT, line], verify=verify)
     assert str(exc.value) == message
 
 
@@ -618,7 +618,7 @@ def test_a_side_the_model_omits_names_its_line(model, predicate, message, spacin
     line = f"<urn:mvs:eqc:e>{spacing}<urn:mvs:{predicate}> <urn:v> .\n"
     assert (summary_io._STATEMENT.fullmatch(line) is not None) == (spacing == " ")
     with pytest.raises(SummaryFormatError) as exc:
-        read_summary([HEADER.replace("model=AC", f"model={model}"), EQC_LINE, line])
+        read_summary([HEADER.replace("model=AC", f"model={model}"), EQC_STATEMENT, line])
     assert str(exc.value) == message
 
 
@@ -640,13 +640,13 @@ def test_a_second_count_must_agree():
     count = '<urn:mvs:payload:e> <urn:mvs:count> "%s"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
     member = "<urn:mvs:payload:e> <urn:mvs:member> <urn:x> .\n"
     with pytest.raises(SummaryFormatError) as exc:
-        read_summary([HEADER, EQC_LINE, count % "7", member, count % "1"])
+        read_summary([HEADER, EQC_STATEMENT, count % "7", member, count % "1"])
     assert str(exc.value) == "line 5: payload urn:mvs:payload:e has two counts: 7 and 1"
     with pytest.raises(SummaryFormatError) as exc:
-        read_summary([HEADER, EQC_LINE, count % "1", member, count.replace("> <", ">  <") % "2"])
+        read_summary([HEADER, EQC_STATEMENT, count % "1", member, count.replace("> <", ">  <") % "2"])
     assert str(exc.value) == "line 5: payload urn:mvs:payload:e has two counts: 1 and 2"
     # A repeated statement with an equal count is legal N-Triples.
-    s = read_summary([HEADER, EQC_LINE, count % "1", member, count % "1", count % "01"], verify=False)
+    s = read_summary([HEADER, EQC_STATEMENT, count % "1", member, count % "1", count % "01"], verify=False)
     assert s.payloads == {"e": ("<urn:x>",)}
 
 
@@ -931,7 +931,7 @@ def _load_outcome(lines, verify):
 def _one_member_file(member, count='"1"'):
     return [
         HEADER,
-        EQC_LINE,
+        EQC_STATEMENT,
         f"<urn:mvs:payload:e> <urn:mvs:count> {count}^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
         f"<urn:mvs:payload:e> <urn:mvs:member> {member} .\n",
     ]
@@ -951,8 +951,8 @@ def test_statement_pattern_agrees_with_generic_parse(lines, verify):
 
 
 @given(st.one_of(_summary_files(), _mutated_files()), st.sampled_from([1, 2, 3, 256]), st.booleans())
-@example([HEADER, EQC_LINE + "<", EQC_LINE], 1, False)
-@example([HEADER, EQC_LINE + "<", EQC_LINE], 2, False)
+@example([HEADER, EQC_STATEMENT + "<", EQC_STATEMENT], 1, False)
+@example([HEADER, EQC_STATEMENT + "<", EQC_STATEMENT], 2, False)
 @settings(max_examples=1000, deadline=None)
 def test_batch_and_per_line_reads_agree(lines, batch, verify):
     # Ended lines take `findall` a batch at a time, down to one line;
