@@ -10,22 +10,24 @@ literal object does not, and a literal subject is refused.
 A vertex is its N-Triples term text, `<iri>` or `_:label`, the string a
 summary holds as a member. A built graph is immutable: each vertex's labels
 are a tuple sorted by code point, the very schema side that `summarize`
-groups on. Each vertex text, class IRI and label tuple is one object,
-shared by `vertices` and both label maps.
+groups on. Each vertex text, class, predicate and label tuple is one
+object, shared by `vertices` and both label maps.
 
-`build_graph` runs with the cyclic collector paused (see `mvsum._collector`),
-and so does the parser generator it drives, since the parser's work runs
-inside `build_graph`'s loop.
+Handed what `parse_ntriples` returned, not yet advanced, `build_graph` reads
+the parser's batch rows as `findall` gives them, with no Triple per
+statement; it runs with the cyclic collector paused (see `mvsum._collector`),
+and so does the parser, whose work runs inside `build_graph`'s loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from mvsum._collector import paused
 from mvsum.errors import DataError
-from mvsum.ntriples import RDF_TYPE, Triple
+from mvsum.ntriples import RDF_TYPE, Triple, _Reader
 
 
 @dataclass
@@ -44,39 +46,42 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
     that are not literals are registered as vertices. A literal subject, or
     an `rdf:type` object that is not an IRI, raises DataError.
     """
-    vertex_labels: dict[str, set[str]] = {}
-    out_labels: dict[str, set[str]] = {}
+    # Rows and Triples alike are (s, p, o) strings.
+    if type(triples) is _Reader and triples.unread:
+        triples = chain.from_iterable(triples.unread[0])
+    vertex_labels: dict[str, list[str]] = {}
+    out_labels: dict[str, list[str]] = {}
     # `vertex` maps each vertex text to its first copy and is the vertex set,
-    # `klass` each class IRI; `vertices` and both label maps share them.
+    # `label` each class and predicate; `vertices` and both label maps share
+    # them. A subject with a side already is a vertex, so only a new side
+    # looks its copy up.
     vertex: dict[str, str] = {}
-    klass = {}.setdefault
+    label = {}.setdefault
     one = vertex.setdefault
     for s, p, o in triples:
         if s[0] == '"':
             raise DataError(f"subject must be an IRI or blank node, got {s}")
-        s = one(s, s)
         if p == RDF_TYPE:
             if o[0] != "<":
                 raise DataError(f"rdf:type object must be an IRI, got {o}")
             c = o[1:-1]
-            c = klass(c, c)
             side = vertex_labels.get(s)
             if side is None:
-                vertex_labels[s] = {c}
+                vertex_labels[one(s, s)] = [label(c, c)]
             else:
-                side.add(c)
+                side.append(label(c, c))
             continue
         side = out_labels.get(s)
         if side is None:
-            out_labels[s] = {p}
+            out_labels[one(s, s)] = [label(p, p)]
         else:
-            side.add(p)
+            side.append(label(p, p))
         if o[0] != '"':
             one(o, o)
-    # Equal label sets become one tuple.
+    # Lists hold repeats until here; equal label sets become one tuple.
     interned = {}.setdefault
     for labels in (vertex_labels, out_labels):
         for v, side in labels.items():
-            side = tuple(sorted(side))
+            side = tuple(sorted(set(side))) if len(side) > 1 else tuple(side)
             labels[v] = interned(side, side)
     return Graph(set(vertex), vertex_labels, out_labels)

@@ -19,9 +19,11 @@ class.
 A triple is three strings. The subject and the object are N-Triples term
 text: `<iri>` with its escapes decoded, `_:label` with the label
 normalized, or a literal spelled as `triple_line` writes it. The predicate
-is its bare IRI, the label the graph keeps. The statements of one
-`parse_ntriples` call share one string per predicate; nothing is kept
-across calls.
+is its bare IRI, the label the graph keeps. `parse_ntriples` returns a
+reader: iterated, it yields exact Triples a batch at a time, and those of
+one call share one string per predicate; nothing is kept across calls.
+`build_graph`, handed a reader not yet advanced, reads the rows of its
+batches instead and shares one string per predicate itself.
 """
 
 from __future__ import annotations
@@ -269,17 +271,28 @@ def _batch_rows(lines: list[str], pattern: re.Pattern[str]) -> list | None:
     return None
 
 
-def _batches(source: Iterable[str], on_error: Callable[[ParseError], None] | None, start: int) -> Iterator[Iterable[Triple]]:
-    predicates: dict[str, str] = {}
-    pred = predicates.setdefault
+def _batches(source: Iterable[str], on_error: Callable[[ParseError], None] | None, predicates: dict[str, str]) -> Iterator[Iterable[tuple[str, str, str]]]:
+    """Each `_BATCH` lines of `source`: their `_ROW` rows as `findall` gives
+    them, or else their Triples read line by line."""
     it = iter(source)
+    start = 1
     while lines := list(islice(it, _BATCH)):
         rows = _batch_rows(lines, _ROW)
-        if rows is None:
-            yield _line_triples(lines, on_error, start, predicates)
-        else:
-            yield [_new(Triple, (s, pred(p, p), o)) for s, p, o in rows]
+        yield _line_triples(lines, on_error, start, predicates) if rows is None else rows
         start += len(lines)
+
+
+def _triples(unread: list[Iterator[Iterable[tuple[str, str, str]]]], predicates: dict[str, str]) -> Iterator[Iterable[Triple]]:
+    """Each batch as Triples; the first advance takes the batches out of `unread`."""
+    pred = predicates.setdefault
+    for batch in unread.pop():
+        yield [_new(Triple, (s, pred(p, p), o)) for s, p, o in batch] if type(batch) is list else batch
+
+
+class _Reader(chain):
+    """The Triples of one parse; `unread` holds its batches until it is first advanced."""
+
+    __slots__ = ("unread",)
 
 
 def parse_ntriples(source: Iterable[str], on_error: Callable[[ParseError], None] | None = None) -> Iterator[Triple]:
@@ -290,10 +303,14 @@ def parse_ntriples(source: Iterable[str], on_error: Callable[[ParseError], None]
     malformed line raises ParseError after the triples of the lines before
     it; passing `on_error` switches to skip-and-count mode, where the
     handler receives each error and parsing continues with the next line.
-    Blank node labels are not namespaced:
-    `_:b` names one node in every source.
+    Blank node labels are not namespaced: `_:b` names one node in every
+    source. `build_graph` reads the result by batch rows (module docstring).
     """
-    return chain.from_iterable(_batches(source, on_error, 1))
+    predicates: dict[str, str] = {}
+    unread = [_batches(source, on_error, predicates)]
+    reader = _Reader.from_iterable(_triples(unread, predicates))
+    reader.unread = unread
+    return reader
 
 
 # --- writing -----------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import BARE_SURROGATES
 from mvsum import ntriples
+from mvsum.graph import build_graph
 from mvsum.ntriples import (
     _ROW,
     _ROW_ANY,
@@ -552,6 +553,24 @@ def test_benchmark_lines_take_the_batch_path(monkeypatch):
             assert list(parse_ntriples(lines)) == expected, tag
 
 
+def test_benchmark_graph_builds_without_triples(monkeypatch, tmp_path):
+    # `build_graph` reads a fresh reader's batch rows, not its Triples.
+    def no_triple(*args):
+        raise AssertionError("a Triple was built")
+
+    def per_line(raw, line, predicates):
+        raise AssertionError(f"line {line} was read on its own: {raw!r}")
+
+    for tag, lines in _benchmark_lines(monkeypatch):
+        expected = build_graph([_tokenize_line(line.rstrip("\n"), 1) for line in lines])
+        path = tmp_path / f"{tag}.nt"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp, open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            mp.setattr(ntriples, "_new", no_triple)
+            mp.setattr(ntriples, "_line_triple", per_line)
+            assert build_graph(parse_ntriples(fh)) == expected, tag
+
+
 # --- batches against the per-line reader ---------------------------------------
 #
 # `parse_ntriples` reads `_BATCH` lines with one `findall` of `_ROW` when
@@ -644,6 +663,45 @@ def _seen(parse, lines, skip):
 @settings(max_examples=1000, deadline=None)
 def test_batch_and_per_line_parses_agree(lines, skip):
     assert _seen(parse_ntriples, lines, skip) == _seen(_per_line, lines, skip)
+
+
+def _built(triples, lines, skip):
+    """`build_graph(triples(lines, handler))`, and the errors met on the way."""
+    seen = []
+    handler = (lambda err: seen.append(("error", err.line, err.col, err.reason))) if skip else None
+    try:
+        return build_graph(triples(lines, handler)), seen
+    except ParseError as err:
+        return None, seen + [("raised", err.line, err.col, err.reason)]
+
+
+# `build_graph` reads a fresh reader by rows, and anything else, a list or a
+# reader already advanced, by its Triples: the two must agree.
+@given(_sources(), st.booleans())
+@example(_source(600, 1, [(255, "<urn:a> <urn:p> .\n")]), False)
+@example(_source(600, 1, [(300, "<urn:a> <urn:p> .\n"), (301, '"l" <urn:p> <urn:b> .\n')]), True)
+@settings(max_examples=300, deadline=None)
+def test_reader_and_triple_list_build_one_graph(lines, skip):
+    assert _built(parse_ntriples, lines, skip) == _built(lambda *a: list(parse_ntriples(*a)), lines, skip)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_advanced_reader_builds_from_its_triples(skip):
+    # A first batch of rows, then a fault and a comment in the second.
+    lines = _source(600, 2, [(0, "<urn:first> <urn:p0> <urn:o0> .\n"), (300, "<urn:a> <urn:p> .\n"), (400, "# c\n")])
+
+    def advanced(lines, handler):
+        reader = parse_ntriples(lines, handler)
+        next(reader)
+        return reader
+
+    def rest(lines, handler):
+        return list(parse_ntriples(lines, handler))[1:]
+
+    graph, errors = _built(advanced, lines, skip)
+    assert (graph, errors) == _built(rest, lines, skip)
+    assert (graph is None) != skip and len(errors) == 1
+    assert skip is False or "<urn:first>" not in graph.vertices
 
 
 # A row keeps a literal's matched text. These characters are control
