@@ -13,21 +13,19 @@ are a tuple sorted by code point, the very schema side that `summarize`
 groups on. Each vertex text, class, predicate and label tuple is one
 object, shared by `vertices` and both label maps.
 
-Handed what `parse_ntriples` returned, not yet advanced, `build_graph` reads
-the parser's batch rows as `findall` gives them, with no Triple per
-statement; it runs with the cyclic collector paused (see `mvsum._collector`),
-and so does the parser, whose work runs inside `build_graph`'s loop.
+`build_graph` takes (s, p, o) tuples of strings, the rows `parse_ntriples`
+yields or `Triple`s. It runs with the cyclic collector paused (see
+`mvsum._collector`), and so does the parser, whose work runs in its loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable
 
 from mvsum._collector import paused
 from mvsum.errors import DataError
-from mvsum.ntriples import RDF_TYPE, Triple, _Reader
+from mvsum.ntriples import RDF_TYPE
 
 
 @dataclass
@@ -38,7 +36,7 @@ class Graph:
 
 
 @paused()
-def build_graph(triples: Iterable[Triple]) -> Graph:
+def build_graph(triples: Iterable[tuple[str, str, str]]) -> Graph:
     """Build a graph from text triples, splitting `rdf:type` off into vertex labels.
 
     A triple (s, rdf:type, <c>) adds class c to s's label set; any other
@@ -46,9 +44,6 @@ def build_graph(triples: Iterable[Triple]) -> Graph:
     that are not literals are registered as vertices. A literal subject, or
     an `rdf:type` object that is not an IRI, raises DataError.
     """
-    # Rows and Triples alike are (s, p, o) strings.
-    if type(triples) is _Reader and triples.unread:
-        triples = chain.from_iterable(triples.unread[0])
     vertex_labels: dict[str, list[str]] = {}
     out_labels: dict[str, list[str]] = {}
     # `vertex` maps each vertex text to its first copy and is the vertex set,

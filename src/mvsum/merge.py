@@ -4,11 +4,11 @@
 paper's three steps: the union of both summaries, already right for every
 member the inputs do not put under different EQCs (cases 1 and 2); the
 move of each member they do (case 3) to the EQC of its combined schema;
-and the rebuilding of the payloads members left or entered. The inputs are not modified. Payloads are
-immutable, so the result shares every input payload it does not change,
-and its tables are sized to the EQCs it holds. Beyond its inputs and
-result, a merge holds the member index of the input with more members and
-the move lists.
+and the rebuilding of the payloads members left or entered. The inputs are
+not modified. Payloads are immutable, so the result shares every input
+payload it does not change, and its tables are sized to the EQCs it holds.
+Beyond its inputs and result, a merge holds the member index of the input
+with more members and the move lists.
 
 The case statistics and |E1 ∪ E2| come from the steps, not from a second
 scan; an oracle in `tests/helpers.py` counts the cases member by member.

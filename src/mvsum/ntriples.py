@@ -16,14 +16,13 @@ accepts can be written back, and an `rdf:type` statement whose object is
 not an IRI, since the graph model has no place for a literal or blank
 class.
 
-A triple is three strings. The subject and the object are N-Triples term
-text: `<iri>` with its escapes decoded, `_:label` with the label
-normalized, or a literal spelled as `triple_line` writes it. The predicate
-is its bare IRI, the label the graph keeps. `parse_ntriples` returns a
-reader: iterated, it yields exact Triples a batch at a time, and those of
-one call share one string per predicate; nothing is kept across calls.
-`build_graph`, handed a reader not yet advanced, reads the rows of its
-batches instead and shares one string per predicate itself.
+`parse_ntriples` yields each triple as an exact tuple of three strings, a
+batch at a time. The subject and the object are N-Triples term text: `<iri>`
+with its escapes decoded, `_:label` with the label normalized, or a literal
+spelled as `triple_line` writes it. The predicate is its bare IRI, the label
+the graph keeps; `build_graph`, not the parser, keeps one string per
+predicate. `Triple` is the named form of the same tuple, for triples built
+in code.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ def _parse_term(text: str, pos: int, line: int, *, as_subject: bool, as_predicat
 _TYPE_OBJECT = "rdf:type object must be an IRI"
 
 
-def _tokenize_line(text: str, line: int) -> Triple:
+def _tokenize_line(text: str, line: int) -> tuple[str, str, str]:
     """Parse one statement term by term, decoding escapes: slower than a row,
     but it knows where parsing stopped, so its ParseError has the exact column.
     """
@@ -181,10 +180,10 @@ def _tokenize_line(text: str, line: int) -> Triple:
     pos = _skip_ws(text, pos + 1)
     if pos < len(text) and not text.startswith("#", pos):
         raise ParseError("trailing garbage after '.'", line, pos + 1)
-    return Triple(subj, pred, obj)
+    return subj, pred, obj
 
 
-# One line whose groups are its Triple's text, IRIs spelled by `iri`: plain
+# One line whose groups are its triple's text, IRIs spelled by `iri`: plain
 # blank labels, literal bodies with exactly the escapes `_literal` writes, an
 # IRI `rdf:type` object. `_ROW`'s ASCII IRIs are faster on batches; `_ROW_ANY`
 # reads single lines, and matches every line `triple_line` writes.
@@ -205,9 +204,6 @@ def _row(iri: str) -> re.Pattern[str]:
 _ROW = _row(r"[!#-;=?-\[\]_a-z~\x7f]")
 _ROW_ANY = _row(_IRI_CHAR)
 
-# Builds an exact Triple without the NamedTuple constructor's frame.
-_new = tuple.__new__
-
 
 def _checked_text(raw: str, line: int) -> str:
     """`raw`, or a ParseError at its first surrogate; callers skip ASCII lines."""
@@ -224,23 +220,21 @@ def _checked_text(raw: str, line: int) -> str:
     raise ParseError(f"lone surrogate U+{ord(raw[col]):04X}", line, col + 1)
 
 
-def _line_triple(raw: str, line: int, predicates: dict[str, str]) -> Triple | None:
+def _line_triple(raw: str, line: int) -> tuple[str, str, str] | None:
     """The triple of one raw line, None for a blank or comment line."""
     if not raw.isascii():
         raw = _checked_text(raw, line)
     if (m := _ROW_ANY.fullmatch(raw)) is not None:
-        s, p, o = m.groups()
-    elif (text := raw.rstrip("\r\n")).lstrip(" \t")[:1] in ("", "#"):
+        return m.groups()
+    if (text := raw.rstrip("\r\n")).lstrip(" \t")[:1] in ("", "#"):
         return None
-    else:
-        s, p, o = _tokenize_line(text, line)
-    return _new(Triple, (s, predicates.setdefault(p, p), o))
+    return _tokenize_line(text, line)
 
 
-def _line_triples(lines: list[str], on_error: Callable[[ParseError], None] | None, start: int, predicates: dict[str, str]) -> Iterator[Triple]:
+def _line_triples(lines: list[str], on_error: Callable[[ParseError], None] | None, start: int) -> Iterator[tuple[str, str, str]]:
     for lineno, raw in enumerate(lines, start):
         try:
-            if (t := _line_triple(raw, lineno, predicates)) is not None:
+            if (t := _line_triple(raw, lineno)) is not None:
                 yield t
         except ParseError as err:
             if on_error is None:
@@ -271,31 +265,16 @@ def _batch_rows(lines: list[str], pattern: re.Pattern[str]) -> list | None:
     return None
 
 
-def _batches(source: Iterable[str], on_error: Callable[[ParseError], None] | None, predicates: dict[str, str]) -> Iterator[Iterable[tuple[str, str, str]]]:
-    """Each `_BATCH` lines of `source`: their `_ROW` rows as `findall` gives
-    them, or else their Triples read line by line."""
+def _batches(source: Iterable[str], on_error: Callable[[ParseError], None] | None) -> Iterator[Iterable[tuple[str, str, str]]]:
+    """Each `_BATCH` lines of `source`: their `_ROW` rows, or else their triples read line by line."""
     it = iter(source)
     start = 1
     while lines := list(islice(it, _BATCH)):
-        rows = _batch_rows(lines, _ROW)
-        yield _line_triples(lines, on_error, start, predicates) if rows is None else rows
+        yield _batch_rows(lines, _ROW) or _line_triples(lines, on_error, start)
         start += len(lines)
 
 
-def _triples(unread: list[Iterator[Iterable[tuple[str, str, str]]]], predicates: dict[str, str]) -> Iterator[Iterable[Triple]]:
-    """Each batch as Triples; the first advance takes the batches out of `unread`."""
-    pred = predicates.setdefault
-    for batch in unread.pop():
-        yield [_new(Triple, (s, pred(p, p), o)) for s, p, o in batch] if type(batch) is list else batch
-
-
-class _Reader(chain):
-    """The Triples of one parse; `unread` holds its batches until it is first advanced."""
-
-    __slots__ = ("unread",)
-
-
-def parse_ntriples(source: Iterable[str], on_error: Callable[[ParseError], None] | None = None) -> Iterator[Triple]:
+def parse_ntriples(source: Iterable[str], on_error: Callable[[ParseError], None] | None = None) -> Iterator[tuple[str, str, str]]:
     """Yield triples from N-Triples text, one statement per line.
 
     `source` is any iterable of lines, such as a file opened with
@@ -304,13 +283,9 @@ def parse_ntriples(source: Iterable[str], on_error: Callable[[ParseError], None]
     it; passing `on_error` switches to skip-and-count mode, where the
     handler receives each error and parsing continues with the next line.
     Blank node labels are not namespaced: `_:b` names one node in every
-    source. `build_graph` reads the result by batch rows (module docstring).
+    source. Each triple is an exact tuple of three `str` (module docstring).
     """
-    predicates: dict[str, str] = {}
-    unread = [_batches(source, on_error, predicates)]
-    reader = _Reader.from_iterable(_triples(unread, predicates))
-    reader.unread = unread
-    return reader
+    return chain.from_iterable(_batches(source, on_error))
 
 
 # --- writing -----------------------------------------------------------------
@@ -337,7 +312,7 @@ def _checked_iri(value: str) -> str:
     return value
 
 
-def triple_line(t: Triple) -> str:
+def triple_line(t: tuple[str, str, str]) -> str:
     """One statement in canonical form, without the newline.
 
     `t` holds text as `parse_ntriples` yields it, so it is written as it is.

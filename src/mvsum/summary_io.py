@@ -216,7 +216,7 @@ def save_summary(summary: Summary, path: str | Path) -> None:
 def _respelled(raw: str, lineno: int) -> str | None:
     """A line `_STATEMENT` rejects, parsed and joined by `triple_line`; None if blank or a comment."""
     try:
-        triple = _line_triple(raw, lineno, {})
+        triple = _line_triple(raw, lineno)
     except ParseError as exc:
         raise SummaryFormatError(f"bad statement: {exc}") from exc
     return None if triple is None else triple_line(triple)

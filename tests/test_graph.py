@@ -54,7 +54,7 @@ def test_each_vertex_is_one_string():
     # Each parsed statement brings its own strings, so equal texts arrive as
     # separate copies. `a` and `_:c` are objects before they are subjects,
     # and `urn:c:C` is the class of three vertices. Lines without an end are
-    # read one by one into Triples; ended, they are one batch of rows.
+    # read one by one; ended, they are one batch of rows.
     lines = [
         "<urn:x:b> <urn:p:p> <urn:x:a> .",
         "<urn:x:a> <urn:p:q> _:c .",
@@ -120,7 +120,8 @@ def test_parsed_and_generated_triples_hold_only_strings():
         parsed = list(parse_ntriples(fh))
     generated = view_triples(GenParams(1, 20, 40, 4, 3, 0.5, 0.5, seed=1), 0)
     assert parsed and generated
-    assert all(type(t) is Triple and all(type(x) is str for x in t) for t in parsed + generated)
+    assert all(type(t) is tuple and all(type(x) is str for x in t) for t in parsed)
+    assert all(type(t) is Triple and all(type(x) is str for x in t) for t in generated)
 
 
 def test_union_spec_examples():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import random
@@ -26,25 +27,25 @@ from mvsum.ntriples import (
 ESCAPES = Path(__file__).parent / "data" / "escapes.nt"
 
 
-def parse_one(line: str) -> Triple:
+def parse_one(line: str) -> tuple[str, str, str]:
     (t,) = parse_ntriples([line])
     return t
 
 
-def _single_line(text: str, line: int) -> Triple:
+def _single_line(text: str, line: int) -> tuple[str, str, str]:
     """`parse_ntriples`'s path for one line read on its own: `_ROW_ANY`, or the tokenizer on a miss."""
-    return ntriples._line_triple(text, line, {})
+    return ntriples._line_triple(text, line)
 
 
-def round_trip(triples: list[Triple]) -> list[Triple]:
+def round_trip(triples: list[Triple]) -> list[tuple[str, str, str]]:
     """Write each triple as its canonical line, then parse the lines back."""
     return list(parse_ntriples(triple_line(t) + "\n" for t in triples))
 
 
 def _assert_exact_types(t) -> None:
-    # A Triple equals the plain 3-tuple of its fields, and a str subclass
+    # A plain tuple equals a Triple of the same fields, and a str subclass
     # equals its text, so equality cannot tell them apart; the types must be exact.
-    assert type(t) is Triple
+    assert type(t) is tuple and len(t) == 3
     assert all(type(term) is str for term in t)
 
 
@@ -63,18 +64,18 @@ def test_parse_plain_iri_triple():
 
 def test_parse_datatyped_literal():
     t = parse_one('<urn:a> <urn:p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .')
-    assert t.object == '"5"^^<http://www.w3.org/2001/XMLSchema#integer>'
+    assert t[2] == '"5"^^<http://www.w3.org/2001/XMLSchema#integer>'
 
 
 def test_parse_langtag_literal():
     t = parse_one('<urn:a> <urn:p> "hi"@en-GB .')
-    assert t.object == '"hi"@en-GB'
+    assert t[2] == '"hi"@en-GB'
 
 
 def test_parse_blank_nodes():
     t = parse_one("_:a <urn:p> _:b1 .")
-    assert t.subject == "_:a"
-    assert t.object == "_:b1"
+    assert t[0] == "_:a"
+    assert t[2] == "_:b1"
 
 
 def test_missing_object_is_parse_error():
@@ -100,7 +101,7 @@ def test_malformed_lines(bad):
 def test_escapes_unescaped():
     # Decoded, then spelled once: ECHARs as they came, UCHARs as characters.
     t = parse_one(r'<urn:a> <urn:p> "a\"b\\c\nd\teAf\U0001F600" .')
-    assert t.object == _lit('a"b\\c\nd\teAf\N{GRINNING FACE}')
+    assert t[2] == _lit('a"b\\c\nd\teAf\N{GRINNING FACE}')
     t = parse_one(r'<urn:\u0061> <urn:p\U00000071> "\u0041\u0009\u0022"^^<urn:\u0064> .')
     assert t == Triple("<urn:a>", "urn:pq", '"A\\t\\""^^<urn:d>')
 
@@ -111,8 +112,8 @@ def test_uchar_escaped_literal_is_spelled_canonically(value):
     # Every character written as a UCHAR escape parses to the canonical text.
     escaped = "".join("\\U%08X" % ord(ch) for ch in value)
     line = f'<urn:a> <urn:p> "{escaped}" .'
-    assert parse_one(line).object == _lit(value)
-    assert _tokenize_line(line, 1).object == _lit(value)
+    assert parse_one(line)[2] == _lit(value)
+    assert _tokenize_line(line, 1)[2] == _lit(value)
 
 
 def test_bad_escape_is_error():
@@ -166,7 +167,7 @@ def test_rdf_type_object_must_be_iri(line, col):
             parse(line, 1)
         assert (exc.value.line, exc.value.col) == (1, col)
         assert exc.value.reason == "rdf:type object must be an IRI"
-    assert parse_one(f"<urn:a> {_TYPE} <urn:C> .").object == "<urn:C>"
+    assert parse_one(f"<urn:a> {_TYPE} <urn:C> .")[2] == "<urn:C>"
 
 
 def test_comments_and_blank_lines_skipped():
@@ -286,10 +287,10 @@ def test_odd_labels_are_encoded_alphanumeric():
 
 def test_blank_labels_are_global_across_files():
     # No per-file namespace: one label read from two files is one term.
-    view1 = list(parse_ntriples(["_:b <urn:p> _:a.b .\n"]))
-    view2 = list(parse_ntriples(["_:a.b <urn:q> _:b .\n"]))
-    assert view1[0].subject == view2[0].object == "_:b"
-    assert view1[0].object == view2[0].subject == "_:" + normalize_bnode_label("a.b")
+    (s1, _, o1), = parse_ntriples(["_:b <urn:p> _:a.b .\n"])
+    (s2, _, o2), = parse_ntriples(["_:a.b <urn:q> _:b .\n"])
+    assert s1 == o2 == "_:b"
+    assert o1 == s2 == "_:" + normalize_bnode_label("a.b")
 
 
 @given(st.text(alphabet="abcXYZ019._-", min_size=1, max_size=12))
@@ -408,6 +409,7 @@ _fixture_lines = ESCAPES.read_text(encoding="utf-8").splitlines()
 
 
 def _outcome(parse, line):
+    """The triple `parse` gives `line`, or a 4-tuple ("error", line, column, reason)."""
     try:
         return parse(line, 1)
     except ParseError as err:
@@ -428,28 +430,11 @@ def test_line_pattern_agrees_with_tokenizer(line):
     # `_ROW` spells the ASCII subset of `_ROW_ANY`'s IRIs.
     if ascii_row is not None or line.isascii():
         assert (ascii_row is None) == (row is None)
-    if isinstance(expected, Triple):
+    if len(expected) == 3:
         _assert_exact_types(expected)
         # What it yields writes back, as a row.
         assert _tokenize_line(triple_line(expected), 1) == expected
         assert _ROW_ANY.fullmatch(triple_line(expected)).groups() == expected
-
-
-def test_predicate_string_shared_within_one_parse_only():
-    # Bare lines are read line by line, ended ones by one `findall`.
-    for end in ("", "\n"):
-        lines = [line + end for line in ['<urn:a> <urn:p> <urn:b> .', '_:x <urn:p> "v" .', '<urn:c> <urn:q> <urn:b> .']]
-        first = list(parse_ntriples(lines))
-        second = list(parse_ntriples(list(lines)))
-        assert first == second
-        for triples in (first, second):
-            for t in triples:
-                _assert_exact_types(t)
-            # Equal predicates of one parse are one object.
-            assert triples[0].predicate is triples[1].predicate
-        # A second parse builds its own: nothing is cached across calls.
-        assert second[0].predicate is not first[0].predicate
-        assert second[2].predicate is not first[2].predicate
 
 
 # --- the raw line first ----------------------------------------------------------
@@ -483,7 +468,7 @@ def test_raw_line_parses_as_its_stripped_line(line, end):
         return
     else:
         expected = _outcome(_tokenize_line, stripped)
-    if isinstance(expected, Triple):
+    if len(expected) == 3:
         assert (got, errors) == ([expected], [])
         _assert_exact_types(got[0])
     else:
@@ -516,7 +501,7 @@ def test_non_ascii_iris_and_written_escapes_skip_the_tokenizer(monkeypatch, line
     expected = _tokenize_line(line, 1)
     monkeypatch.setattr(ntriples, "_tokenize_line", _no_tokenizer)
     for end in ("", "\n", "\r\n"):
-        assert ntriples._line_triple(line + end, 1, {}) == expected
+        assert ntriples._line_triple(line + end, 1) == expected
         assert list(parse_ntriples([line + end])) == [expected]
 
 
@@ -538,11 +523,11 @@ def test_benchmark_lines_take_the_pattern(monkeypatch):
     expected = [_tokenize_line(line.rstrip("\n"), 1) for line in lines]
     monkeypatch.setattr(ntriples, "_tokenize_line", _no_tokenizer)
     assert list(parse_ntriples(lines)) == expected
-    assert any(t.object.startswith('"') for t in expected)
+    assert any(o.startswith('"') for _, _, o in expected)
 
 
 def test_benchmark_lines_take_the_batch_path(monkeypatch):
-    def per_line(raw, line, predicates):
+    def per_line(raw, line):
         raise AssertionError(f"line {line} was read on its own: {raw!r}")
 
     for tag, lines in _benchmark_lines(monkeypatch):
@@ -554,21 +539,35 @@ def test_benchmark_lines_take_the_batch_path(monkeypatch):
 
 
 def test_benchmark_graph_builds_without_triples(monkeypatch, tmp_path):
-    # `build_graph` reads a fresh reader's batch rows, not its Triples.
-    def no_triple(*args):
-        raise AssertionError("a Triple was built")
-
-    def per_line(raw, line, predicates):
+    # Read from a file, the lines are ended and take the batch path; bare,
+    # they take the line path. Either way the parser yields exact tuples of
+    # three `str`, and `build_graph` builds one graph from the reader and from
+    # a generator over it, which is how a traced benchmark run times the parser.
+    def per_line(raw, line):
         raise AssertionError(f"line {line} was read on its own: {raw!r}")
 
+    def check(read, tag):
+        with read() as source:
+            got = list(parse_ntriples(source))
+        assert got == triples, tag
+        for t in got:
+            _assert_exact_types(t)
+        with read() as source:
+            assert build_graph(parse_ntriples(source)) == expected, tag
+        with read() as source:
+            assert build_graph(t for t in parse_ntriples(source)) == expected, tag
+
     for tag, lines in _benchmark_lines(monkeypatch):
-        expected = build_graph([_tokenize_line(line.rstrip("\n"), 1) for line in lines])
+        triples = [_tokenize_line(line.rstrip("\n"), 1) for line in lines]
+        expected = build_graph(triples)
         path = tmp_path / f"{tag}.nt"
         path.write_text("".join(lines), encoding="utf-8")
-        with pytest.MonkeyPatch.context() as mp, open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            mp.setattr(ntriples, "_new", no_triple)
+        bare = [line.rstrip("\n") for line in lines]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ntriples, "_tokenize_line", _no_tokenizer)
+            check(lambda: contextlib.nullcontext(bare), f"{tag}, bare")
             mp.setattr(ntriples, "_line_triple", per_line)
-            assert build_graph(parse_ntriples(fh)) == expected, tag
+            check(lambda: open(path, encoding="utf-8", errors="surrogateescape"), f"{tag}, file")
 
 
 # --- batches against the per-line reader ---------------------------------------
@@ -624,10 +623,9 @@ def _sources(draw):
 
 
 def _per_line(lines, on_error=None):
-    predicates = {}
     for lineno, raw in enumerate(lines, 1):
         try:
-            t = ntriples._line_triple(raw, lineno, predicates)
+            t = ntriples._line_triple(raw, lineno)
         except ParseError as err:
             if on_error is None:
                 raise
@@ -675,8 +673,9 @@ def _built(triples, lines, skip):
         return None, seen + [("raised", err.line, err.col, err.reason)]
 
 
-# `build_graph` reads a fresh reader by rows, and anything else, a list or a
-# reader already advanced, by its Triples: the two must agree.
+# `build_graph` reads a reader lazily, and a list of what it yields after the
+# parse has ended: the graph, the skipped errors and the first `ParseError`
+# must agree.
 @given(_sources(), st.booleans())
 @example(_source(600, 1, [(255, "<urn:a> <urn:p> .\n")]), False)
 @example(_source(600, 1, [(300, "<urn:a> <urn:p> .\n"), (301, '"l" <urn:p> <urn:b> .\n')]), True)
@@ -687,7 +686,8 @@ def test_reader_and_triple_list_build_one_graph(lines, skip):
 
 @pytest.mark.parametrize("skip", [False, True])
 def test_advanced_reader_builds_from_its_triples(skip):
-    # A first batch of rows, then a fault and a comment in the second.
+    # A reader advanced with `next()` builds from the rest: a first batch of
+    # rows, then a fault and a comment in the second.
     lines = _source(600, 2, [(0, "<urn:first> <urn:p0> <urn:o0> .\n"), (300, "<urn:a> <urn:p> .\n"), (400, "# c\n")])
 
     def advanced(lines, handler):
